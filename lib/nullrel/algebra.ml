@@ -102,9 +102,22 @@ let project x xr =
   observed1 "project" xr
     (Xrel.of_list (List.map (fun r -> Tuple.restrict r x) (Xrel.to_list xr)))
 
+(* A mapping injective on the operand's scope relabels every tuple one
+   to one and preserves subsumption both ways, so a minimal operand
+   stays minimal; only a rename that merges columns can collapse or
+   order tuples and needs re-minimizing. *)
 let rename mapping xr =
+  let renamed =
+    Relation.of_list (List.map (Tuple.rename mapping) (Xrel.to_list xr))
+  in
+  (* The renamed scope is the scope's image: as large only when the
+     mapping is injective on it. *)
   observed1 "rename" xr
-    (Xrel.of_list (List.map (Tuple.rename mapping) (Xrel.to_list xr)))
+    (if
+       Attr.Set.cardinal (Relation.scope renamed)
+       = Attr.Set.cardinal (Xrel.scope xr)
+     then Xrel.unsafe_of_minimal renamed
+     else Xrel.of_relation renamed)
 
 let y_total_part y xr = Xrel.filter (Tuple.is_total_on y) xr
 

@@ -64,7 +64,9 @@ val project : Attr.Set.t -> Xrel.t -> Xrel.t
 
 val rename : (Attr.t * Attr.t) list -> Xrel.t -> Xrel.t
 (** Attribute renaming [(old, new)]; needed to give product operands
-    disjoint scopes. *)
+    disjoint scopes. A mapping injective on the operand's scope keeps
+    the representation minimal; only one that merges columns
+    re-minimizes. *)
 
 val image : Attr.Set.t -> Attr.Set.t -> Tuple.t -> Xrel.t -> Xrel.t
 (** [image y z t r] is the Z-image [Z_R(t)] of the Y-total tuple [t]

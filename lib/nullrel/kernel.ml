@@ -88,8 +88,8 @@ let parallel_minimize r =
   if n = 0 then r
   else begin
     let idx = Subsume_index.build r in
-    (* Freeze the lazy probe tables: probing below must be a pure read
-       on every domain. *)
+    (* Build the probe tables once up front, so the workers below do
+       not each build the same ones. *)
     Subsume_index.prepare idx (Array.to_list arr);
     let keep = Array.make n false in
     let ticks = Atomic.make 0 in

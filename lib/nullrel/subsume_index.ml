@@ -1,6 +1,5 @@
 (* Probe tables are keyed by the probe's non-null attribute set [pi]
-   (as a sorted name list) and map a [pi]-restriction (as a canonical
-   binding list) to:
+   and map a [pi]-restriction (as a canonical binding list) to:
    - [count]: how many indexed tuples agree with it on [pi];
    - [exact]: whether one of them is that restriction itself
      (i.e. its non-null attribute set is exactly [pi]).
@@ -15,15 +14,24 @@
 
 module Sigmap = Map.Make (Attr.Set)
 
+(* A bucket is mutated only while its table is being built, before the
+   table is published; afterwards every probe is a pure read. *)
 type bucket = { mutable count : int; mutable exact : bool }
+
+type table = ((Attr.t * Value.t) list, bucket) Hashtbl.t
 
 type base = {
   tuples : Tuple.t list;
-  tables : (string list, ((Attr.t * Value.t) list, bucket) Hashtbl.t) Hashtbl.t;
-  (* Forced only by DML-style callers ({!advance}, {!mem},
-     {!subsumed_within}); pure probe workloads never pay for them. *)
-  set : Tuple.Set.t Lazy.t;
-  size : int Lazy.t;
+  tables : table Sigmap.t Atomic.t;
+      (* Published probe tables, keyed by signature. A domain that
+         misses builds the table privately and publishes it by
+         compare-and-set, so probing is safe from any domain. *)
+  (* Built only for DML-style callers ({!advance}, {!mem},
+     {!subsumed_within}); pure probe workloads never pay for them.
+     [Once] cells, not [Lazy.t]: a catalog shares its indexes with
+     every session domain. *)
+  set : Tuple.Set.t Once.t;
+  size : int Once.t;
 }
 
 type t = {
@@ -31,9 +39,9 @@ type t = {
   added : Tuple.t list; (* live, not in base *)
   removed : Tuple.Set.t; (* in base, not live *)
   overlay : int; (* |added| + |removed| *)
-  live : Tuple.Set.t Lazy.t; (* base.set minus removed plus added *)
-  sigs : int Sigmap.t Lazy.t; (* live tuples per non-null signature *)
-  size : int Lazy.t; (* |live| *)
+  live : Tuple.Set.t Once.t; (* base.set minus removed plus added *)
+  sigs : int Sigmap.t Once.t; (* live tuples per non-null signature *)
+  size : int Once.t; (* |live| *)
 }
 
 let m_builds =
@@ -66,7 +74,7 @@ let of_base base =
     removed = Tuple.Set.empty;
     overlay = 0;
     live = base.set;
-    sigs = lazy (sigs_of base.tuples);
+    sigs = Once.make (fun () -> sigs_of base.tuples);
     size = base.size;
   }
 
@@ -76,43 +84,54 @@ let build rel =
   of_base
     {
       tuples;
-      tables = Hashtbl.create 8;
-      set = lazy (Tuple.Set.of_list tuples);
-      size = lazy (List.length tuples);
+      tables = Atomic.make Sigmap.empty;
+      (* A relation is already the tuple set. *)
+      set = Once.of_val (Relation.tuples rel);
+      size = Once.make (fun () -> List.length tuples);
     }
 
-let sig_key pi = List.map Attr.name (Attr.Set.elements pi)
+let build_table tuples pi : table =
+  let tbl = Hashtbl.create (List.length tuples) in
+  List.iter
+    (fun t ->
+      if Tuple.is_total_on pi t then begin
+        let r = Tuple.restrict t pi in
+        let k = Tuple.to_list r in
+        let bucket =
+          match Hashtbl.find_opt tbl k with
+          | Some b -> b
+          | None ->
+              let b = { count = 0; exact = false } in
+              Hashtbl.add tbl k b;
+              b
+        in
+        bucket.count <- bucket.count + 1;
+        if Tuple.equal r t then bucket.exact <- true
+      end)
+    tuples;
+  tbl
 
 let table idx pi =
-  let key = sig_key pi in
-  match Hashtbl.find_opt idx.base.tables key with
+  let tables = idx.base.tables in
+  match Sigmap.find_opt pi (Atomic.get tables) with
   | Some tbl -> tbl
   | None ->
-      let tbl = Hashtbl.create (List.length idx.base.tuples) in
-      List.iter
-        (fun t ->
-          if Tuple.is_total_on pi t then begin
-            let k = Tuple.to_list (Tuple.restrict t pi) in
-            let bucket =
-              match Hashtbl.find_opt tbl k with
-              | Some b -> b
-              | None ->
-                  let b = { count = 0; exact = false } in
-                  Hashtbl.add tbl k b;
-                  b
-            in
-            bucket.count <- bucket.count + 1;
-            if Attr.Set.equal (Tuple.attrs t) pi then bucket.exact <- true
-          end)
-        idx.base.tuples;
-      Hashtbl.add idx.base.tables key tbl;
-      tbl
+      let tbl = build_table idx.base.tuples pi in
+      let rec publish () =
+        let seen = Atomic.get tables in
+        match Sigmap.find_opt pi seen with
+        | Some winner -> winner
+        | None ->
+            if Atomic.compare_and_set tables seen (Sigmap.add pi tbl seen)
+            then tbl
+            else publish ()
+      in
+      publish ()
 
 let prepare idx probes =
   List.iter (fun t -> ignore (table idx (Tuple.attrs t))) probes;
-  (* With a live overlay the strict probe consults [live]; freeze it
-     here so probing stays a pure read on every domain. *)
-  if idx.overlay > 0 then ignore (Lazy.force idx.live)
+  (* With an overlay the strict probe consults [live]: build it too. *)
+  if idx.overlay > 0 then ignore (Once.get idx.live)
 
 let bucket_at idx r =
   let pi = Tuple.attrs r in
@@ -144,14 +163,14 @@ let strictly_subsuming_exists idx r =
     | None -> false
     | Some b -> b.count - (if b.exact then 1 else 0) > 0
   else
-    let self = if Tuple.Set.mem r (Lazy.force idx.live) then 1 else 0 in
+    let self = if Tuple.Set.mem r (Once.get idx.live) then 1 else 0 in
     count_at idx r - self > 0
 
-let mem idx t = Tuple.Set.mem t (Lazy.force idx.live)
-let cardinal idx = Lazy.force idx.size
+let mem idx t = Tuple.Set.mem t (Once.get idx.live)
+let cardinal idx = Once.get idx.size
 
 let subsumed_within idx u =
-  let live = Lazy.force idx.live in
+  let live = Once.get idx.live in
   let au = Tuple.attrs u in
   Sigmap.fold
     (fun pi _count acc ->
@@ -163,7 +182,7 @@ let subsumed_within idx u =
         if Tuple.Set.mem c live then c :: acc else acc
       end
       else acc)
-    (Lazy.force idx.sigs) []
+    (Once.get idx.sigs) []
 
 (* Compaction threshold: the slack keeps tiny relations from
    compacting on every other statement. *)
@@ -174,17 +193,17 @@ let compact ~live ~sigs ~size =
   of_base
     {
       tuples = Tuple.Set.elements live;
-      tables = Hashtbl.create 8;
-      set = Lazy.from_val live;
-      size = Lazy.from_val size;
+      tables = Atomic.make Sigmap.empty;
+      set = Once.of_val live;
+      size = Once.of_val size;
     }
-  |> fun idx -> { idx with sigs = Lazy.from_val sigs }
+  |> fun idx -> { idx with sigs = Once.of_val sigs }
 
 let advance idx ~added ~removed =
   if !Obs.Metrics.enabled then Obs.Metrics.inc m_advances;
-  let live = Lazy.force idx.live in
-  let sigs = Lazy.force idx.sigs in
-  let size = Lazy.force idx.size in
+  let live = Once.get idx.live in
+  let sigs = Once.get idx.sigs in
+  let size = Once.get idx.size in
   let bump delta pi m =
     Sigmap.update pi
       (function
@@ -229,14 +248,14 @@ let advance idx ~added ~removed =
       added = a;
       removed = rm;
       overlay;
-      live = Lazy.from_val live;
-      sigs = Lazy.from_val sigs;
-      size = Lazy.from_val size;
+      live = Once.of_val live;
+      sigs = Once.of_val sigs;
+      size = Once.of_val size;
     }
 
 let to_list idx =
   if idx.overlay = 0 then idx.base.tuples
-  else Tuple.Set.elements (Lazy.force idx.live)
+  else Tuple.Set.elements (Once.get idx.live)
 
 let diff r1 r2 =
   let idx = build r2 in

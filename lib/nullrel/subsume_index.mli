@@ -15,9 +15,9 @@
     equals [r]. So all subsumption probes for tuples with non-null
     attribute set [pi] are answered by one hash table keyed on
     [pi]-restrictions, shared across the (usually few) null patterns of
-    the data. Tables are built lazily, one per distinct probe
-    signature — which mutates the index, so concurrent probing requires
-    {!prepare} first.
+    the data. Tables are built on first use, one per distinct probe
+    signature, and published atomically: any number of domains may
+    probe one index at once.
 
     The index is {e persistent} under DML: {!advance} layers a
     statement's delta over the existing probe tables without rebuilding
@@ -48,11 +48,11 @@ val advance : t -> added:Tuple.t list -> removed:Tuple.t list -> t
     [nullrel_subsume_index_compactions_total]). *)
 
 val prepare : t -> Tuple.t list -> unit
-(** [prepare idx probes] force-builds the table of every probe
-    signature occurring in [probes], after which probing any of those
-    tuples (from any domain) is a pure read. Required before handing
-    the index to {!Par.Pool} workers: the lazy build in {!count_at}
-    mutates the table registry and is not domain-safe. *)
+(** [prepare idx probes] builds the table of every probe signature
+    occurring in [probes], after which probing any of those tuples is
+    a pure read. Probing is domain-safe without it; calling it before
+    handing the index to {!Par.Pool} workers keeps each worker from
+    building the same table again. *)
 
 val count_at : t -> Tuple.t -> int
 (** [count_at idx r]: how many indexed tuples are more informative than

@@ -9,8 +9,10 @@ module String_map = Map.Make (String)
    can never resurrect stale stats — replaying a record invalidates
    them by construction.
 
-   The subsumption index is lazy and tied to the entry. A {e wholesale}
-   write ([.load], {!set_relation}) builds a fresh (unforced) one; the
+   The subsumption index is built on first use and tied to the entry,
+   in a {!Once} cell rather than a [Lazy.t] because every session domain
+   shares the catalog. A {e wholesale} write ([.load], {!set_relation})
+   installs a fresh unbuilt one; the
    incremental DML path ({!apply_delta}) instead {e advances} the
    index by the statement's net delta, so the probe tables survive
    across statements and the per-statement cost stays bounded by the
@@ -27,7 +29,7 @@ type entry = {
   e_x : Xrel.t;
   e_version : int;
   e_stats : (int * Stats.table) option;  (** (version stamp, summary) *)
-  e_index : Subsume_index.t Lazy.t;
+  e_index : Subsume_index.t Once.t;
   e_sec : sec list;  (** Declaration order. *)
 }
 
@@ -43,7 +45,7 @@ type t = {
 exception Violation of Schema.violation list
 
 let empty = { c_rels = String_map.empty; c_defs = []; c_unverified = [] }
-let index_of x = lazy (Subsume_index.build (Xrel.rep x))
+let index_of x = Once.make (fun () -> Subsume_index.build (Xrel.rep x))
 
 (* ---------------------- secondary indexes --------------------- *)
 
@@ -177,6 +179,33 @@ let set_relation cat name x =
 
 (* ---------------------- incremental DML ----------------------- *)
 
+(* Patches an entry by a net delta known to keep the relation minimal:
+   the persistent set moves by the delta — O(|delta| log n) — instead of
+   being rebuilt, which would put an O(n) term back into every
+   statement, and every declared secondary index advances by the same
+   delta. [index] gives the new subsumption-index memo. *)
+let patch cat name e ~index ~added ~removed =
+  let x =
+    Xrel.unsafe_of_minimal
+      (List.fold_left
+         (fun r t -> Relation.add t r)
+         (List.fold_left (fun r t -> Relation.remove t r) (Xrel.rep e.e_x) removed)
+         added)
+  in
+  let entry =
+    {
+      e with
+      e_x = x;
+      e_version = e.e_version + 1;
+      e_index = index x;
+      e_sec =
+        List.map
+          (fun s -> { s with s_idx = packed_advance ~added ~removed s.s_idx })
+          e.e_sec;
+    }
+  in
+  { cat with c_rels = String_map.add name entry cat.c_rels }
+
 (* [apply_delta] is the DML-path counterpart of {!set_relation}: it
    maintains the minimal representation by the insert discipline of
    Section 7 — probe, admit, evict the newly-subsumed — in one bounded
@@ -187,7 +216,7 @@ let set_relation cat name x =
    they survive the write. *)
 let apply_delta cat name ~added ~removed =
   let e = String_map.find name cat.c_rels in
-  let idx0 = Lazy.force e.e_index in
+  let idx0 = Once.get e.e_index in
   let removed = List.filter (fun t -> Subsume_index.mem idx0 t) removed in
   let idx1 = Subsume_index.advance idx0 ~added:[] ~removed in
   let key = Schema.key e.e_schema in
@@ -224,34 +253,23 @@ let apply_delta cat name ~added ~removed =
   in
   if Tuple.Set.is_empty net_added && Tuple.Set.is_empty net_removed then
     (cat, (Tuple.Set.empty, Tuple.Set.empty))
-  else begin
-    (* Patch the persistent set by the net delta — O(|delta| log n) —
-       instead of rebuilding it from the index, which would put an
-       O(n) term back into every statement. The index's live set and
-       this rep stay equal by construction: both apply exactly
-       [net_added] / [net_removed] to the same previous antichain. *)
-    let x =
-      Xrel.unsafe_of_minimal
-        (Tuple.Set.fold Relation.add net_added
-           (Tuple.Set.fold Relation.remove net_removed (Xrel.rep e.e_x)))
-    in
-    let al = Tuple.Set.elements net_added
-    and rl = Tuple.Set.elements net_removed in
-    let entry =
-      {
-        e with
-        e_x = x;
-        e_version = e.e_version + 1;
-        e_index = Lazy.from_val idx2;
-        e_sec =
-          List.map
-            (fun s -> { s with s_idx = packed_advance ~added:al ~removed:rl s.s_idx })
-            e.e_sec;
-      }
-    in
-    ( { cat with c_rels = String_map.add name entry cat.c_rels },
+  else
+    ( patch cat name e ~index:(fun _ -> Once.of_val idx2)
+        ~added:(Tuple.Set.elements net_added)
+        ~removed:(Tuple.Set.elements net_removed),
       (net_added, net_removed) )
-  end
+
+(* Journal replay folds a relation's whole tail into one net delta that
+   {!Replay.compose} has already checked against every probe the insert
+   discipline would make, so it is spliced in directly. The subsumption
+   index is left unbuilt, as after a load; the first writer builds it on
+   demand. *)
+let replay_delta cat name ~added ~removed =
+  match (added, removed) with
+  | [], [] -> cat
+  | _ ->
+      let e = String_map.find name cat.c_rels in
+      patch cat name e ~index:index_of ~added ~removed
 
 let to_db cat =
   List.map
@@ -260,7 +278,7 @@ let to_db cat =
 
 let probe_index cat name =
   Option.map
-    (fun e -> Lazy.force e.e_index)
+    (fun e -> Once.get e.e_index)
     (String_map.find_opt name cat.c_rels)
 
 (* ------------------ secondary-index catalog ------------------- *)

@@ -60,6 +60,17 @@ val apply_delta :
     per tuple, key uniqueness by one probe of the key restriction.
     Raises [Not_found] on an unknown name. *)
 
+val replay_delta :
+  t -> string -> added:Tuple.t list -> removed:Tuple.t list -> t
+(** Journal replay's write: splices a relation's composed tail, a net
+    delta {!Replay.compose} has checked against every probe of the
+    insert discipline — [removed] present, [added] absent, schema-valid
+    and incomparable with the rest — so no probe is repeated here.
+    Secondary indexes advance by the delta; the subsumption index is
+    left unbuilt, as after a load, and the first writer builds it on
+    demand. An empty delta leaves the catalog unchanged. Raises
+    [Not_found] on an unknown name. *)
+
 val probe_index : t -> string -> Nullrel.Subsume_index.t option
 (** A subsumption index over the relation's current minimal
     representation, built lazily at most once per write — the probe

@@ -39,9 +39,10 @@ val advance : t -> added:Tuple.t list -> removed:Tuple.t list -> t
     compaction share. [idx] itself is unchanged. *)
 
 val prepare : t -> Tuple.t list -> unit
-(** Force-builds the probe table of every signature occurring in the
-    given probes, so subsequent probing is a pure read (required
-    before sharing the index across {!Par.Pool} domains). *)
+(** Builds the probe table of every signature occurring in the given
+    probes, so subsequent probing is a pure read (probing is
+    domain-safe without it; this keeps {!Par.Pool} workers from each
+    building the same table). *)
 
 val count_at : t -> Tuple.t -> int
 (** [count_at idx r]: how many indexed tuples are more informative than

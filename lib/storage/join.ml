@@ -99,9 +99,28 @@ let observed_probe op r1 result =
   end;
   result
 
+(* The probe's hits come from one minimal relation. When none of them
+   binds an attribute of [r1]'s scope, each output tuple splits back
+   into its two factors, so two comparable outputs would need
+   comparable factors: the output of minimal operands is minimal, the
+   test {!Algebra.product} makes. Only a hit that shares a column with
+   [r1] sends the output through minimization. *)
 let probe_equijoin ?(strategy = Kernel.Indexed) ~probe r1 =
+  let scope = Xrel.scope r1 in
+  let shared = Atomic.make false in
+  let binds_scope t2 =
+    Tuple.fold (fun a _ hit -> hit || Attr.Set.mem a scope) t2 false
+  in
+  let probe t1 =
+    let hits = probe t1 in
+    if (not (Atomic.get shared)) && List.exists binds_scope hits then
+      Atomic.set shared true;
+    hits
+  in
+  let raw = probe_core strategy probe r1 in
   observed_probe "probe-equijoin" r1
-    (Xrel.of_relation (probe_core strategy probe r1))
+    (if Atomic.get shared then Xrel.of_relation raw
+     else Xrel.unsafe_of_minimal raw)
 
 let hash_union_join ?strategy ?index x r1 r2 =
   observed2 "hash-union-join" r1 r2

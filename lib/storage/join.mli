@@ -51,6 +51,9 @@ val probe_equijoin :
     build side is never materialized: cost O(|r1| + |output|) instead
     of O(|r1| + |r2| + |output|). The probe must return, for each
     X-total tuple, exactly the indexed tuples matching it on the join
-    attributes (and [[]] for tuples not total on them) — then the
-    result equals [Algebra.equijoin]. [strategy] defaults to [Indexed]
-    (sequential probes on the calling domain). *)
+    attributes (and [[]] for tuples not total on them), drawn from one
+    minimal relation (a catalog relation, seen through the compiler's
+    one-to-one renames) — then the result equals [Algebra.equijoin].
+    When no hit binds an attribute of [r1]'s scope the output is
+    already minimal and is not minimized again. [strategy] defaults to
+    [Indexed] (sequential probes on the calling domain). *)

@@ -851,68 +851,104 @@ let load_report ?(io = Io.real) ~dir () =
         in
         (cat, None)
   in
-  (* Replay the journal tail, one operation at a time: relation changes
-     past the checkpoint the relation's data file belongs to (replaying
-     onto a relation from a {e newer} half-renamed checkpoint is
-     skipped by the per-relation LSN gate), constraint DDL past the
-     CONSTRAINTS checkpoint. A record is one whole transaction — its
-     cascade deltas replay together or, if the frame is torn, not at
-     all. *)
+  (* Replay the journal tail: relation changes past the checkpoint the
+     relation's data file belongs to (replaying onto a relation from a
+     {e newer} half-renamed checkpoint is skipped by the per-relation
+     LSN gate), constraint DDL past the CONSTRAINTS checkpoint. A record
+     is one whole transaction — its cascade deltas replay together or,
+     if the frame is torn, not at all. DDL applies in record order as
+     it is met; it commutes with the data, which replay never checks
+     against constraints. Each relation's gated changes are then folded
+     into one net delta and applied at once ({!Replay}); a tail that is
+     not a chain of exact net deltas (a record that breaks the schema
+     included) replays op by op instead, so every note still names its
+     LSN. Notes carry their op's position in the journal and come out
+     in journal order. *)
   let records, tail_note = Wal.read ~io ~dir in
-  let catalog, replayed, top_lsn, notes =
+  let seq = ref 0 in
+  let catalog, pending, top_lsn, notes =
     List.fold_left
-      (fun (cat, replayed, top_lsn, notes) (record : Wal.record) ->
+      (fun acc (record : Wal.record) ->
+        let lsn = record.Wal.lsn in
         List.fold_left
-          (fun (cat, replayed, top_lsn, notes) op ->
+          (fun (cat, pending, top_lsn, notes) op ->
+            incr seq;
             match op with
             | Wal.Change c -> (
                 match List.assoc_opt c.Wal.rel base_lsns with
-                | Some base when record.Wal.lsn > base -> (
-                    match Wal.apply_op cat op with
-                    | cat ->
-                        Obs.Metrics.inc m_wal_replayed;
-                        let count =
-                          1
-                          + Option.value ~default:0
-                              (List.assoc_opt c.Wal.rel replayed)
-                        in
-                        ( cat,
-                          (c.Wal.rel, count)
-                          :: List.remove_assoc c.Wal.rel replayed,
-                          max top_lsn record.Wal.lsn,
-                          notes )
-                    | exception (Wal.Error msg | Error msg) ->
-                        (cat, replayed, top_lsn, msg :: notes)
-                    | exception Catalog.Violation _ ->
-                        ( cat,
-                          replayed,
-                          top_lsn,
-                          Printf.sprintf
-                            "replaying lsn %d left %s violating its schema"
-                            record.Wal.lsn c.Wal.rel
-                          :: notes ))
+                | Some base when lsn > base ->
+                    let op = (!seq, lsn, c) in
+                    (cat, (c.Wal.rel, op) :: pending, top_lsn, notes)
                 | Some _ ->
-                    (cat, replayed, top_lsn, notes) (* already reflected *)
+                    (cat, pending, top_lsn, notes) (* already reflected *)
                 | None ->
                     ( cat,
-                      replayed,
+                      pending,
                       top_lsn,
-                      Printf.sprintf "lsn %d targets unloadable relation %s"
-                        record.Wal.lsn c.Wal.rel
+                      ( !seq,
+                        Printf.sprintf "lsn %d targets unloadable relation %s"
+                          lsn c.Wal.rel )
                       :: notes ))
             | Wal.Add_constraint _ | Wal.Drop_constraint _ ->
-                if record.Wal.lsn > constraints_lsn then
+                if lsn > constraints_lsn then
                   match Wal.apply_op cat op with
                   | cat ->
                       Obs.Metrics.inc m_wal_replayed;
-                      (cat, replayed, max top_lsn record.Wal.lsn, notes)
+                      (cat, pending, max top_lsn lsn, notes)
                   | exception (Wal.Error msg | Error msg) ->
-                      (cat, replayed, top_lsn, msg :: notes)
-                else (cat, replayed, top_lsn, notes))
-          (cat, replayed, top_lsn, notes)
-          record.Wal.ops)
+                      (cat, pending, top_lsn, (!seq, msg) :: notes)
+                else (cat, pending, top_lsn, notes))
+          acc record.Wal.ops)
       (catalog, [], manifest_lsn, [])
       records
+  in
+  let op_by_op cat ops =
+    List.fold_left
+      (fun (cat, applied, top_lsn, notes) (seq, lsn, (c : Wal.change)) ->
+        match Wal.apply_op cat (Wal.Change c) with
+        | cat -> (cat, applied + 1, max top_lsn lsn, notes)
+        | exception (Wal.Error msg | Error msg) ->
+            (cat, applied, top_lsn, (seq, msg) :: notes)
+        | exception Catalog.Violation _ ->
+            ( cat,
+              applied,
+              top_lsn,
+              ( seq,
+                Printf.sprintf "replaying lsn %d left %s violating its schema"
+                  lsn c.Wal.rel )
+              :: notes ))
+      (cat, 0, top_lsn, []) ops
+  in
+  let catalog, replayed, top_lsn, notes =
+    List.fold_left
+      (fun (cat, replayed, top_lsn, notes) rel ->
+        let ops =
+          List.rev
+            (List.filter_map
+               (fun (r, op) -> if String.equal r rel then Some op else None)
+               pending)
+        in
+        let schema, x = Catalog.get cat rel in
+        let cat, applied, top_lsn, rel_notes =
+          match Replay.compose schema x (List.map (fun (_, _, c) -> c) ops) with
+          | Some (added, removed) ->
+              ( Catalog.replay_delta cat rel ~added ~removed,
+                List.length ops,
+                List.fold_left (fun m (_, lsn, _) -> max m lsn) top_lsn ops,
+                [] )
+          | None -> op_by_op cat ops
+        in
+        Obs.Metrics.add m_wal_replayed applied;
+        ( cat,
+          (if applied > 0 then (rel, applied) :: replayed else replayed),
+          top_lsn,
+          rel_notes @ notes ))
+      (catalog, [], top_lsn, notes)
+      (List.sort_uniq String.compare (List.map fst pending))
+  in
+  (* Newest first, as the sidecar notes below are prepended. *)
+  let notes =
+    List.map snd (List.stable_sort (fun (a, _) (b, _) -> compare b a) notes)
   in
   let notes =
     match constraints_note with None -> notes | Some n -> n :: notes

@@ -240,6 +240,33 @@ let operators_preserve_minimality =
             (Algebra.project (Attr.set_of_list [ "B" ]) x2);
         ])
 
+(* Rename's fast path: a mapping injective on the scope skips
+   re-minimization. Over mappings that relabel, swap, or merge columns
+   (a merge may also raise on conflicting values), the result — value
+   or exception — equals re-minimizing the renamed tuples. *)
+let rename_fast_path_minimizes =
+  let mappings =
+    List.map
+      (List.map (fun (o, n) -> (Attr.make o, Attr.make n)))
+      [
+        [ ("A", "D") ]; [ ("A", "B"); ("B", "A") ]; [ ("A", "B") ];
+        [ ("C", "A") ]; [ ("A", "D"); ("B", "D") ]; [ ("B", "C"); ("C", "E") ];
+      ]
+  in
+  test "rename = re-minimized rename" arbitrary_xrel (fun x1 ->
+      List.for_all
+        (fun mapping ->
+          let slow () =
+            Xrel.of_list (List.map (Tuple.rename mapping) (Xrel.to_list x1))
+          in
+          match (Algebra.rename mapping x1, slow ()) with
+          | fast, slow -> eq fast slow && Relation.is_minimal (Xrel.rep fast)
+          | exception Exec_error.Error _ -> (
+              match slow () with
+              | _ -> false
+              | exception Exec_error.Error _ -> true))
+        mappings)
+
 let suite =
   List.map to_alcotest
     [
@@ -271,5 +298,6 @@ let suite =
       range_index_agrees;
       range_index_range_scan;
       rename_involutive;
+      rename_fast_path_minimizes;
       operators_preserve_minimality;
     ]

@@ -280,6 +280,81 @@ let test_wal_replay_exactness () =
               Alcotest.failf "%s quarantined: %s" name reason)
         report.Storage.Persist.statuses)
 
+(* A checksum-valid record whose delta leaves a duplicate key cannot be
+   folded into the composed tail: recovery replays that relation op by
+   op, skips the offending record with a note naming its LSN, and still
+   applies the valid record after it. *)
+let test_duplicate_key_record_noted () =
+  with_temp_dir (fun dir ->
+      let schema =
+        Schema.make ~key:[ "K" ] "T" [ ("K", Domain.Ints); ("V", Domain.Ints) ]
+      in
+      let row k v = Tuple.of_strings [ ("K", Value.Int k); ("V", Value.Int v) ] in
+      let cat =
+        Storage.Catalog.add Storage.Catalog.empty schema (Xrel.of_list [ row 1 1 ])
+      in
+      Storage.Persist.save ~dir cat;
+      let append lsn t =
+        Storage.Wal.append ~io:Storage.Io.real ~dir
+          {
+            Storage.Wal.lsn;
+            ops =
+              [
+                Storage.Wal.Change
+                  { rel = "T"; added = Xrel.of_list [ t ]; removed = Xrel.bottom };
+              ];
+          }
+      in
+      append 1 (row 1 2);
+      append 2 (row 2 5);
+      let report = Storage.Persist.load_report ~dir () in
+      Alcotest.(check (option string))
+        "the note names the offending record"
+        (Some "replaying lsn 1 left T violating its schema")
+        report.Storage.Persist.journal_note;
+      Alcotest.(check int) "recovered up to the valid record" 2
+        report.Storage.Persist.lsn;
+      Alcotest.(check bool) "only the valid record counts" true
+        (report.Storage.Persist.statuses = [ ("T", Storage.Persist.Recovered 1) ]);
+      Alcotest.(check bool) "the duplicate is absent, the valid row present"
+        true
+        (Xrel.equal
+           (Storage.Catalog.relation report.Storage.Persist.catalog "T")
+           (Xrel.of_list [ row 1 1; row 2 5 ])))
+
+(* Two sessions append to T from one snapshot: (K = 1), then the more
+   informative (K = 1, V = 2). The second commit merges onto the first,
+   and the insert discipline evicts (K = 1) although its journal record,
+   cut against the older snapshot, names no removal. A later delete of
+   (K = 1, V = 2) must not let recovery resurrect (K = 1): that tail is
+   not a chain of exact net deltas, so it replays op by op. *)
+let test_merged_eviction_not_resurrected () =
+  with_temp_dir (fun dir ->
+      let schema = Schema.make "T" [ ("K", Domain.Ints); ("V", Domain.Ints) ] in
+      Storage.Persist.save ~dir
+        (Storage.Catalog.add Storage.Catalog.empty schema Xrel.bottom);
+      let eng, _ = Session.open_engine ~dir () in
+      let s1 = Session.attach eng and s2 = Session.attach eng in
+      ignore (Session.exec_string s1 "append to T (K = 1)");
+      ignore (Session.exec_string s2 "append to T (K = 1, V = 2)");
+      Session.submit s1;
+      Session.submit s2;
+      ignore (Session.await s1);
+      ignore (Session.await s2);
+      ignore (Session.exec_string s1 "range of t is T delete t where t.V = 2");
+      ignore (Session.commit s1);
+      let committed = (Session.engine_snapshot eng).Session.catalog in
+      let report = Storage.Persist.load_report ~dir () in
+      Session.shutdown eng;
+      Alcotest.(check bool) "nothing committed survives in T" true
+        (Xrel.is_empty (Storage.Catalog.relation committed "T"));
+      Alcotest.(check bool) "recovery lands on the committed state" true
+        (Xrel.equal
+           (Storage.Catalog.relation report.Storage.Persist.catalog "T")
+           (Storage.Catalog.relation committed "T"));
+      Alcotest.(check bool) "every record replayed" true
+        (report.Storage.Persist.statuses = [ ("T", Storage.Persist.Recovered 3) ]))
+
 let suite =
   [
     Alcotest.test_case "fault matrix: fail-stop" `Slow
@@ -298,4 +373,8 @@ let suite =
       test_torn_manifest_degrades;
     Alcotest.test_case "journal replay is exact" `Quick
       test_wal_replay_exactness;
+    Alcotest.test_case "duplicate-key record is noted with its LSN" `Quick
+      test_duplicate_key_record_noted;
+    Alcotest.test_case "a merged commit's eviction is not resurrected" `Quick
+      test_merged_eviction_not_resurrected;
   ]

@@ -333,6 +333,60 @@ let test_compiled_query_probe_parity () =
   Alcotest.(check int) "null-department employee joins nothing" 3
     (Xrel.cardinal indexed.Quel.Eval.rel)
 
+(* Four domains force one catalog's unbuilt subsumption index at once
+   and probe it through every memoized part (tuple set, signature
+   counts, size, per-signature probe tables). Each must answer exactly
+   as a sequential probe of a private index does, and none may raise. *)
+let test_index_memo_four_domains () =
+  let schema =
+    Schema.make "R" [ ("A", Domain.Ints); ("B", Domain.Ints); ("C", Domain.Ints) ]
+  in
+  let row i =
+    Tuple.of_strings
+      ([ ("A", Value.Int i) ]
+      @ (if i mod 3 = 0 then [] else [ ("B", Value.Int (i mod 7)) ])
+      @ if i mod 5 = 0 then [] else [ ("C", Value.Int (i mod 11)) ])
+  in
+  let x = Xrel.of_list (List.init 3000 row) in
+  let probes =
+    List.concat_map
+      (fun i ->
+        let t = row i in
+        [ t; Tuple.restrict t (Attr.Set.singleton (Attr.make "A"));
+          Tuple.set t (Attr.make "B") (Value.Int 99) ])
+      [ 0; 1; 2; 14; 15; 299; 2999; 4000 ]
+  in
+  let answer idx t =
+    ( Subsume_index.subsuming_exists idx t,
+      Subsume_index.strictly_subsuming_exists idx t,
+      Subsume_index.mem idx t,
+      List.sort Tuple.compare (Subsume_index.subsumed_within idx t),
+      Subsume_index.cardinal idx )
+  in
+  let same (a1, b1, c1, l1, n1) (a2, b2, c2, l2, n2) =
+    a1 = a2 && b1 = b2 && c1 = c2 && n1 = n2 && List.equal Tuple.equal l1 l2
+  in
+  let expected = List.map (answer (Subsume_index.build (Xrel.rep x))) probes in
+  let domains = 4 in
+  for _ = 1 to 25 do
+    let cat = Storage.Catalog.add Storage.Catalog.empty schema x in
+    let ready = Atomic.make 0 in
+    let worker () =
+      Atomic.incr ready;
+      while Atomic.get ready < domains do
+        Stdlib.Domain.cpu_relax ()
+      done;
+      let idx = Option.get (Storage.Catalog.probe_index cat "R") in
+      List.map (answer idx) probes
+    in
+    List.iter
+      (fun d ->
+        Alcotest.(check bool) "concurrent probes agree with a sequential one"
+          true
+          (List.equal same (Stdlib.Domain.join d) expected))
+      (List.init domains (fun _ -> Stdlib.Domain.spawn worker))
+  done
+
 let suite =
   [
     Alcotest.test_case "binary: every truncation raises Corrupt" `Quick
@@ -351,4 +405,6 @@ let suite =
       test_index_torn_file_drops_declarations;
     Alcotest.test_case "compiled join is probe-served and agrees" `Quick
       test_compiled_query_probe_parity;
+    Alcotest.test_case "four domains force one index memo" `Quick
+      test_index_memo_four_domains;
   ]
