@@ -154,7 +154,8 @@ semantics-demo:
 
 # Secondary indexes end to end: declare a hash index, watch an
 # equi-join get served by probes (the probe-equijoin operator in
-# .stats), append through the index (it advances in place rather than
+# .stats) and .explain analyze measure that plan (no product row),
+# append through the index (it advances in place rather than
 # rebuilding), then save and reopen the directory — the persisted dump
 # must re-attach under its CRC stamp with the appended tuple counted.
 # Exercised by CI at 1 and 4 domains like the other demos.
@@ -169,6 +170,7 @@ index-demo:
 	  printf '.trace on\n'; \
 	  printf 'range of e is EMP range of d is DEPT retrieve (e.ENAME, d.LOC) where e.EDEPT = d.DDEPT\n'; \
 	  printf '.stats\n'; \
+	  printf '.explain analyze range of e is EMP range of d is DEPT retrieve (e.ENAME, d.LOC) where e.EDEPT = d.DDEPT\n'; \
 	  printf 'append to DEPT (DDEPT = "it", LOC = "zurich")\n'; \
 	  printf '.indexes\n'; \
 	  printf '.save %s/db\n' "$$tmp"; \
@@ -176,6 +178,10 @@ index-demo:
 	$(DUNE) exec bin/nullrel_cli.exe -- repl | tee "$$tmp/out.txt"; \
 	grep -q 'probe-equijoin' "$$tmp/out.txt" || { \
 	  echo "the equi-join was not served by index probes"; exit 1; }; \
+	grep -q 'est/act' "$$tmp/out.txt" || { \
+	  echo "explain analyze printed no plan"; exit 1; }; \
+	! grep -Eq '^(> )? *product +[0-9]' "$$tmp/out.txt" || { \
+	  echo "explain analyze measured a product, not the probe-served join"; exit 1; }; \
 	grep -q '4 tuples indexed' "$$tmp/out.txt" || { \
 	  echo "the append did not advance the declared index"; exit 1; }; \
 	{ printf '.open %s/db\n.indexes\n.quit\n' "$$tmp"; } | \
@@ -184,7 +190,7 @@ index-demo:
 	  echo "the persisted index did not survive the reopen"; exit 1; }; \
 	! grep -q 'problems found' "$$tmp/reopen.txt" || { \
 	  echo "reopen reported problems"; exit 1; }; \
-	echo "index demo ok: probes served the join and the dump re-attached"
+	echo "index demo ok: probes served and explained the join, the dump re-attached"
 
 # No-op when ocamlformat is not installed; otherwise rewrites in place.
 fmt:

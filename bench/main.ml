@@ -2127,27 +2127,19 @@ let e26_write path s =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc s)
 
-let e26_prefixed prefix line =
-  String.length line >= String.length prefix
-  && String.sub line 0 (String.length prefix) = prefix
-
-(* Keep only the [keep] lines of the INDEX file and restamp the
-   self-checksum trailer, so the loader sees a well-formed file that is
-   merely missing entries (a stale or partial writer, not a torn one). *)
+(* Keep only the [keep] lines of the INDEX file and re-seal it, so the
+   loader sees a well-formed file that is merely missing entries (a
+   stale or partial writer, not a torn one). *)
 let e26_filter_index dir keep =
   let path = Filename.concat dir "INDEX" in
-  let body =
-    String.concat ""
-      (List.filter_map
-         (fun l ->
-           if l = "" || e26_prefixed "end\t" l then None
-           else if keep l then Some (l ^ "\n")
-           else None)
-         (String.split_on_char '\n' (e26_read path)))
-  in
   e26_write path
-    (Printf.sprintf "%send\t%s\n" body
-       (Storage.Crc32.to_hex (Storage.Crc32.digest body)))
+    (Storage.Sidecar.seal
+       (List.filter keep (Option.get (Storage.Sidecar.unseal (e26_read path)))))
+
+(* The write path under test, shaped like the full-rewrite reference. *)
+let e26_incremental cat stmt =
+  let o = Dml.exec cat stmt in
+  (o.Dml.catalog, o.Dml.message)
 
 let e26_contains s sub =
   let n = String.length sub in
@@ -2180,34 +2172,27 @@ let e26 ~with_timings () =
       "range of r is R delete r where r.B = 2";
     ]
   in
-  let run incremental =
-    let was = !Dml.incremental in
-    Dml.incremental := incremental;
-    Fun.protect
-      ~finally:(fun () -> Dml.incremental := was)
-      (fun () ->
-        let seed =
-          let r =
-            Schema.make "R" [ ("A", Domain.Ints); ("B", Domain.Ints) ]
-          in
-          let s =
-            Schema.make "S" ~key:[ "K" ]
-              [ ("K", Domain.Ints); ("V", Domain.Strings) ]
-          in
-          Storage.Catalog.add
-            (Storage.Catalog.add Storage.Catalog.empty r Xrel.bottom)
-            s Xrel.bottom
-        in
-        List.fold_left
-          (fun (cat, log) stmt ->
-            match Dml.exec_string cat stmt with
-            | o -> (o.Dml.catalog, o.Dml.message :: log)
-            | exception Storage.Catalog.Violation _ ->
-                (cat, "rejected (key violation)" :: log))
-          (seed, []) schedule)
+  let run exec =
+    let seed =
+      let r = Schema.make "R" [ ("A", Domain.Ints); ("B", Domain.Ints) ] in
+      let s =
+        Schema.make "S" ~key:[ "K" ]
+          [ ("K", Domain.Ints); ("V", Domain.Strings) ]
+      in
+      Storage.Catalog.add
+        (Storage.Catalog.add Storage.Catalog.empty r Xrel.bottom)
+        s Xrel.bottom
+    in
+    List.fold_left
+      (fun (cat, log) stmt ->
+        match exec cat (Quel.Parser.parse_statement stmt) with
+        | cat, message -> (cat, message :: log)
+        | exception Storage.Catalog.Violation _ ->
+            (cat, "rejected (key violation)" :: log))
+      (seed, []) schedule
   in
-  let cat_inc, log_inc = run true in
-  let cat_ora, log_ora = run false in
+  let cat_inc, log_inc = run e26_incremental in
+  let cat_ora, log_ora = run Workload.Full_rewrite.exec in
   List.iter2
     (fun stmt msg -> printf "  %-48s -> %s@." stmt msg)
     schedule (List.rev log_inc);
@@ -2277,7 +2262,7 @@ let e26 ~with_timings () =
       in
       verdict "a fresh stamp re-attaches both dumps, no rebuild, no note"
         ok_attach "attach is the cold-start fast path";
-      e26_filter_index proto_dir (fun l -> not (e26_prefixed "line\t" l));
+      e26_filter_index proto_dir (function "line" :: _ -> false | _ -> true);
       let rebuilt = Storage.Persist.load_report ~dir:proto_dir () in
       let ok_rebuild =
         rebuilt.Storage.Persist.journal_note = None
@@ -2306,10 +2291,11 @@ let e26 ~with_timings () =
   else begin
     (* --- (a) one append, incremental vs the oracle, n and 8n ------- *)
     (* The incremental path probes the relation's memoized subsumption
-       index and applies the one-tuple delta; the oracle re-runs
-       [Update.insert] against the whole relation and re-diffs the
-       catalogs.  Both are measured on a warmed catalog (the lazy index
-       is forced by a throwaway statement first). *)
+       index and applies the one-tuple delta; the oracle
+       ([Workload.Full_rewrite]) re-runs [Update.insert] against the
+       whole relation and stores it with [Catalog.set_relation].  Both
+       are measured on a warmed catalog (the lazy index is forced by a
+       throwaway statement first). *)
     let mk_cat n =
       let schema =
         Schema.make "T" [ ("A", Domain.Ints); ("B", Domain.Ints) ]
@@ -2324,17 +2310,12 @@ let e26 ~with_timings () =
       Quel.Parser.parse_statement "append to T (A = 999983, B = 999983)"
     in
     let measure cat =
-      let time flag =
-        let was = !Dml.incremental in
-        Dml.incremental := flag;
-        Fun.protect
-          ~finally:(fun () -> Dml.incremental := was)
-          (fun () ->
-            ignore (Dml.exec cat stmt);
-            Timing.ns_per_run (fun () -> ignore (Dml.exec cat stmt)))
+      let time exec =
+        ignore (exec cat stmt);
+        Timing.ns_per_run (fun () -> ignore (exec cat stmt))
       in
-      let p = time true in
-      let s = time false in
+      let p = time e26_incremental in
+      let s = time Workload.Full_rewrite.exec in
       (p, s)
     in
     let n = 2_000 in

@@ -12,16 +12,8 @@ type outcome = {
       (** The net per-relation changes actually applied — the statement's
           own delta followed by the cascades, in firing order. The
           durable layer journals these directly; empty for reads, DDL
-          and no-op writes (and on the legacy full-rewrite path, which
-          journals by re-diffing the catalogs instead). *)
+          and no-op writes. *)
 }
-
-(* Kill switch for the incremental write path: when off, every
-   statement falls back to the legacy full-rewrite pipeline
-   ([Update.insert] / re-minimize / [Catalog.set_relation]) — the
-   oracle the incremental discipline is property-tested against, and
-   the baseline bench E26 measures the probe-vs-rescan curve over. *)
-let incremental = ref true
 
 let flip = function
   | Predicate.Eq -> Predicate.Eq
@@ -75,30 +67,28 @@ let tuple_of_assignments schema rel values =
 
 let plural n noun = Printf.sprintf "%d %s%s" n noun (if n = 1 then "" else "s")
 
-(* ---------------------- constraint plumbing ------------------- *)
+(* --------------------------- writes --------------------------- *)
 
-let seed_delta rel ~before ~after =
-  let b = Relation.tuples (Xrel.rep before)
-  and a = Relation.tuples (Xrel.rep after) in
-  {
-    Constr.d_rel = rel;
-    d_added = Tuple.Set.diff a b;
-    d_removed = Tuple.Set.diff b a;
-  }
+type write =
+  | Insert of Tuple.t
+  | Remove of Predicate.t
+  | Patch of Predicate.t * (Tuple.t -> Tuple.t)
 
-let apply_delta cat (d : Constr.delta) =
-  let _, x = relation_of cat d.Constr.d_rel in
-  let tuples = Relation.tuples (Xrel.rep x) in
-  let tuples = Tuple.Set.diff tuples d.Constr.d_removed in
-  let tuples = Tuple.Set.union tuples d.Constr.d_added in
-  Storage.Catalog.set_relation cat d.Constr.d_rel (Xrel.of_tuples tuples)
+let compile_write cat = function
+  | Quel.Ast.Append { rel; values } ->
+      let schema, x = relation_of cat rel in
+      Some (rel, x, Insert (tuple_of_assignments schema rel values))
+  | Quel.Ast.Delete { var; rel; where } ->
+      let _, x = relation_of cat rel in
+      Some (rel, x, Remove (where_predicate var where))
+  | Quel.Ast.Replace { var; rel; values; where } ->
+      let schema, x = relation_of cat rel in
+      let p = where_predicate var where in
+      let patch = tuple_of_assignments schema rel values in
+      let image = Tuple.fold (fun a v acc -> Tuple.set acc a v) patch in
+      Some (rel, x, Patch (p, image))
+  | Quel.Ast.Retrieve _ | Quel.Ast.Constrain _ | Quel.Ast.Unconstrain _ -> None
 
-(* Run incremental enforcement for one statement's delta on [rel]. The
-   extras — cascade removals and set-null rewrites, already in firing
-   order — are part of the same transaction: they are applied here so
-   the returned catalog is the whole committed state, and [touched]
-   names every relation the transaction wrote so the durable layer can
-   journal them as one atomic record. *)
 let cascade_note extras =
   let removed, set_null =
     List.partition (fun d -> Tuple.Set.is_empty d.Constr.d_added) extras
@@ -117,33 +107,23 @@ let cascade_note extras =
   | [] -> ""
   | parts -> "; cascade: " ^ String.concat ", " parts
 
-let enforce_statement cat rel ~before ~after =
-  let cat = Storage.Catalog.set_relation cat rel after in
-  (* One branch when nothing is declared (or the kill switch is off):
-     the seed diffs are never computed — the E23 overhead gate. *)
-  let extras =
-    if (not !Constr.enabled) || Storage.Catalog.constraints cat = [] then []
-    else Storage.Catalog.enforce cat [ seed_delta rel ~before ~after ]
-  in
-  let cat = List.fold_left apply_delta cat extras in
-  let touched =
-    List.sort_uniq String.compare
-      (rel :: List.map (fun d -> d.Constr.d_rel) extras)
-  in
-  (cat, touched, cascade_note extras)
-
-(* The incremental counterpart: hand the statement delta to
-   {!Storage.Catalog.apply_delta} — which maintains minimality by
-   bounded probes and advances the relation's indexes — and seed
-   enforcement with the net delta it returns, for free. Cascade deltas
-   ride the same path, so a set-null rewrite whose patched row is
-   absorbed by an existing tuple settles without any re-minimize. *)
-let enforce_delta cat rel ~added ~removed =
+(* Hand the statement delta to {!Storage.Catalog.apply_delta} — which
+   maintains minimality by bounded probes and advances the relation's
+   indexes — and seed enforcement with the net delta it returns, for
+   free. The extras — cascade removals and set-null rewrites, in firing
+   order — ride the same path within the same transaction, so a
+   set-null rewrite whose patched row is absorbed by an existing tuple
+   settles without any re-minimize; [touched] names every relation the
+   transaction wrote so the durable layer journals them as one atomic
+   record. [message] words the statement's own net delta. *)
+let write cat rel ~added ~removed message =
   let cat, (net_a, net_r) =
     Storage.Catalog.apply_delta cat rel ~added ~removed
   in
   let noop = Tuple.Set.is_empty net_a && Tuple.Set.is_empty net_r in
   let seed = { Constr.d_rel = rel; d_added = net_a; d_removed = net_r } in
+  (* One branch when nothing is declared (or [Constr.enabled] is off):
+     the E23 overhead gate. *)
   let extras =
     if noop || (not !Constr.enabled) || Storage.Catalog.constraints cat = []
     then []
@@ -164,12 +144,16 @@ let enforce_delta cat rel ~added ~removed =
             :: acc ))
       (cat, []) extras
   in
-  let deltas = (if noop then [] else [ seed ]) @ List.rev applied_rev in
-  let touched =
-    List.sort_uniq String.compare
-      (rel :: List.map (fun d -> d.Constr.d_rel) extras)
-  in
-  (cat, touched, cascade_note extras, (net_a, net_r), deltas)
+  {
+    catalog = cat;
+    message = message (net_a, net_r) ^ cascade_note extras;
+    result = None;
+    bands = None;
+    touched =
+      List.sort_uniq String.compare
+        (rel :: List.map (fun d -> d.Constr.d_rel) extras);
+    deltas = (if noop then [] else [ seed ]) @ List.rev applied_rev;
+  }
 
 let auto_name rel spec =
   match spec with
@@ -233,8 +217,22 @@ let reject_sys_target statement =
 
 let exec ?semantics cat statement =
   reject_sys_target statement;
-  match statement with
-  | Quel.Ast.Retrieve q -> (
+  match (compile_write cat statement, statement) with
+  | Some (rel, _, Insert tuple), _ ->
+      write cat rel ~added:[ tuple ] ~removed:[] (fun (net_a, net_r) ->
+          if Tuple.Set.is_empty net_a && Tuple.Set.is_empty net_r then
+            "appended tuple added no information"
+          else if Tuple.Set.is_empty net_r then "1 tuple appended"
+          else "1 tuple appended (absorbed less informative rows)")
+  | Some (rel, x, Remove p), _ ->
+      let matched = Xrel.to_list (Xrel.filter (Predicate.holds p) x) in
+      write cat rel ~added:[] ~removed:matched (fun _ ->
+          plural (List.length matched) "tuple" ^ " deleted")
+  | Some (rel, x, Patch (p, image)), _ ->
+      let matched = Xrel.to_list (Algebra.select p x) in
+      write cat rel ~added:(List.map image matched) ~removed:matched (fun _ ->
+          plural (List.length matched) "tuple" ^ " replaced")
+  | None, Quel.Ast.Retrieve q -> (
       let db = Storage.Catalog.to_db cat in
       let sem =
         match semantics with Some sem -> sem | None -> Semantics.current ()
@@ -255,120 +253,7 @@ let exec ?semantics cat statement =
                      rel = Xrel.of_relation b.Quel.Eval.sure };
             bands = Some b;
             touched = []; deltas = [] })
-  | Quel.Ast.Append { rel; values } ->
-      let schema, x = relation_of cat rel in
-      let tuple = tuple_of_assignments schema rel values in
-      if !incremental then begin
-        let catalog, touched, note, (net_a, net_r), deltas =
-          enforce_delta cat rel ~added:[ tuple ] ~removed:[]
-        in
-        {
-          catalog;
-          message =
-            (if Tuple.Set.is_empty net_a && Tuple.Set.is_empty net_r then
-               "appended tuple added no information"
-             else if Tuple.Set.is_empty net_r then "1 tuple appended"
-             else "1 tuple appended (absorbed less informative rows)")
-            ^ note;
-          result = None;
-          bands = None;
-          touched;
-          deltas;
-        }
-      end
-      else begin
-        let updated = Storage.Update.insert x [ tuple ] in
-        let catalog, touched, note =
-          enforce_statement cat rel ~before:x ~after:updated
-        in
-        {
-          catalog;
-          message =
-            (* An admitted tuple with no absorption grows the relation
-               by exactly one; any other growth means subsumed rows
-               were evicted (possibly several, so comparing against the
-               old cardinality alone under-reports). *)
-            (if Xrel.equal updated x then "appended tuple added no information"
-             else if Xrel.cardinal updated = Xrel.cardinal x + 1 then
-               "1 tuple appended"
-             else "1 tuple appended (absorbed less informative rows)")
-            ^ note;
-          result = None;
-          bands = None;
-          touched;
-          deltas = [];
-        }
-      end
-  | Quel.Ast.Delete { var; rel; where } ->
-      let _, x = relation_of cat rel in
-      let p = where_predicate var where in
-      if !incremental then begin
-        let matched = Xrel.to_list (Xrel.filter (Predicate.holds p) x) in
-        let catalog, touched, note, _net, deltas =
-          enforce_delta cat rel ~added:[] ~removed:matched
-        in
-        {
-          catalog;
-          message = plural (List.length matched) "tuple" ^ " deleted" ^ note;
-          result = None;
-          bands = None;
-          touched;
-          deltas;
-        }
-      end
-      else begin
-        let updated = Storage.Update.delete_where p x in
-        let removed = Xrel.cardinal x - Xrel.cardinal updated in
-        let catalog, touched, note =
-          enforce_statement cat rel ~before:x ~after:updated
-        in
-        {
-          catalog;
-          message = plural removed "tuple" ^ " deleted" ^ note;
-          result = None;
-          bands = None;
-          touched;
-          deltas = [];
-        }
-      end
-  | Quel.Ast.Replace { var; rel; values; where } ->
-      let schema, x = relation_of cat rel in
-      let p = where_predicate var where in
-      let patch = tuple_of_assignments schema rel values in
-      let apply r =
-        Tuple.fold (fun a v acc -> Tuple.set acc a v) patch r
-      in
-      if !incremental then begin
-        let matched = Xrel.to_list (Algebra.select p x) in
-        let images = List.map apply matched in
-        let catalog, touched, note, _net, deltas =
-          enforce_delta cat rel ~added:images ~removed:matched
-        in
-        {
-          catalog;
-          message = plural (List.length matched) "tuple" ^ " replaced" ^ note;
-          result = None;
-          bands = None;
-          touched;
-          deltas;
-        }
-      end
-      else begin
-        let matched = Xrel.cardinal (Algebra.select p x) in
-        let updated = Storage.Update.modify ~where:p ~using:apply x in
-        let catalog, touched, note =
-          enforce_statement cat rel ~before:x ~after:updated
-        in
-        {
-          catalog;
-          message = plural matched "tuple" ^ " replaced" ^ note;
-          result = None;
-          bands = None;
-          touched;
-          deltas = [];
-        }
-      end
-  | Quel.Ast.Constrain { cname; rel; spec } ->
+  | None, Quel.Ast.Constrain { cname; rel; spec } ->
       let name = match cname with Some n -> n | None -> auto_name rel spec in
       if Option.is_some (Storage.Catalog.constraint_def cat name) then
         errorf "a constraint named %s already exists (unconstrain it first)"
@@ -384,7 +269,7 @@ let exec ?semantics cat statement =
         touched = [];
         deltas = [];
       }
-  | Quel.Ast.Unconstrain { cname } ->
+  | None, Quel.Ast.Unconstrain { cname } ->
       if Option.is_none (Storage.Catalog.constraint_def cat cname) then
         errorf "unknown constraint %s" cname;
       {
@@ -395,6 +280,8 @@ let exec ?semantics cat statement =
         touched = [];
         deltas = [];
       }
+  | None, (Quel.Ast.Append _ | Quel.Ast.Delete _ | Quel.Ast.Replace _) ->
+      assert false (* every write compiles *)
 
 let exec_string ?semantics cat src =
   exec ?semantics cat (Quel.Parser.parse_statement src)

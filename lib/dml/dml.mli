@@ -36,17 +36,8 @@ type outcome = {
           order (the statement's own delta, then the cascades). The
           durable layer journals these directly, so the journaling
           cost is bounded by the delta rather than the relation. Empty
-          for reads, DDL, no-op writes, and on the legacy path
-          ({!incremental} off), which re-diffs catalogs instead. *)
+          for reads, DDL and no-op writes. *)
 }
-
-val incremental : bool ref
-(** Kill switch for the incremental write path (default on). When off,
-    statements run the legacy full-rewrite pipeline —
-    [Update.insert] / re-minimize / [Catalog.set_relation] — which is
-    the oracle the incremental discipline is property-tested against
-    and the baseline bench E26 measures the probe-vs-rescan curve
-    over. *)
 
 val exec :
   ?semantics:Nullrel.Semantics.t -> Storage.Catalog.t ->
@@ -66,6 +57,24 @@ val exec :
     reserved [sys_] namespace are rejected with [Bad_input] — those are
     the virtual system-catalog relations (lib/sysview), computed views
     that no statement can store into. *)
+
+(** A write statement compiled against its target: the tuple an
+    [append] assigns, the qualification a [delete] surely matches, or a
+    [replace]'s qualification and the image it maps each match to. *)
+type write =
+  | Insert of Nullrel.Tuple.t
+  | Remove of Nullrel.Predicate.t
+  | Patch of Nullrel.Predicate.t * (Nullrel.Tuple.t -> Nullrel.Tuple.t)
+
+val compile_write :
+  Storage.Catalog.t ->
+  Quel.Ast.statement ->
+  (string * Nullrel.Xrel.t * write) option
+(** The target relation's name and current value, and the compiled
+    write; [None] for [retrieve] and constraint DDL. {!exec} runs every
+    write through it, and so does the full-rewrite reference the tests
+    check {!exec} against. Raises like {!exec} on an unknown relation
+    or attribute or a qualification over another variable. *)
 
 val exec_string :
   ?semantics:Nullrel.Semantics.t -> Storage.Catalog.t -> string -> outcome

@@ -9,54 +9,35 @@ type node = {
   children : node list;
 }
 
-(* Mirrors [Expr.eval] but measures each node with [Obs.Span.timed]
-   (which works with tracing globally off) and keeps the per-node
-   results that [eval] discards. Spans nest, so [ticks] and
-   [elapsed_s] are inclusive of the children — the natural reading of
-   an EXPLAIN ANALYZE tree. *)
-let rec run ?(join_strategy = fun _ -> Kernel.Auto) ~stats ~env e =
-  let run = run ~join_strategy in
-  Exec.checkpoint ();
-  let est_rows = Cost.cardinality ~stats e in
-  let (x, children), m =
-    Obs.Span.timed (Expr.op_label e) (fun () ->
-        let unary op e1 =
-          let x1, n1 = run ~stats ~env e1 in
-          (op x1, [ n1 ])
-        in
-        let binary op e1 e2 =
-          let x1, n1 = run ~stats ~env e1 in
-          let x2, n2 = run ~stats ~env e2 in
-          (op x1 x2, [ n1; n2 ])
-        in
-        match e with
-        | Expr.Rel name -> (
-            match env name with
-            | Some x -> (x, [])
-            | None -> raise (Expr.Unbound_relation name))
-        | Expr.Const x -> (x, [])
-        | Expr.Select (p, e1) -> unary (Algebra.select p) e1
-        | Expr.Project (xs, e1) -> unary (Algebra.project xs) e1
-        | Expr.Rename (mapping, e1) -> unary (Algebra.rename mapping) e1
-        | Expr.Product (e1, e2) -> binary Algebra.product e1 e2
-        | Expr.Equijoin (xs, e1, e2) as node ->
-            binary (!Expr.equijoin_impl (join_strategy node) xs) e1 e2
-        | Expr.Union_join (xs, e1, e2) as node ->
-            binary (!Expr.union_join_impl (join_strategy node) xs) e1 e2
-        | Expr.Union (e1, e2) -> binary Xrel.union e1 e2
-        | Expr.Diff (e1, e2) -> binary Xrel.diff e1 e2
-        | Expr.Inter (e1, e2) -> binary Xrel.inter e1 e2
-        | Expr.Divide (y, e1, e2) -> binary (Algebra.divide y) e1 e2)
+(* Evaluates through [Expr.eval] — the plan that runs, index probes
+   included — with an observer that measures each node with
+   [Obs.Span.timed] (which works with tracing globally off) and keeps
+   it as a child of the node whose evaluation is open around it. Spans
+   nest, so [ticks] and [elapsed_s] are inclusive of the children — the
+   natural reading of an EXPLAIN ANALYZE tree. *)
+let run ?join_strategy ?index_probe ~stats ~env e =
+  (* The finished children of every open node, innermost first. *)
+  let open_nodes = ref [ [] ] in
+  let observe e f =
+    let est_rows = Cost.cardinality ~stats e in
+    let outer = !open_nodes in
+    open_nodes := [] :: outer;
+    let x, m = Obs.Span.timed (Expr.op_label e) f in
+    let node =
+      {
+        label = Expr.op_label e;
+        est_rows;
+        actual_rows = Xrel.cardinal x;
+        ticks = m.Obs.Span.ticks;
+        elapsed_s = m.Obs.Span.duration_s;
+        children = List.rev (List.hd !open_nodes);
+      }
+    in
+    open_nodes := (node :: List.hd outer) :: List.tl outer;
+    x
   in
-  ( x,
-    {
-      label = Expr.op_label e;
-      est_rows;
-      actual_rows = Xrel.cardinal x;
-      ticks = m.Obs.Span.ticks;
-      elapsed_s = m.Obs.Span.duration_s;
-      children;
-    } )
+  let x = Expr.eval ?join_strategy ?index_probe ~observe ~env e in
+  (x, List.hd (List.hd !open_nodes))
 
 let rec rows prefix n =
   (prefix ^ n.label, n)

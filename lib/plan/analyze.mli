@@ -18,13 +18,16 @@ type node = {
 
 val run :
   ?join_strategy:(Expr.t -> Nullrel.Kernel.strategy) ->
+  ?index_probe:(Expr.t -> (Nullrel.Tuple.t -> Nullrel.Tuple.t list) option) ->
   stats:Cost.source ->
   env:(string -> Nullrel.Xrel.t option) ->
   Expr.t ->
   Nullrel.Xrel.t * node
-(** Evaluate and profile. Raises {!Expr.Unbound_relation} like
-    {!Expr.eval}, and propagates governor aborts. [join_strategy] as
-    in {!Expr.eval}. *)
+(** Evaluate with {!Expr.eval} and profile every node it runs. Raises
+    {!Expr.Unbound_relation} like {!Expr.eval}, and propagates governor
+    aborts. [join_strategy] and [index_probe] as in {!Expr.eval}: a
+    node served by an index probe shows its probe side only, as it
+    ran. *)
 
 val render : ?semantics:string -> node -> string
 (** Aligned text tree: one row per operator (children indented), with

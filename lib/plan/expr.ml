@@ -75,10 +75,15 @@ let equijoin_probe_impl :
            Relation.empty (Xrel.to_list r1)))
 
 let rec eval ?(join_strategy = fun _ -> Kernel.Auto)
-    ?(index_probe = fun _ -> None) ~env e =
-  let eval = eval ~join_strategy ~index_probe in
+    ?(index_probe = fun _ -> None) ?observe ~env e =
+  let eval = eval ~join_strategy ~index_probe ?observe in
   Exec.checkpoint ();
-  Obs.Span.with_span (op_label e) (fun () ->
+  let around =
+    match observe with
+    | None -> Obs.Span.with_span (op_label e)
+    | Some observe -> observe e
+  in
+  around (fun () ->
       match e with
       | Rel name -> (
           match env name with

@@ -63,6 +63,7 @@ val equijoin_probe_impl :
 val eval :
   ?join_strategy:(t -> Kernel.strategy) ->
   ?index_probe:(t -> (Tuple.t -> Tuple.t list) option) ->
+  ?observe:(t -> (unit -> Xrel.t) -> Xrel.t) ->
   env:(string -> Xrel.t option) ->
   t -> Xrel.t
 (** Bottom-up evaluation. Raises {!Unbound_relation} when a [Rel] name
@@ -79,7 +80,14 @@ val eval :
     renames by [Compile.index_probe_of] — the node runs through
     {!equijoin_probe_impl} and the build operand (for a
     select-over-product, the right factor) is never evaluated. The
-    default answers [None] everywhere. *)
+    default answers [None] everywhere.
+
+    [observe], when given, wraps the evaluation of every node that
+    actually runs: it receives the node and the thunk computing it
+    (children included) and must return the thunk's result. It takes
+    the place of the node's {!Obs.Span.with_span} — EXPLAIN ANALYZE
+    ({!Analyze}) measures through it. Without it each node runs under
+    its span. *)
 
 val scope_bound :
   env_scope:(string -> Attr.Set.t option) -> t -> Attr.Set.t

@@ -308,7 +308,7 @@ let explain_analyze st src =
   let _result, node =
     Plan.Analyze.run
       ~join_strategy:(Plan.Compile.join_strategy_of ~stats:ctx.stats)
-      ~stats:ctx.stats ~env:ctx.env plan
+      ~index_probe:ctx.index_probe ~stats:ctx.stats ~env:ctx.env plan
   in
   Plan.Analyze.render
     ~semantics:

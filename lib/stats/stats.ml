@@ -129,8 +129,9 @@ let null_fraction t c =
 
 (* ------------------------- serialization ---------------------- *)
 
-(* Line-oriented, tab-separated, in the family of the schema and
-   manifest formats. One [table] block per relation:
+(* The tagged lines of the STATS sidecar (its frame is
+   [Storage.Sidecar]'s), one field list per line. One [table] block
+   per relation:
    {v
    table <TAB> NAME <TAB> ROWS <TAB> DATA-CRC-HEX
    column <TAB> ATTR <TAB> NULLS <TAB> DISTINCT [<TAB> MIN <TAB> MAX]
@@ -144,33 +145,26 @@ exception Corrupt of string
 
 let errorf fmt = Printf.ksprintf (fun msg -> raise (Corrupt msg)) fmt
 
-let table_to_lines name ~data_crc_hex t =
-  Printf.sprintf "table\t%s\t%d\t%s" name t.rows data_crc_hex
-  :: List.map
-       (fun (a, c) ->
-         let base =
-           Printf.sprintf "column\t%s\t%d\t%d" (Attr.name a) c.nulls c.distinct
-         in
-         match (c.min_int, c.max_int) with
-         | Some lo, Some hi -> Printf.sprintf "%s\t%d\t%d" base lo hi
-         | _ -> base)
-       t.columns
+let tables_to_lines entries =
+  List.concat_map
+    (fun (name, data_crc_hex, t) ->
+      [ "table"; name; string_of_int t.rows; data_crc_hex ]
+      :: List.map
+           (fun (a, c) ->
+             [ "column"; Attr.name a; string_of_int c.nulls;
+               string_of_int c.distinct ]
+             @
+             match (c.min_int, c.max_int) with
+             | Some lo, Some hi -> [ string_of_int lo; string_of_int hi ]
+             | _ -> [])
+           t.columns)
+    entries
 
-let tables_to_string entries =
-  String.concat ""
-    (List.concat_map
-       (fun (name, data_crc_hex, t) ->
-         List.map (fun l -> l ^ "\n") (table_to_lines name ~data_crc_hex t))
-       entries)
-
-let tables_of_string text =
+let tables_of_lines lines =
   let int_field what s =
     match int_of_string_opt s with
     | Some n -> n
     | None -> errorf "bad %s %S" what s
-  in
-  let lines =
-    List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' text)
   in
   let flush acc = function
     | None -> acc
@@ -180,7 +174,7 @@ let tables_of_string text =
   let acc, current =
     List.fold_left
       (fun (acc, current) line ->
-        match String.split_on_char '\t' line with
+        match line with
         | [ "table"; name; rows; crc ] ->
             (flush acc current, Some (name, crc, int_field "row count" rows, []))
         | "column" :: attr :: nulls :: distinct :: rest -> (
@@ -189,7 +183,7 @@ let tables_of_string text =
               | [] -> (None, None)
               | [ lo; hi ] ->
                   (Some (int_field "min" lo), Some (int_field "max" hi))
-              | _ -> errorf "bad column line: %s" line
+              | _ -> errorf "bad column line: %s" (String.concat "\t" line)
             in
             let col =
               {
@@ -203,7 +197,7 @@ let tables_of_string text =
             | None -> errorf "column line before any table line"
             | Some (name, crc, rows, cols) ->
                 (acc, Some (name, crc, rows, (Attr.make attr, col) :: cols)))
-        | _ -> errorf "unparseable stats line: %s" line)
+        | _ -> errorf "unparseable stats line: %s" (String.concat "\t" line))
       ([], None) lines
   in
   List.rev (flush acc current)

@@ -42,19 +42,20 @@ val null_fraction : table -> column -> float
 
 (** {1 Serialization}
 
-    The on-disk [STATS] format: line-oriented and tab-separated like
-    the schema and manifest formats. Each entry is stamped with the
-    CRC of the data file it was collected against, so a loader
+    The tagged lines of the on-disk [STATS] file, one field list per
+    line ([Storage.Sidecar] frames them). Each entry is stamped with
+    the CRC of the data file it was collected against, so a loader
     attaches stats only when the relation is bit-for-bit the one that
     was analyzed. *)
 
 exception Corrupt of string
 
-val tables_to_string : (string * string * table) list -> string
-(** [(name, data_crc_hex, table)] entries to the STATS body. *)
+val tables_to_lines : (string * string * table) list -> string list list
+(** [(name, data_crc_hex, table)] entries to [table] and [column]
+    lines. *)
 
-val tables_of_string : string -> (string * string * table) list
-(** Parses a STATS body. Raises {!Corrupt} on malformed input. *)
+val tables_of_lines : string list list -> (string * string * table) list
+(** Parses those lines back. Raises {!Corrupt} on malformed input. *)
 
 (** {1 Observability}
 

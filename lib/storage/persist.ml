@@ -1,6 +1,6 @@
 open Nullrel
 
-exception Error of string
+exception Error = Sidecar.Error
 
 let errorf fmt = Printf.ksprintf (fun msg -> raise (Error msg)) fmt
 
@@ -84,78 +84,36 @@ let schema_of_string text =
   | Some name ->
       Schema.make ~key ~foreign_keys:(List.rev fks) name (List.rev columns)
 
-(* -------------------------- manifest -------------------------- *)
+(* ------------------------- sidecar files ------------------------ *)
+
+(* The four files beside the data share one self-checksummed frame
+   ({!Sidecar}); each is a schema of tagged lines over it. *)
 
 let manifest_name = "MANIFEST"
 let pending_name = "MANIFEST.next"
-let format_version = "1"
 
 type manifest = { m_lsn : int; m_entries : (string * (int * int)) list }
 
 let manifest_to_string m =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf "nullrel-manifest\t%s\t%d\n" format_version m.m_lsn);
-  List.iter
-    (fun (name, (scrc, dcrc)) ->
-      Buffer.add_string buf
-        (Printf.sprintf "relation\t%s\t%s\t%s\n" name (Crc32.to_hex scrc)
-           (Crc32.to_hex dcrc)))
-    m.m_entries;
-  let crc = Crc32.digest (Buffer.contents buf) in
-  Buffer.add_string buf (Printf.sprintf "end\t%s\n" (Crc32.to_hex crc));
-  Buffer.contents buf
+  Sidecar.seal
+    (Sidecar.header "manifest" m.m_lsn
+    :: List.map
+         (fun (name, (scrc, dcrc)) ->
+           [ "relation"; name; Crc32.to_hex scrc; Crc32.to_hex dcrc ])
+         m.m_entries)
 
-(* [None] means torn or not a manifest at all (callers treat it as
-   absent); a manifest whose checksum verifies but that claims another
-   format version raises: that is not damage, it is the future. *)
-let manifest_of_string text =
-  let lines = String.split_on_char '\n' text in
-  let rec split_at_end body = function
-    | [] -> None
-    | line :: rest when String.length line >= 4 && String.sub line 0 4 = "end\t"
-      ->
-        if List.for_all (String.equal "") rest then
-          Some (List.rev body, String.sub line 4 (String.length line - 4))
-        else None
-    | line :: rest -> split_at_end (line :: body) rest
-  in
-  match split_at_end [] lines with
-  | None -> None
-  | Some (body_lines, crc_hex) -> (
-      let body = String.concat "" (List.map (fun l -> l ^ "\n") body_lines) in
-      match Crc32.of_hex crc_hex with
-      | Some crc when crc = Crc32.digest body -> (
-          match body_lines with
-          | header :: entry_lines -> (
-              match String.split_on_char '\t' header with
-              | [ "nullrel-manifest"; version; lsn ] -> (
-                  if not (String.equal version format_version) then
-                    errorf "unsupported manifest version %s" version;
-                  match int_of_string_opt lsn with
-                  | None -> None
-                  | Some m_lsn ->
-                      let entry line =
-                        match String.split_on_char '\t' line with
-                        | [ "relation"; name; s_hex; d_hex ] -> (
-                            match (Crc32.of_hex s_hex, Crc32.of_hex d_hex) with
-                            | Some s_, Some d -> Some (name, (s_, d))
-                            | _ -> None)
-                        | _ -> None
-                      in
-                      let entries = List.map entry entry_lines in
-                      if List.exists Option.is_none entries then None
-                      else
-                        Some
-                          { m_lsn; m_entries = List.filter_map Fun.id entries })
-              | _ -> None)
-          | [] -> None)
-      | _ -> None)
-
+(* [None] means absent, torn or not a manifest at all. *)
 let read_manifest io dir name =
-  let path = Filename.concat dir name in
-  if not (io.Io.file_exists path) then None
-  else manifest_of_string (io.Io.read_file path)
+  match
+    Sidecar.read io (Filename.concat dir name) ~kind:"manifest" (function
+      | [ "relation"; rel; s_hex; d_hex ] -> (
+          match (Crc32.of_hex s_hex, Crc32.of_hex d_hex) with
+          | Some s, Some d -> Some (rel, (s, d))
+          | _ -> None)
+      | _ -> None)
+  with
+  | `Loaded (s, m_entries) -> Some { m_lsn = s.Sidecar.lsn; m_entries }
+  | `Absent | `Damaged -> None
 
 (* Expose the checkpoint's per-relation CRC stamps (schema, data) as
    hex, for sysview's sys_relations. Empty when the directory has no
@@ -169,190 +127,54 @@ let manifest_crcs ?(io = Io.real) ~dir () =
           (name, (Crc32.to_hex scrc, Crc32.to_hex dcrc)))
         m.m_entries
 
-(* --------------------------- stats ---------------------------- *)
-
-(* The STATS file rides along with the checkpoint: the {!Stats} body
-   plus the same self-checksum trailer the manifest uses. It is pure
-   acceleration state — a missing, torn or stale file only costs the
-   planner its estimates — so damage degrades to "no stats" silently
-   rather than quarantining anything. *)
+(* STATS is pure acceleration state — a missing, torn or stale file
+   only costs the planner its estimates — so damage degrades to "no
+   stats" silently rather than quarantining anything. Its entries carry
+   their stamps in the [table] lines. *)
 let stats_name = "STATS"
 
-let stats_to_string entries =
-  let body = Stats.tables_to_string entries in
-  Printf.sprintf "%send\t%s\n" body (Crc32.to_hex (Crc32.digest body))
-
-let stats_of_string text =
-  let lines = String.split_on_char '\n' text in
-  let rec split_at_end body = function
-    | [] -> None
-    | line :: rest when String.length line >= 4 && String.sub line 0 4 = "end\t"
-      ->
-        if List.for_all (String.equal "") rest then
-          Some (List.rev body, String.sub line 4 (String.length line - 4))
-        else None
-    | line :: rest -> split_at_end (line :: body) rest
-  in
-  match split_at_end [] lines with
-  | None -> None
-  | Some (body_lines, crc_hex) -> (
-      let body = String.concat "" (List.map (fun l -> l ^ "\n") body_lines) in
-      match Crc32.of_hex crc_hex with
-      | Some crc when crc = Crc32.digest body -> (
-          match Stats.tables_of_string body with
-          | entries -> Some entries
-          | exception Stats.Corrupt _ -> None)
-      | _ -> None)
-
 let read_stats io dir =
-  let path = Filename.concat dir stats_name in
-  if not (io.Io.file_exists path) then None
-  else stats_of_string (io.Io.read_file path)
+  match Sidecar.read io (Filename.concat dir stats_name) Option.some with
+  | `Loaded (_, lines) -> (
+      match Stats.tables_of_lines lines with
+      | entries -> entries
+      | exception Stats.Corrupt _ -> [])
+  | `Absent | `Damaged -> []
 
-(* ------------------------ constraints ------------------------- *)
-
-(* The CONSTRAINTS file persists declared constraint definitions with
-   the checkpoint, under the same self-checksum trailer as STATS plus a
-   per-relation CRC stamp: a definition counts as verified only while
-   every relation it involves still carries the data file the stamp was
-   cut against. Unlike stats, a damaged file does not merely cost
-   acceleration — the declarations themselves are semantics — so the
-   loader reports the damage in the journal note instead of degrading
-   silently. *)
+(* CONSTRAINTS persists declared definitions. A definition counts as
+   verified only while every relation it involves still carries the
+   data file its stamp was cut against. Unlike stats, a damaged file
+   does not merely cost acceleration — the declarations themselves are
+   semantics — so the loader reports the damage in the journal note
+   instead of degrading silently. *)
 let constraints_name = "CONSTRAINTS"
-let constraints_format_version = "1"
 
 let constraints_to_string ~lsn cat data_crcs =
   let defs = Catalog.constraints cat in
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf "nullrel-constraints\t%s\t%d\n" constraints_format_version
-       lsn);
-  List.iter
-    (fun def ->
-      Buffer.add_string buf ("def\t" ^ Constr.def_to_line def ^ "\n"))
-    defs;
-  List.iter
-    (fun name -> Buffer.add_string buf ("stale\t" ^ name ^ "\n"))
-    (Catalog.unverified_constraints cat);
-  let stamped = List.sort_uniq String.compare (List.concat_map Constr.relations defs) in
-  List.iter
-    (fun rel ->
-      match List.assoc_opt rel data_crcs with
-      | Some crc -> Buffer.add_string buf (Printf.sprintf "stamp\t%s\t%s\n" rel crc)
-      | None -> ())
-    stamped;
-  let body = Buffer.contents buf in
-  Printf.sprintf "%send\t%s\n" body (Crc32.to_hex (Crc32.digest body))
-
-type constraints_file = {
-  cf_lsn : int;
-  cf_defs : Constr.def list;
-  cf_stale : string list;
-  cf_stamps : (string * string) list;
-}
-
-let constraints_of_string text =
-  let lines = String.split_on_char '\n' text in
-  let rec split_at_end body = function
-    | [] -> None
-    | line :: rest when String.length line >= 4 && String.sub line 0 4 = "end\t"
-      ->
-        if List.for_all (String.equal "") rest then
-          Some (List.rev body, String.sub line 4 (String.length line - 4))
-        else None
-    | line :: rest -> split_at_end (line :: body) rest
-  in
-  match split_at_end [] lines with
-  | None -> None
-  | Some (body_lines, crc_hex) -> (
-      let body = String.concat "" (List.map (fun l -> l ^ "\n") body_lines) in
-      match Crc32.of_hex crc_hex with
-      | Some crc when crc = Crc32.digest body -> (
-          match body_lines with
-          | header :: entry_lines -> (
-              match String.split_on_char '\t' header with
-              | [ "nullrel-constraints"; version; lsn ] -> (
-                  if not (String.equal version constraints_format_version) then
-                    errorf "unsupported constraints version %s" version;
-                  match int_of_string_opt lsn with
-                  | None -> None
-                  | Some cf_lsn ->
-                      let parse acc line =
-                        match acc with
-                        | None -> None
-                        | Some cf -> (
-                            match String.index_opt line '\t' with
-                            | None -> None
-                            | Some i -> (
-                                let tag = String.sub line 0 i in
-                                let rest =
-                                  String.sub line (i + 1)
-                                    (String.length line - i - 1)
-                                in
-                                match tag with
-                                | "def" -> (
-                                    match Constr.def_of_line rest with
-                                    | Some def ->
-                                        Some
-                                          { cf with cf_defs = def :: cf.cf_defs }
-                                    | None -> None)
-                                | "stale" ->
-                                    Some
-                                      { cf with cf_stale = rest :: cf.cf_stale }
-                                | "stamp" -> (
-                                    match String.split_on_char '\t' rest with
-                                    | [ rel; crc ] ->
-                                        Some
-                                          {
-                                            cf with
-                                            cf_stamps =
-                                              (rel, crc) :: cf.cf_stamps;
-                                          }
-                                    | _ -> None)
-                                | _ -> None))
-                      in
-                      Option.map
-                        (fun cf ->
-                          {
-                            cf with
-                            cf_defs = List.rev cf.cf_defs;
-                            cf_stale = List.rev cf.cf_stale;
-                            cf_stamps = List.rev cf.cf_stamps;
-                          })
-                        (List.fold_left parse
-                           (Some
-                              {
-                                cf_lsn;
-                                cf_defs = [];
-                                cf_stale = [];
-                                cf_stamps = [];
-                              })
-                           entry_lines))
-              | _ -> None)
-          | [] -> None)
-      | _ -> None)
+  Sidecar.seal
+    ((Sidecar.header "constraints" lsn
+     :: List.map (fun def -> [ "def"; Constr.def_to_line def ]) defs)
+    @ List.map
+        (fun name -> [ "stale"; name ])
+        (Catalog.unverified_constraints cat)
+    @ Sidecar.stamp_lines data_crcs (List.concat_map Constr.relations defs))
 
 let read_constraints io dir =
-  let path = Filename.concat dir constraints_name in
-  if not (io.Io.file_exists path) then `Absent
-  else
-    match constraints_of_string (io.Io.read_file path) with
-    | Some cf -> `Loaded cf
-    | None -> `Damaged
+  Sidecar.read io (Filename.concat dir constraints_name) ~kind:"constraints"
+    (function
+      | "def" :: fields ->
+          Option.map Either.left
+            (Constr.def_of_line (String.concat "\t" fields))
+      | [ "stale"; name ] -> Some (Either.Right name)
+      | _ -> None)
 
-(* -------------------------- indexes --------------------------- *)
-
-(* The INDEX file persists secondary-index declarations and, for each,
-   a positional dump of the built structure, under the same protocol
-   as STATS and CONSTRAINTS: a self-checksum trailer plus a
-   per-relation CRC stamp cut against the data file written beside it.
-   At load a dump re-attaches only while its stamp still matches the
-   data just read; a stale stamp, a missing dump, or any anomaly in
-   the payload degrades to a from-scratch rebuild of the declared
-   index — slower, never wrong. *)
+(* INDEX persists secondary-index declarations and, for each, a
+   positional dump of the built structure. At load a dump re-attaches
+   only while its relation's stamp still matches the data just read; a
+   stale stamp, a missing dump, or any anomaly in the payload degrades
+   to a from-scratch rebuild of the declared index — slower, never
+   wrong. *)
 let indexes_name = "INDEX"
-let indexes_format_version = "1"
 
 let attrs_to_field attrs =
   String.concat "," (List.map Attr.name (Attr.Set.elements attrs))
@@ -366,117 +188,32 @@ let attrs_of_field s =
 
 let indexes_to_string ~lsn cat data_crcs =
   let decls = Catalog.all_indexes cat in
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf "nullrel-indexes\t%s\t%d\n" indexes_format_version lsn);
-  List.iter
-    (fun (rel, kind, attrs) ->
-      Buffer.add_string buf
-        (Printf.sprintf "decl\t%s\t%s\t%s\n" rel kind (attrs_to_field attrs)))
-    decls;
-  let stamped =
-    List.sort_uniq String.compare (List.map (fun (rel, _, _) -> rel) decls)
-  in
-  List.iter
-    (fun rel ->
-      match List.assoc_opt rel data_crcs with
-      | Some crc ->
-          Buffer.add_string buf (Printf.sprintf "stamp\t%s\t%s\n" rel crc)
-      | None -> ())
-    stamped;
-  List.iter
-    (fun (rel, kind, attrs) ->
-      match Catalog.dump_index cat rel ~kind attrs with
-      | None -> () (* no dump: the loader rebuilds from the decl *)
-      | Some lines ->
-          List.iter
-            (fun payload ->
-              Buffer.add_string buf
-                (Printf.sprintf "line\t%s\t%s\t%s\t%s\n" rel kind
-                   (attrs_to_field attrs) payload))
-            lines)
-    decls;
-  let body = Buffer.contents buf in
-  Printf.sprintf "%send\t%s\n" body (Crc32.to_hex (Crc32.digest body))
+  Sidecar.seal
+    ((Sidecar.header "indexes" lsn
+     :: List.map
+          (fun (rel, kind, attrs) ->
+            [ "decl"; rel; kind; attrs_to_field attrs ])
+          decls)
+    @ Sidecar.stamp_lines data_crcs (List.map (fun (rel, _, _) -> rel) decls)
+    @ List.concat_map
+        (fun (rel, kind, attrs) ->
+          match Catalog.dump_index cat rel ~kind attrs with
+          | None -> [] (* no dump: the loader rebuilds from the decl *)
+          | Some lines ->
+              List.map
+                (fun payload ->
+                  [ "line"; rel; kind; attrs_to_field attrs; payload ])
+                lines)
+        decls)
 
-type indexes_file = {
-  xf_decls : (string * string * string) list;
-      (* relation, kind, attrs field — declaration order *)
-  xf_stamps : (string * string) list;
-  xf_lines : ((string * string * string) * string) list;
-      (* (relation, kind, attrs field) -> payload lines, file order *)
-}
-
-let indexes_of_string text =
-  let lines = String.split_on_char '\n' text in
-  let rec split_at_end body = function
-    | [] -> None
-    | line :: rest when String.length line >= 4 && String.sub line 0 4 = "end\t"
-      ->
-        if List.for_all (String.equal "") rest then
-          Some (List.rev body, String.sub line 4 (String.length line - 4))
-        else None
-    | line :: rest -> split_at_end (line :: body) rest
-  in
-  match split_at_end [] lines with
-  | None -> None
-  | Some (body_lines, crc_hex) -> (
-      let body = String.concat "" (List.map (fun l -> l ^ "\n") body_lines) in
-      match Crc32.of_hex crc_hex with
-      | Some crc when crc = Crc32.digest body -> (
-          match body_lines with
-          | header :: entry_lines -> (
-              match String.split_on_char '\t' header with
-              | [ "nullrel-indexes"; version; _lsn ] ->
-                  if not (String.equal version indexes_format_version) then
-                    errorf "unsupported indexes version %s" version;
-                  let parse acc line =
-                    match acc with
-                    | None -> None
-                    | Some xf -> (
-                        match String.split_on_char '\t' line with
-                        | [ "decl"; rel; kind; attrs ] ->
-                            Some
-                              {
-                                xf with
-                                xf_decls = (rel, kind, attrs) :: xf.xf_decls;
-                              }
-                        | [ "stamp"; rel; crc ] ->
-                            Some
-                              {
-                                xf with
-                                xf_stamps = (rel, crc) :: xf.xf_stamps;
-                              }
-                        | [ "line"; rel; kind; attrs; payload ] ->
-                            Some
-                              {
-                                xf with
-                                xf_lines =
-                                  ((rel, kind, attrs), payload) :: xf.xf_lines;
-                              }
-                        | _ -> None)
-                  in
-                  Option.map
-                    (fun xf ->
-                      {
-                        xf_decls = List.rev xf.xf_decls;
-                        xf_stamps = List.rev xf.xf_stamps;
-                        xf_lines = List.rev xf.xf_lines;
-                      })
-                    (List.fold_left parse
-                       (Some { xf_decls = []; xf_stamps = []; xf_lines = [] })
-                       entry_lines)
-              | _ -> None)
-          | [] -> None)
-      | _ -> None)
-
+(* Declarations [(relation, kind, attrs field)] on the left, dump lines
+   [((relation, kind, attrs field), payload)] on the right. *)
 let read_indexes io dir =
-  let path = Filename.concat dir indexes_name in
-  if not (io.Io.file_exists path) then `Absent
-  else
-    match indexes_of_string (io.Io.read_file path) with
-    | Some xf -> `Loaded xf
-    | None -> `Damaged
+  Sidecar.read io (Filename.concat dir indexes_name) ~kind:"indexes" (function
+    | [ "decl"; rel; kind; attrs ] -> Some (Either.Left (rel, kind, attrs))
+    | [ "line"; rel; kind; attrs; payload ] ->
+        Some (Either.Right ((rel, kind, attrs), payload))
+    | _ -> None)
 
 (* ---------------------------- save ---------------------------- *)
 
@@ -511,57 +248,48 @@ let save ?(io = Io.real) ?(lsn = 0) ~dir cat =
   let entries =
     List.map
       (fun (name, (schema, x)) ->
-        ( name,
-          schema_to_string schema,
-          Csv.write_string (Schema.attrs schema) x ))
+        let stext = schema_to_string schema
+        and dtext = Csv.write_string (Schema.attrs schema) x in
+        (name, stext, dtext, (Crc32.digest stext, Crc32.digest dtext)))
       (Catalog.to_db cat)
   in
   (* Stage everything first: data files as *.tmp siblings, the manifest
      as MANIFEST.next. Nothing visible is touched yet, so a crash in
      this phase is a no-op. *)
   List.iter
-    (fun (name, stext, dtext) ->
+    (fun (name, stext, dtext, _) ->
       io.Io.write_file (path (name ^ ".schema.tmp")) stext;
       io.Io.write_file (path (name ^ ".csv.tmp")) dtext)
     entries;
   let manifest =
-    {
-      m_lsn = lsn;
-      m_entries =
-        List.map
-          (fun (name, stext, dtext) ->
-            (name, (Crc32.digest stext, Crc32.digest dtext)))
-          entries;
-    }
+    manifest_to_string
+      {
+        m_lsn = lsn;
+        m_entries = List.map (fun (name, _, _, crcs) -> (name, crcs)) entries;
+      }
   in
-  io.Io.write_file (path pending_name) (manifest_to_string manifest);
-  (* Fresh statistics ride along, each stamped with the CRC of the data
-     file being written — the loader re-checks the stamp, so a torn or
-     superseded STATS degrades to "no stats", never to wrong ones. *)
+  io.Io.write_file (path pending_name) manifest;
+  (* The other sidecars ride along, their entries stamped with the CRCs
+     of the data files being written: the loader re-checks each stamp,
+     so a torn or superseded sidecar degrades — to no stats, to stale
+     constraints, to rebuilt indexes — never to wrong answers. *)
+  let data_crcs =
+    List.map (fun (name, _, _, (_, dcrc)) -> (name, Crc32.to_hex dcrc)) entries
+  in
   let stats_entries =
     List.filter_map
-      (fun (name, _, dtext) ->
+      (fun (name, crc) ->
         match Catalog.stats_status cat name with
-        | Catalog.Fresh t -> Some (name, Crc32.to_hex (Crc32.digest dtext), t)
+        | Catalog.Fresh t -> Some (name, crc, t)
         | Catalog.Stale _ | Catalog.Missing -> None)
-      entries
+      data_crcs
   in
-  io.Io.write_file (path (stats_name ^ ".tmp")) (stats_to_string stats_entries);
-  (* Constraint definitions ride along the same way, stamped with the
-     CRCs of the data files being written: at load, a definition counts
-     as verified only while those stamps still match. *)
-  let data_crcs =
-    List.map
-      (fun (name, _, dtext) -> (name, Crc32.to_hex (Crc32.digest dtext)))
-      entries
-  in
+  io.Io.write_file
+    (path (stats_name ^ ".tmp"))
+    (Sidecar.seal (Stats.tables_to_lines stats_entries));
   io.Io.write_file
     (path (constraints_name ^ ".tmp"))
     (constraints_to_string ~lsn cat data_crcs);
-  (* Secondary-index declarations and their positional dumps ride
-     along too, stamped the same way: at load a dump re-attaches only
-     while the relation still carries the data file it was cut
-     against, and degrades to a rebuild otherwise. *)
   io.Io.write_file
     (path (indexes_name ^ ".tmp"))
     (indexes_to_string ~lsn cat data_crcs);
@@ -569,7 +297,7 @@ let save ?(io = Io.real) ?(lsn = 0) ~dir cat =
      new files, each atomic on its own; the reader disambiguates by
      checksum against MANIFEST (old) and MANIFEST.next (staged above). *)
   List.iter
-    (fun (name, _, _) ->
+    (fun (name, _, _, _) ->
       io.Io.rename (path (name ^ ".schema.tmp")) (path (name ^ ".schema"));
       io.Io.rename (path (name ^ ".csv.tmp")) (path (name ^ ".csv")))
     entries;
@@ -582,9 +310,9 @@ let save ?(io = Io.real) ?(lsn = 0) ~dir cat =
   Obs.Metrics.inc m_checkpoints;
   if Obs.Metrics.is_enabled () then
     Obs.Metrics.add m_checkpoint_bytes
-      (String.length (manifest_to_string manifest)
+      (String.length manifest
       + List.fold_left
-          (fun acc (_, stext, dtext) ->
+          (fun acc (_, stext, dtext, _) ->
             acc + String.length stext + String.length dtext)
           0 entries)
 
@@ -638,11 +366,12 @@ let load_relation io dir name expected =
   in
   let stext = read ".schema" in
   let dtext = read ".csv" in
+  let dcrc = Crc32.digest dtext in
   let base_lsn =
     match expected with
     | None -> 0 (* legacy directory: nothing to check against *)
     | Some (primary, pending) -> (
-        let scrc = Crc32.digest stext and dcrc = Crc32.digest dtext in
+        let scrc = Crc32.digest stext in
         let matches part m =
           match List.assoc_opt name m.m_entries with
           | Some entry -> part entry
@@ -667,7 +396,7 @@ let load_relation io dir name expected =
   in
   let schema = schema_of_string stext in
   let _, x = Csv.read_string ~schema dtext in
-  (schema, x, base_lsn, Crc32.to_hex (Crc32.digest dtext))
+  (schema, x, base_lsn, Crc32.to_hex dcrc)
 
 let load_report ?(io = Io.real) ~dir () =
   if not (io.Io.file_exists dir) then errorf "no such directory %s" dir;
@@ -733,34 +462,8 @@ let load_report ?(io = Io.real) ~dir () =
         | `Corrupt _ -> (cat, lsns))
       (Catalog.empty, []) loaded
   in
-  (* Attach persisted statistics before journal replay: an entry sticks
-     only when its CRC stamp matches the data file just loaded, and any
-     replayed record afterwards bumps the relation's version, leaving
-     the attached stats observably stale rather than silently wrong. *)
-  let catalog =
-    match read_stats io dir with
-    | None -> catalog
-    | Some stats_entries ->
-        List.fold_left
-          (fun cat (name, stamp, t) ->
-            let matches =
-              List.exists
-                (function
-                  | n, `Loaded (_, _, _, dcrc) ->
-                      String.equal n name && String.equal dcrc stamp
-                  | _, `Corrupt _ -> false)
-                loaded
-            in
-            if matches then Catalog.set_stats cat name t else cat)
-          catalog stats_entries
-  in
-  let manifest_lsn = match primary with Some m -> m.m_lsn | None -> 0 in
-  (* Attach persisted constraint definitions before journal replay, so
-     replayed DDL (gated by the CONSTRAINTS checkpoint lsn) lands on
-     top of them. A definition is verified only while every relation it
-     involves still carries the data file its stamp was cut against;
-     otherwise it attaches as stale — enforced on new writes, but the
-     restored data itself unchecked. *)
+  (* The sidecars attach before journal replay, each entry only while
+     its stamp matches the data file just loaded ({!Sidecar.fresh}). *)
   let loaded_crc name =
     List.find_map
       (function
@@ -768,6 +471,22 @@ let load_report ?(io = Io.real) ~dir () =
         | _ -> None)
       loaded
   in
+  let fresh = Sidecar.fresh ~loaded:loaded_crc in
+  (* Any replayed record bumps the relation's version afterwards,
+     leaving the attached stats observably stale, never silently
+     wrong. *)
+  let catalog =
+    List.fold_left
+      (fun cat (name, stamp, t) ->
+        if fresh [ (name, stamp) ] name then Catalog.set_stats cat name t
+        else cat)
+      catalog (read_stats io dir)
+  in
+  let manifest_lsn = match primary with Some m -> m.m_lsn | None -> 0 in
+  (* Replayed DDL (gated by the CONSTRAINTS checkpoint lsn) lands on top
+     of the persisted definitions. A definition involving a relation
+     whose stamp no longer matches attaches as stale — enforced on new
+     writes, but the restored data itself unchecked. *)
   let catalog, constraints_lsn, constraints_note =
     match read_constraints io dir with
     | `Absent -> (catalog, manifest_lsn, None)
@@ -777,30 +496,21 @@ let load_report ?(io = Io.real) ~dir () =
           Some
             "CONSTRAINTS file damaged; declarations lost — re-declare or \
              restore from backup" )
-    | `Loaded cf ->
-        let cat =
-          List.fold_left
-            (fun cat def ->
-              let fresh =
-                (not (List.mem (Constr.name def) cf.cf_stale))
-                && List.for_all
-                     (fun rel ->
-                       match
-                         (List.assoc_opt rel cf.cf_stamps, loaded_crc rel)
-                       with
-                       | Some stamp, Some dcrc -> String.equal stamp dcrc
-                       | _ -> false)
-                     (Constr.relations def)
-              in
-              Catalog.attach_constraint ~verified:fresh cat def)
-            catalog cf.cf_defs
+    | `Loaded (file, entries) ->
+        let defs, stale = List.partition_map Fun.id entries in
+        let verified def =
+          (not (List.mem (Constr.name def) stale))
+          && List.for_all (fresh file.Sidecar.stamps) (Constr.relations def)
         in
-        (cat, cf.cf_lsn, None)
+        ( List.fold_left
+            (fun cat def ->
+              Catalog.attach_constraint ~verified:(verified def) cat def)
+            catalog defs,
+          file.Sidecar.lsn,
+          None )
   in
-  (* Re-attach persisted secondary indexes before journal replay, so
-     replayed deltas advance them in place like live statements do. A
-     dump is trusted only while the relation's stamp matches the data
-     file just loaded; a stale stamp, a missing dump, or any payload
+  (* Replayed deltas advance the re-attached indexes in place like live
+     statements do. A stale stamp, a missing dump, or any payload
      anomaly keeps the declaration and rebuilds the index from data —
      slower, never wrong. A damaged INDEX file loses the declarations
      themselves, reported like CONSTRAINTS damage. *)
@@ -812,44 +522,34 @@ let load_report ?(io = Io.real) ~dir () =
           Some
             "INDEX file damaged; secondary indexes dropped — re-declare \
              with .index" )
-    | `Loaded xf ->
-        let cat =
-          List.fold_left
-            (fun cat (rel, kind, attrs_field) ->
-              match attrs_of_field attrs_field with
-              | None -> cat
-              | Some attrs ->
-                  let fresh =
-                    match
-                      (List.assoc_opt rel xf.xf_stamps, loaded_crc rel)
-                    with
-                    | Some stamp, Some dcrc -> String.equal stamp dcrc
-                    | _ -> false
-                  in
-                  let lines =
-                    if not fresh then None
-                    else
-                      match
-                        List.filter_map
-                          (fun (key, payload) ->
-                            if key = (rel, kind, attrs_field) then
-                              Some payload
-                            else None)
-                          xf.xf_lines
-                      with
-                      | [] -> None
-                      | ls -> Some ls
-                  in
-                  let cat, attached =
-                    Catalog.restore_index cat rel ~kind attrs ~lines
-                  in
-                  (if attached then Obs.Metrics.inc m_index_attached
-                   else if Option.is_some (Catalog.find cat rel) then
-                     Obs.Metrics.inc m_index_rebuilt);
-                  cat)
-            catalog xf.xf_decls
+    | `Loaded (file, entries) ->
+        let decls, dumps = List.partition_map Fun.id entries in
+        let restore cat (rel, kind, attrs_field) =
+          match attrs_of_field attrs_field with
+          | None -> cat
+          | Some attrs ->
+              let lines =
+                if not (fresh file.Sidecar.stamps rel) then None
+                else
+                  match
+                    List.filter_map
+                      (fun (key, payload) ->
+                        if key = (rel, kind, attrs_field) then Some payload
+                        else None)
+                      dumps
+                  with
+                  | [] -> None
+                  | ls -> Some ls
+              in
+              let cat, attached =
+                Catalog.restore_index cat rel ~kind attrs ~lines
+              in
+              (if attached then Obs.Metrics.inc m_index_attached
+               else if Option.is_some (Catalog.find cat rel) then
+                 Obs.Metrics.inc m_index_rebuilt);
+              cat
         in
-        (cat, None)
+        (List.fold_left restore catalog decls, None)
   in
   (* Replay the journal tail: relation changes past the checkpoint the
      relation's data file belongs to (replaying onto a relation from a

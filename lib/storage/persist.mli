@@ -13,16 +13,68 @@
     - [NAME.csv] — the relation in the {!Csv} dialect ([-] for nulls),
       written in the schema's column order.
 
-    On top of those sits a [MANIFEST] naming every relation with the
-    CRC-32 of both files, a format version and the journal position
-    (LSN) the checkpoint reflects:
+    Four sidecar files sit beside them, all in the one self-checksummed
+    frame of {!Sidecar}: tab-separated lines, each opened by a tag; a
+    header [nullrel-KIND <TAB> 1 <TAB> LSN] in every file but [STATS];
+    and an [end <TAB> CRC] trailer, the CRC-32 of every preceding byte,
+    so a torn file is detected, not misread. A checksum-valid header
+    that claims another version raises {!Error}. Entries cut against
+    the data carry the CRC of the data file written beside them — a
+    [stamp <TAB> REL <TAB> DATA-CRC] line, or a field of the entry —
+    and attach at load only while it matches the data file actually
+    loaded.
+
+    [MANIFEST] (kind [manifest]) names every relation with the CRC-32
+    of both its files, and its LSN is the journal position the
+    checkpoint reflects:
     {v
-    nullrel-manifest <TAB> 1 <TAB> LSN
     relation <TAB> NAME <TAB> SCHEMA-CRC <TAB> DATA-CRC
-    ...
-    end <TAB> CRC            (of every preceding byte — a torn
-                              manifest is detected, not misread)
     v}
+    Damaged or absent (and no valid [MANIFEST.next] to promote), it
+    leaves a legacy load: every [*.schema] file names a relation,
+    loaded without checksum verification.
+
+    [STATS] (no header) holds every relation's {e fresh} statistics:
+    {v
+    table <TAB> NAME <TAB> ROWS <TAB> DATA-CRC
+    column <TAB> ATTR <TAB> NULLS <TAB> DISTINCT [<TAB> MIN <TAB> MAX]
+    v}
+    Statistics are pure acceleration state: damage silently yields a
+    catalog without stats, never a load failure or a note.
+
+    [CONSTRAINTS] (kind [constraints]; its LSN gates the replay of
+    constraint DDL) holds the declared definitions in {!Constr}'s line
+    format, the names of those unverified when the checkpoint was cut,
+    and one stamp per relation a definition involves:
+    {v
+    def <TAB> DEFINITION
+    stale <TAB> NAME
+    stamp <TAB> REL <TAB> DATA-CRC
+    v}
+    A definition attaches verified only when it was not stale and every
+    relation it involves still carries its stamped data file; otherwise
+    it attaches stale — enforced on new writes, the restored data
+    unchecked.
+
+    [INDEX] (kind [indexes]) holds every secondary-index declaration,
+    one stamp per indexed relation, and a positional dump of each built
+    structure (lines referring to tuples by their canonical position):
+    {v
+    decl <TAB> REL <TAB> hash|range <TAB> ATTR[,ATTR...]
+    stamp <TAB> REL <TAB> DATA-CRC
+    line <TAB> REL <TAB> KIND <TAB> ATTRS <TAB> PAYLOAD
+    v}
+    A dump re-attaches ({!Catalog.restore_index}) only while its
+    relation's stamp matches — skipping the build entirely — and
+    degrades to a from-scratch rebuild of the declaration on a stale
+    stamp, missing dump, or any payload anomaly: slower, never wrong.
+
+    A damaged [CONSTRAINTS] or [INDEX] file loses its declarations and
+    says so in the journal note, since declarations are semantics and
+    steer planning. All sidecars attach {e before} journal replay, so
+    replayed records leave stats observably stale
+    ({!Catalog.stats_status}) and advance restored indexes exactly as
+    live statements would.
 
     {!save} is atomic per file and ordered so that a crash at {e any}
     point leaves a recoverable directory: every file is written to a
@@ -31,39 +83,6 @@
     is renamed and promoted to [MANIFEST] {e after} all of them, so a
     reader can always tell a half-renamed checkpoint (file matches
     [MANIFEST.next]) from corruption (file matches neither).
-
-    A [STATS] file rides along with the checkpoint: the {!Stats}
-    serialization of every relation's {e fresh} statistics, each entry
-    stamped with the CRC of the data file it describes, closed by the
-    same self-checksum trailer as the manifest. The loader attaches an
-    entry only when its stamp matches the data file actually loaded
-    and does so {e before} journal replay, so replayed mutations leave
-    the stats observably stale (see {!Catalog.stats_status}). Statistics
-    are pure acceleration state: a missing, torn or superseded [STATS]
-    file silently yields a catalog without stats, never a load failure.
-
-    An [INDEX] file rides along the same way: every secondary-index
-    declaration ([decl] lines), a per-relation CRC stamp cut against
-    the data file written beside it ([stamp] lines), and a positional
-    dump of each built structure ([line] lines referring to tuples by
-    their canonical position), closed by the self-checksum trailer:
-    {v
-    nullrel-indexes <TAB> 1 <TAB> LSN
-    decl <TAB> REL <TAB> hash|range <TAB> ATTR[,ATTR...]
-    stamp <TAB> REL <TAB> DATA-CRC
-    line <TAB> REL <TAB> KIND <TAB> ATTRS <TAB> PAYLOAD
-    end <TAB> CRC
-    v}
-    The loader re-attaches a dump ({!Catalog.restore_index}) only while
-    its stamp matches the data file actually loaded — skipping the
-    build entirely — and degrades to a from-scratch rebuild of the
-    declaration on a stale stamp, missing dump, or any payload anomaly:
-    slower, never wrong. Attachment happens {e before} journal replay,
-    so replayed deltas advance the restored indexes exactly as live
-    statements would. A damaged [INDEX] file (torn trailer, checksum
-    mismatch) loses the declarations themselves; like CONSTRAINTS
-    damage this is reported in the journal note rather than silently
-    degraded, since the declarations affect planning.
 
     {!load_report} degrades gracefully: a corrupt, truncated or
     checksum-mismatched relation is quarantined with a reason instead of
@@ -79,6 +98,9 @@
     verification). *)
 
 exception Error of string
+(** A missing directory, a sidecar that claims an unsupported version
+    (the same exception as {!Sidecar.Error}), or — from {!load} — a
+    quarantined relation. *)
 
 type status =
   | Ok  (** Checksums verified (or legacy file parsed cleanly). *)
@@ -99,7 +121,7 @@ type report = {
 }
 
 val save : ?io:Io.t -> ?lsn:int -> dir:string -> Catalog.t -> unit
-(** Writes a full checkpoint of every relation plus the [MANIFEST]
+(** Writes a full checkpoint of every relation plus the four sidecars
     (default [lsn] 0). Creates [dir] if needed; overwrites existing
     files for the saved names, leaves other files alone (though only
     manifest-listed relations are loaded back). *)
@@ -107,8 +129,8 @@ val save : ?io:Io.t -> ?lsn:int -> dir:string -> Catalog.t -> unit
 val load_report : ?io:Io.t -> dir:string -> unit -> report
 (** Read-only: loads what it can, quarantines what it cannot, replays
     the committed journal tail in memory. Raises {!Error} only if the
-    directory itself is missing or the manifest claims an unsupported
-    format version. *)
+    directory itself is missing or a checksum-valid [MANIFEST],
+    [CONSTRAINTS] or [INDEX] claims an unsupported format version. *)
 
 val load : ?io:Io.t -> dir:string -> unit -> Catalog.t
 (** {!load_report}, raising {!Error} if any relation was quarantined.

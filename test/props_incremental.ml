@@ -1,6 +1,7 @@
 (* Property tests for incremental maintenance: random DML schedules
-   executed incrementally must land on exactly the catalog the legacy
-   full-rewrite pipeline (the oracle) produces, and the equi-index
+   executed incrementally must land on exactly the catalog the
+   full-rewrite reference (the oracle, {!Workload.Full_rewrite})
+   produces, and the equi-index
    [advance] must be indistinguishable from a fresh [build]. *)
 
 open Nullrel
@@ -62,26 +63,26 @@ let arbitrary_schedule =
    violation lists may differ (the oracle re-checks whole relations,
    the incremental path checks the delta), so outcomes compare
    coarsely: per-statement tag plus the success messages. *)
-let run_schedule ~incremental stmts =
-  let was = !Dml.incremental in
-  Dml.incremental := incremental;
-  Fun.protect
-    ~finally:(fun () -> Dml.incremental := was)
-    (fun () ->
-      List.fold_left
-        (fun (cat, log) stmt ->
-          match Dml.exec_string cat stmt with
-          | outcome ->
-              (outcome.Dml.catalog, ("ok: " ^ outcome.Dml.message) :: log)
-          | exception Storage.Catalog.Violation _ -> (cat, "violation" :: log))
-        (seed_catalog (), [])
-        stmts)
+let run_schedule exec stmts =
+  List.fold_left
+    (fun (cat, log) stmt ->
+      match exec cat (Quel.Parser.parse_statement stmt) with
+      | cat, message -> (cat, ("ok: " ^ message) :: log)
+      | exception Storage.Catalog.Violation _ -> (cat, "violation" :: log))
+    (seed_catalog (), [])
+    stmts
 
 let incremental_matches_oracle =
   test "incremental DML schedule = full-rewrite oracle" arbitrary_schedule
     (fun stmts ->
-      let cat_inc, log_inc = run_schedule ~incremental:true stmts in
-      let cat_ora, log_ora = run_schedule ~incremental:false stmts in
+      let cat_inc, log_inc =
+        run_schedule
+          (fun cat stmt ->
+            let o = Dml.exec cat stmt in
+            (o.Dml.catalog, o.Dml.message))
+          stmts
+      in
+      let cat_ora, log_ora = run_schedule Workload.Full_rewrite.exec stmts in
       Test_durability.catalogs_equal cat_inc cat_ora
       && List.equal String.equal log_inc log_ora)
 

@@ -151,30 +151,18 @@ let check_probe_agrees cat name a =
 
 let index_file dir = Filename.concat dir "INDEX"
 
-(* Rewrite the INDEX file through [f] (a line filter/mapper over the
-   entry lines), recomputing the self-checksum trailer so only the
-   stale-dump protocol — not the whole-file damage path — is exercised. *)
+(* Rewrite the INDEX file through [f] (a filter/mapper over its lines,
+   split into fields) and re-seal it, so only the stale-dump protocol —
+   not the whole-file damage path — is exercised. *)
 let rewrite_index dir f =
   let path = index_file dir in
   let text = In_channel.with_open_text path In_channel.input_all in
-  let lines =
-    List.filter (fun l -> l <> "") (String.split_on_char '\n' text)
-  in
-  let entries =
-    List.filter
-      (fun l -> not (String.length l >= 4 && String.sub l 0 4 = "end\t"))
-      lines
-  in
-  let body =
-    String.concat "" (List.map (fun l -> l ^ "\n") (List.filter_map f entries))
-  in
-  let text =
-    Printf.sprintf "%send\t%s\n" body
-      (Storage.Crc32.to_hex (Storage.Crc32.digest body))
-  in
-  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc text)
+  let lines = Option.get (Storage.Sidecar.unseal text) in
+  Out_channel.with_open_text path (fun oc ->
+      Out_channel.output_string oc
+        (Storage.Sidecar.seal (List.filter_map f lines)))
 
-let is_line_entry l = String.length l >= 5 && String.sub l 0 5 = "line\t"
+let is_line_entry = function "line" :: _ -> true | _ -> false
 
 let test_index_persist_roundtrip () =
   Test_durability.with_temp_dir (fun dir ->
@@ -217,16 +205,13 @@ let test_index_garbled_payload_rebuilds () =
       (* Reverse the range dump's position list: the checksum still
          passes (we recompute it) but restore must spot the broken sort
          order and degrade to a rebuild — stale-never-wrong. *)
-      rewrite_index dir (fun l ->
-          match String.split_on_char '\t' l with
-          | [ "line"; rel; "range"; attrs; payload ] ->
-              let reversed =
-                String.concat " "
-                  (List.rev (String.split_on_char ' ' payload))
-              in
-              Some
-                (String.concat "\t" [ "line"; rel; "range"; attrs; reversed ])
-          | _ -> Some l);
+      rewrite_index dir (function
+        | [ "line"; rel; "range"; attrs; payload ] ->
+            let reversed =
+              String.concat " " (List.rev (String.split_on_char ' ' payload))
+            in
+            Some [ "line"; rel; "range"; attrs; reversed ]
+        | l -> Some l);
       with_metrics (fun () ->
           let report = Storage.Persist.load_report ~dir () in
           let cat = report.Storage.Persist.catalog in

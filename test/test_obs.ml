@@ -244,6 +244,55 @@ let test_explain_analyze_shape () =
           Alcotest.(check bool) "no nonzero ms under the pinned clock" true
             (not (contains out "0.1"))))
 
+(* The index demo's data: with DEPT hash-indexed on DDEPT the EMP-DEPT
+   retrieve runs as a probe-equijoin, and [.explain analyze] must
+   measure that plan -- the executed retrieve's ticks at the root, and
+   no product anywhere in the tree. *)
+let test_explain_analyze_measures_the_indexed_plan () =
+  with_obs (fun () ->
+      let csv rows =
+        let path = Filename.temp_file "nullrel_obs" ".csv" in
+        Out_channel.with_open_text path (fun oc ->
+            Out_channel.output_string oc rows);
+        path
+      in
+      let emp =
+        csv
+          "ENAME,EDEPT\nanne,toys\nbert,toys\ncarl,candy\ndora,-\n\
+           erik,candy\nfred,toys\ngina,books\n"
+      and dept = csv "DDEPT,LOC\ntoys,london\ncandy,paris\nbooks,oslo\n" in
+      Fun.protect
+        ~finally:(fun () -> List.iter Sys.remove [ emp; dept ])
+        (fun () ->
+          let st =
+            List.fold_left
+              (fun st cmd -> fst (Shell.exec st cmd))
+              Shell.initial
+              [
+                ".load EMP " ^ emp;
+                ".load DEPT " ^ dept;
+                ".index DEPT hash DDEPT";
+              ]
+          in
+          let q =
+            "range of e is EMP range of d is DEPT retrieve (e.ENAME, d.LOC) \
+             where e.EDEPT = d.DDEPT"
+          in
+          let _, ran = Obs.Span.timed "retrieve" (fun () -> Shell.exec st q) in
+          let _, out = Shell.exec st (".explain analyze " ^ q) in
+          let rows =
+            List.map
+              (fun l -> List.filter (( <> ) "") (String.split_on_char ' ' l))
+              (String.split_on_char '\n' out)
+          in
+          (match rows with
+          | _semantics :: _header :: (_ :: _ :: _ :: _ :: ticks :: _) :: _ ->
+              Alcotest.(check int) "root ticks = the executed retrieve's"
+                ran.Obs.Span.ticks (int_of_string ticks)
+          | _ -> Alcotest.failf "unexpected explain output:\n%s" out);
+          Alcotest.(check bool) "no product row" false
+            (List.exists (function "product" :: _ -> true | _ -> false) rows)))
+
 let suite =
   [
     Alcotest.test_case "histogram bucket edges" `Quick test_bucket_edges;
@@ -262,4 +311,6 @@ let suite =
       test_snapshot_and_quantiles;
     Alcotest.test_case "explain analyze shape" `Quick
       test_explain_analyze_shape;
+    Alcotest.test_case "explain analyze measures the indexed plan" `Quick
+      test_explain_analyze_measures_the_indexed_plan;
   ]

@@ -77,8 +77,7 @@ let test_strategy_parity () =
 let test_roundtrip () =
   let tbl = Stats.collect ~attrs:abc sample in
   let entries = [ ("R", "deadbeef", tbl); ("S", "00000000", tbl) ] in
-  let text = Stats.tables_to_string entries in
-  let back = Stats.tables_of_string text in
+  let back = Stats.tables_of_lines (Stats.tables_to_lines entries) in
   Alcotest.(check int) "two entries" 2 (List.length back);
   List.iter2
     (fun (n1, c1, t1) (n2, c2, t2) ->
@@ -89,19 +88,20 @@ let test_roundtrip () =
 
 let test_corrupt_rejected () =
   List.iter
-    (fun text ->
+    (fun lines ->
       Alcotest.(check bool)
-        (Printf.sprintf "rejects %S" text)
+        (Printf.sprintf "rejects %S"
+           (String.concat "\n" (List.map (String.concat "\t") lines)))
         true
         (try
-           ignore (Stats.tables_of_string text);
+           ignore (Stats.tables_of_lines lines);
            false
          with Stats.Corrupt _ -> true))
     [
-      "column\tA\t0\t1\n";
-      "table\tR\tnot-a-number\tcafe\n";
-      "garbage line\n";
-      "table\tR\t3\tcafe\ncolumn\tA\t0\n";
+      [ [ "column"; "A"; "0"; "1" ] ];
+      [ [ "table"; "R"; "not-a-number"; "cafe" ] ];
+      [ [ "garbage line" ] ];
+      [ [ "table"; "R"; "3"; "cafe" ]; [ "column"; "A"; "0" ] ];
     ]
 
 (* -------------------- freshness protocol ---------------------- *)
