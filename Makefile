@@ -66,20 +66,36 @@ session-demo:
 	$(DUNE) exec bin/nullrel_cli.exe -- sessions --sessions 2 --txns 25 --conflict-every 3
 
 # Constraints end to end: two relations under a foreign key, a
-# cascading delete chains through both, then a restrict declaration
-# blocks the same delete (the CLI must exit 10 on that). Exercised by
-# CI at 1 and 4 domains like the other demos.
+# cascading delete chains through both, then the same cascade through
+# the shell with a hash index on R (F) must leave the same R rows (the
+# delete action probes the index instead of scanning R), then a
+# restrict declaration blocks the same delete (the CLI must exit 10 on
+# that), and last a restrict left unverified by a wholesale reload of R
+# must still let through the delete of a key nothing references.
+# Exercised by CI at 1 and 4 domains like the other demos.
 constraints-demo:
 	$(DUNE) build bin/nullrel_cli.exe
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	printf 'K,V\n1,10\n2,20\n' > "$$tmp/t.csv"; \
 	printf 'F,W\n1,5\n2,6\n' > "$$tmp/r.csv"; \
+	rows() { grep -E '^(> )?[0-9]+ +[0-9]+ *$$' "$$1" | sed 's/^> //'; }; \
 	echo "--- cascade: deleting T(K=1) chains into R ---"; \
 	$(DUNE) exec bin/nullrel_cli.exe -- dml --dir "$$tmp/cascade" \
 	  --load "T=$$tmp/t.csv" --load "R=$$tmp/r.csv" \
 	  'constrain fk R (F) to T (K) on delete cascade as fkr' \
 	  'range of v is T delete v where v.K = 1' \
-	  'range of v is R retrieve (v.F, v.W)' || exit 1; \
+	  'range of v is R retrieve (v.F, v.W)' > "$$tmp/scan.txt" || exit 1; \
+	cat "$$tmp/scan.txt"; \
+	echo "--- the same cascade with R (F) indexed: the delete probes R ---"; \
+	{ printf '.load T %s/t.csv\n.load R %s/r.csv\n' "$$tmp" "$$tmp"; \
+	  printf '.index R hash F\n'; \
+	  printf 'constrain fk R (F) to T (K) on delete cascade as fkr\n'; \
+	  printf 'range of v is T delete v where v.K = 1\n'; \
+	  printf 'range of v is R retrieve (v.F, v.W)\n.quit\n'; } | \
+	$(DUNE) exec bin/nullrel_cli.exe -- repl | tee "$$tmp/probe.txt"; \
+	[ -n "$$(rows "$$tmp/scan.txt")" ] && \
+	[ "$$(rows "$$tmp/scan.txt")" = "$$(rows "$$tmp/probe.txt")" ] || { \
+	  echo "the indexed cascade left other R rows than the scan"; exit 1; }; \
 	echo "--- restrict: the same delete must be refused (exit 10) ---"; \
 	$(DUNE) exec bin/nullrel_cli.exe -- dml --dir "$$tmp/restrict" \
 	  --load "T=$$tmp/t.csv" --load "R=$$tmp/r.csv" \
@@ -89,7 +105,17 @@ constraints-demo:
 	if [ $$status -ne 10 ]; then \
 	  echo "expected exit 10 from the restricted delete, got $$status"; exit 1; \
 	fi; \
-	echo "restricted delete refused with exit 10, as declared"
+	echo "restricted delete refused with exit 10, as declared"; \
+	echo "--- unverified restrict: deleting an unreferenced key succeeds ---"; \
+	printf 'F,W\n2,6\n99,7\n' > "$$tmp/r2.csv"; \
+	{ printf '.load T %s/t.csv\n.load R %s/r.csv\n' "$$tmp" "$$tmp"; \
+	  printf 'constrain fk R (F) to T (K) on delete restrict as fkr\n'; \
+	  printf '.load R %s/r2.csv\n' "$$tmp"; \
+	  printf 'range of v is T delete v where v.K = 1\n.quit\n'; } | \
+	$(DUNE) exec bin/nullrel_cli.exe -- repl | tee "$$tmp/unverified.txt"; \
+	grep -q '1 tuple deleted' "$$tmp/unverified.txt" || { \
+	  echo "the delete of an unreferenced key was refused"; exit 1; }; \
+	echo "constraints demo ok: probe and scan agree, restrict acts on broken references only"
 
 # The system catalog end to end: turn the flight recorder on, run a
 # session workload and a governed join, render the .monitor top view,

@@ -186,6 +186,7 @@ type delta = {
 type env = {
   lookup : string -> Xrel.t option;
   probe : string -> Subsume_index.t option;
+  equi_probe : string -> Attr.Set.t -> (Tuple.t -> Tuple.t list) option;
   key_of : string -> Attr.Set.t;
 }
 
@@ -206,10 +207,15 @@ let reference_of pairs r =
     (Some Tuple.empty) pairs
 
 (* Mutable working state: the post-statement relations, overlaid with
-   the referential actions fired so far. Indexes are lazy and shared —
-   the env's own index is reused untouched until an action actually
-   mutates the relation. *)
-type rel_state = { rs_x : Xrel.t; rs_idx : Subsume_index.t Lazy.t }
+   the referential actions fired so far. A relation starts out as the
+   env's own value and index, shared untouched; each action then moves
+   both by its delta. [rs_added] holds the tuples the closure put in —
+   the ones the env's declared equality indexes do not hold. *)
+type rel_state = {
+  rs_x : Xrel.t;
+  rs_idx : Subsume_index.t Lazy.t;
+  rs_added : Tuple.Set.t;
+}
 
 type state = {
   env : env;
@@ -232,22 +238,49 @@ let state_of st rel =
                   (match st.env.probe rel with
                   | Some idx -> idx
                   | None -> Subsume_index.build (Xrel.rep x));
+              rs_added = Tuple.Set.empty;
             }
           in
           st.overlay <- String_map.add rel rs st.overlay;
           Some rs)
 
+(* Advances a relation's working state by an action's delta, in
+   O(|delta| log n). A cascade only removes tuples, and a subset of an
+   antichain is one; a set-null rewrite is admitted by the insert
+   discipline's probe/admit/evict step, the one {!Storage.Catalog}
+   runs, so the state stays the minimal relation the committed
+   extras will produce. *)
 let apply_overlay st d =
   match state_of st d.d_rel with
   | None -> ()
   | Some rs ->
-      let tuples = Relation.tuples (Xrel.rep rs.rs_x) in
-      let tuples = Tuple.Set.diff tuples d.d_removed in
-      let tuples = Tuple.Set.union tuples d.d_added in
-      let x = Xrel.of_tuples tuples in
+      let drop t (x, added) = (Relation.remove t x, Tuple.Set.remove t added) in
+      let x, added =
+        Tuple.Set.fold drop d.d_removed (Xrel.rep rs.rs_x, rs.rs_added)
+      in
+      let idx =
+        lazy
+          (Subsume_index.advance (Lazy.force rs.rs_idx) ~added:[]
+             ~removed:(Tuple.Set.elements d.d_removed))
+      in
+      let idx, x, added =
+        if Tuple.Set.is_empty d.d_added then (idx, x, added)
+        else
+          let idx, x, added =
+            Tuple.Set.fold
+              (fun t (idx, x, added) ->
+                match Subsume_index.admit idx t with
+                | None -> (idx, x, added)
+                | Some (idx, dead) ->
+                    let x, added = List.fold_right drop dead (x, added) in
+                    (idx, Relation.add t x, Tuple.Set.add t added))
+              d.d_added (Lazy.force idx, x, added)
+          in
+          (Lazy.from_val idx, x, added)
+      in
       st.overlay <-
         String_map.add d.d_rel
-          { rs_x = x; rs_idx = lazy (Subsume_index.build (Xrel.rep x)) }
+          { rs_x = Xrel.unsafe_of_minimal x; rs_idx = idx; rs_added = added }
           st.overlay
 
 let target_holds st target reference =
@@ -297,6 +330,52 @@ let added_checks st d =
         | Unique _ | Not_null _ | Foreign_key _ -> ())
       st.defs
 
+(* The referencing tuples of [rs] a removal from [target] left
+   dangling. Under [ni] only a total reference asserts anything, and it
+   holds only while some target tuple agrees with it on the referenced
+   attributes, so the only candidates are the references equal to a
+   removed tuple's referenced values. A declared equality index on
+   exactly the local attributes finds them with one probe per removed
+   tuple; it covers the env's value, so hits the closure has removed
+   are dropped and the closure's own additions are tested directly.
+   Without one, the scan keeps to the same candidates. *)
+let broken_references st rs ~rel ~target pairs removed =
+  let referenced = Attr.Set.of_list (List.map snd pairs) in
+  let keys =
+    Tuple.Set.fold
+      (fun t acc ->
+        if Tuple.is_total_on referenced t then
+          Tuple.Set.add (Tuple.restrict t referenced) acc
+        else acc)
+      removed Tuple.Set.empty
+  in
+  let dangling r =
+    match reference_of pairs r with
+    | None -> false
+    | Some reference ->
+        Tuple.Set.mem reference keys && not (target_holds st target reference)
+  in
+  let live = Relation.tuples (Xrel.rep rs.rs_x) in
+  if Tuple.Set.is_empty keys then Tuple.Set.empty
+  else
+    match st.env.equi_probe rel (Attr.Set.of_list (List.map fst pairs)) with
+    | None -> Tuple.Set.filter dangling live
+    | Some probe ->
+        let hits =
+          Tuple.Set.fold
+            (fun key acc ->
+              let local =
+                List.fold_left
+                  (fun k (l, r) -> Tuple.set k l (Tuple.get key r))
+                  Tuple.empty pairs
+              in
+              List.fold_left
+                (fun acc h -> if Tuple.Set.mem h live then Tuple.Set.add h acc else acc)
+                acc (probe local))
+            keys Tuple.Set.empty
+        in
+        Tuple.Set.filter dangling (Tuple.Set.union hits rs.rs_added)
+
 (* The declared delete action, fired on the referencing tuples a
    removal left dangling. *)
 let removal_checks st d ~emit =
@@ -309,15 +388,9 @@ let removal_checks st d ~emit =
             | None -> ()
             | Some rs ->
                 let dangling =
-                  List.filter
-                    (fun r ->
-                      match reference_of pairs r with
-                      | None -> false
-                      | Some reference ->
-                          not (target_holds st target reference))
-                    (Xrel.to_list rs.rs_x)
+                  broken_references st rs ~rel ~target pairs d.d_removed
                 in
-                if dangling <> [] then begin
+                if not (Tuple.Set.is_empty dangling) then begin
                   match on_delete with
                   | Restrict ->
                       error
@@ -326,15 +399,15 @@ let removal_checks st d ~emit =
                              constr = name;
                              rel;
                              target;
-                             tuple = List.hd dangling;
+                             tuple = Tuple.Set.min_elt dangling;
                            })
                   | Cascade ->
-                      Obs.Metrics.add m_cascade (List.length dangling);
+                      Obs.Metrics.add m_cascade (Tuple.Set.cardinal dangling);
                       emit
                         {
                           d_rel = rel;
                           d_added = Tuple.Set.empty;
-                          d_removed = Tuple.Set.of_list dangling;
+                          d_removed = dangling;
                         }
                   | Set_null ->
                       let locals = List.map fst pairs in
@@ -366,16 +439,15 @@ let removal_checks st d ~emit =
                             st.defs)
                         locals;
                       let local_set = Attr.Set.of_list locals in
-                      Obs.Metrics.add m_set_null (List.length dangling);
+                      Obs.Metrics.add m_set_null (Tuple.Set.cardinal dangling);
                       emit
                         {
                           d_rel = rel;
                           d_added =
-                            Tuple.Set.of_list
-                              (List.map
-                                 (fun r -> Tuple.remove r local_set)
-                                 dangling);
-                          d_removed = Tuple.Set.of_list dangling;
+                            Tuple.Set.map
+                              (fun r -> Tuple.remove r local_set)
+                              dangling;
+                          d_removed = dangling;
                         }
                 end)
         | Unique _ | Not_null _ | Foreign_key _ -> ())

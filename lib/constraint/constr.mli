@@ -23,9 +23,11 @@
 
     Enforcement ({!enforce}) is {e incremental}: it checks only the
     tuples a statement added or removed, probing the target relations
-    through {!Nullrel.Subsume_index} rather than re-scanning, and
-    returns the closure of referential actions as extra deltas to be
-    committed inside the same transaction. *)
+    through {!Nullrel.Subsume_index} rather than re-scanning — and, for
+    a delete, the referencing relation through a declared index on the
+    foreign key's columns when there is one — and returns the closure
+    of referential actions as extra deltas to be committed inside the
+    same transaction. *)
 
 open Nullrel
 
@@ -123,6 +125,14 @@ type env = {
       (** The {e post-statement} state of a relation. *)
   probe : string -> Subsume_index.t option;
       (** A subsumption index over exactly [lookup]'s value. *)
+  equi_probe : string -> Attr.Set.t -> (Tuple.t -> Tuple.t list) option;
+      (** [equi_probe rel attrs]: an equality probe over exactly
+          [lookup rel]'s value on exactly the attribute set [attrs] —
+          given a tuple total on [attrs], the tuples that agree with it
+          there — or [None] when no declared index covers [attrs]. A
+          delete action probes it on a foreign key's local attributes,
+          once per removed target tuple, instead of scanning the
+          referencing relation. *)
   key_of : string -> Attr.Set.t;
       (** The relation's primary key (empty when none). *)
 }
@@ -139,7 +149,15 @@ val enforce : env -> def list -> delta list -> delta list
     uniqueness and dangling references by index probes; removed tuples
     trigger the declared delete actions on every foreign key referencing
     their relation, to a fixpoint (a cascade can orphan further
-    references). Returns the extra deltas — cascade deletions and
+    references). An action fires only on the references the removal
+    broke — total references equal to a removed tuple's referenced
+    values that no remaining target tuple matches — so a dangling
+    reference loaded under an unverified constraint is left alone. They
+    are found by {!env.equi_probe} on the foreign key's local
+    attributes when it answers, by a scan of the referencing relation
+    otherwise; a [Restrict] refusal names the least such tuple in
+    [Xrel.to_list] order either way. Each action advances the working
+    state by its own delta, never rebuilding a relation or an index. Returns the extra deltas — cascade deletions and
     set-null rewrites, in firing order — that must commit atomically
     with the seeds. Raises {!Error} on any violation; the caller must
     then abandon the whole transaction. With no definitions (or

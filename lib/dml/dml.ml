@@ -292,20 +292,27 @@ let is_read = function
   | Quel.Ast.Constrain _ | Quel.Ast.Unconstrain _ ->
       false
 
-(* The operations that turn [cat0] into [cat1]: one non-noop change per
-   touched relation, plus the constraint-DDL difference. Together they
-   form the statement's single atomic journal record. *)
-let ops_between cat0 cat1 touched =
-  let changes =
-    List.filter_map
-      (fun rel ->
-        let before = Storage.Catalog.relation cat0 rel
-        and after = Storage.Catalog.relation cat1 rel in
-        let c = Storage.Wal.change ~rel ~before ~after in
-        if Storage.Wal.change_is_noop c then None
-        else Some (Storage.Wal.Change c))
-      touched
-  in
+(* The journal record of applied net deltas — a statement's, or a
+   session transaction's composed ones — with no O(n) re-diff of the
+   catalogs, so the journaling cost is bounded by the delta too. *)
+let ops_of_deltas deltas =
+  List.filter_map
+    (fun (d : Constr.delta) ->
+      let wrap set = Xrel.unsafe_of_minimal (Relation.of_tuples set) in
+      let c =
+        {
+          Storage.Wal.rel = d.Constr.d_rel;
+          added = wrap d.Constr.d_added;
+          removed = wrap d.Constr.d_removed;
+        }
+      in
+      if Storage.Wal.change_is_noop c then None
+      else Some (Storage.Wal.Change c))
+    deltas
+
+(* The constraint DDL that turns [cat0]'s declarations into [cat1]'s:
+   the drops, then the additions, each in declaration order. *)
+let constraint_ops cat0 cat1 =
   let defs0 = Storage.Catalog.constraints cat0
   and defs1 = Storage.Catalog.constraints cat1 in
   let line d = Constr.def_to_line d in
@@ -326,7 +333,7 @@ let ops_between cat0 cat1 touched =
         else Some (Storage.Wal.Add_constraint d1))
       defs1
   in
-  changes @ dropped @ added
+  dropped @ added
 
 (* ------------------------ durable mode ------------------------ *)
 
@@ -385,24 +392,6 @@ let target_relation = function
    statement — its own delta, every cascade/set-null delta its
    constraints fired, and any constraint DDL — is one journal frame, so
    recovery can never land between a delete and its cascade. *)
-(* The journal record of an incremental statement, straight from the
-   net deltas the write path carried out — no O(n) re-diff of the
-   catalogs, so the journaling cost is bounded by the delta too. *)
-let ops_of_deltas deltas =
-  List.filter_map
-    (fun (d : Constr.delta) ->
-      let wrap set = Xrel.unsafe_of_minimal (Relation.of_tuples set) in
-      let c =
-        {
-          Storage.Wal.rel = d.Constr.d_rel;
-          added = wrap d.Constr.d_added;
-          removed = wrap d.Constr.d_removed;
-        }
-      in
-      if Storage.Wal.change_is_noop c then None
-      else Some (Storage.Wal.Change c))
-    deltas
-
 let exec_durable d statement =
   (* Abort-before-apply: both cancellation points sit strictly before
      the journal append (the commit point), so a governed abort leaves
@@ -412,7 +401,7 @@ let exec_durable d statement =
   let outcome = exec d.cat statement in
   let ops =
     match outcome.deltas with
-    | [] -> ops_between d.cat outcome.catalog outcome.touched
+    | [] -> constraint_ops d.cat outcome.catalog
     | deltas -> ops_of_deltas deltas
   in
   match ops with

@@ -88,15 +88,18 @@ val target_relation : Quel.Ast.statement -> string option
     [unconstrain], the target name otherwise. The session layer uses
     this to maintain per-transaction write sets. *)
 
-val ops_between :
-  Storage.Catalog.t ->
-  Storage.Catalog.t ->
-  string list ->
-  Storage.Wal.op list
-(** [ops_between cat0 cat1 touched] is the journal-operation list that
-    turns [cat0] into [cat1]: one non-noop {!Storage.Wal.Change} per
-    touched relation plus the constraint-DDL difference — the payload
-    of one atomic transaction record. *)
+val ops_of_deltas : Constr.delta list -> Storage.Wal.op list
+(** One {!Storage.Wal.Change} per delta that changes something, in
+    order — the journal record of applied net deltas (an {!outcome}'s
+    [deltas], or a transaction's composed ones), built without looking
+    at the relations they apply to. *)
+
+val constraint_ops : Storage.Catalog.t -> Storage.Catalog.t -> Storage.Wal.op list
+(** [constraint_ops cat0 cat1]: the constraint DDL that turns [cat0]'s
+    declarations into [cat1]'s — a {!Storage.Wal.Drop_constraint} per
+    name [cat1] lacks, then a {!Storage.Wal.Add_constraint} per
+    definition [cat0] lacks, each in declaration order. The DDL part of
+    a transaction record. *)
 
 (** {1 Durable mode}
 

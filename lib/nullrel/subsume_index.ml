@@ -253,6 +253,12 @@ let advance idx ~added ~removed =
       size = Once.of_val size;
     }
 
+let admit idx t =
+  if Tuple.is_null_tuple t || subsuming_exists idx t then None
+  else
+    let dead = subsumed_within idx t in
+    Some (advance idx ~added:[ t ] ~removed:dead, dead)
+
 let to_list idx =
   if idx.overlay = 0 then idx.base.tuples
   else Tuple.Set.elements (Once.get idx.live)

@@ -81,6 +81,16 @@ val subsumed_within : t -> Tuple.t -> Tuple.t list
     [pi]-restriction, so the cost is O(signatures · log n), independent
     of the relation's cardinality. *)
 
+val admit : t -> Tuple.t -> (t * Tuple.t list) option
+(** Section 7's insert discipline for one tuple over the minimal
+    relation the index holds: [None] when [t] is the null tuple or some
+    indexed tuple is at least as informative (the relation already
+    implies it); otherwise [Some (idx', evicted)], where [idx'] holds
+    [t] in place of [evicted], the indexed tuples [t] strictly subsumes
+    ({!subsumed_within}). The result is again minimal. One probe, one
+    {!subsumed_within} and one {!advance}: the per-tuple step of every
+    incremental write. *)
+
 val to_list : t -> Tuple.t list
 (** The indexed tuples (base plus overlay), in no particular order. *)
 

@@ -1,4 +1,5 @@
 open Nullrel
+module String_map = Map.Make (String)
 
 (* The library is wrapped under this module; re-export the taxonomy so
    clients reach it as [Session.Session_error]. *)
@@ -221,11 +222,14 @@ let validate_tuplewise eng ~snap_lsn ~batch_hist ops =
           | None -> ()
           | Some h ->
               if snap_lsn < h.pruned_upto then raise (Conflicting rel);
-              List.iter
-                (fun (lsn, touched, removed) ->
-                  if lsn > snap_lsn then
-                    check_against ~rel ~a ~d ~touched ~removed)
-                h.entries))
+              (* Newest first: the walk ends at the snapshot. *)
+              let rec newer = function
+                | (lsn, touched, removed) :: rest when lsn > snap_lsn ->
+                    check_against ~rel ~a ~d ~touched ~removed;
+                    newer rest
+                | _ -> ()
+              in
+              newer h.entries))
     ops
 
 let record_history eng rs =
@@ -490,10 +494,33 @@ let shutdown eng =
 
 (* -------------------------- sessions -------------------------- *)
 
+(* Composes the next applied delta [d] of a relation onto [net], its
+   net change since the snapshot ([None] before the first). [d]
+   removes, then adds; a tuple in both (a replace that maps it onto
+   itself) did not change and drops out first. What is left removes
+   only live tuples and adds only absent ones, so with (A, R) = [net]
+   and (a, r) = [d]: added = (A∖r) ∪ (a∖R), removed = (R∖a) ∪ (r∖A). *)
+let compose net (d : Constr.delta) =
+  let a = Tuple.Set.diff d.d_added d.d_removed
+  and r = Tuple.Set.diff d.d_removed d.d_added in
+  match net with
+  | None -> { d with d_added = a; d_removed = r }
+  | Some (net : Constr.delta) ->
+      {
+        net with
+        d_added =
+          Tuple.Set.union (Tuple.Set.diff net.d_added r) (Tuple.Set.diff a net.d_removed);
+        d_removed =
+          Tuple.Set.union (Tuple.Set.diff net.d_removed a) (Tuple.Set.diff r net.d_added);
+      }
+
 type txn = {
   base : snapshot;
   mutable cat : Storage.Catalog.t;
   mutable writes : string list;  (** Relations touched, newest first. *)
+  mutable net : Constr.delta String_map.t;
+      (** Per relation, the staged statements' deltas composed into one
+          net delta against [base]. *)
 }
 
 type t = {
@@ -599,7 +626,7 @@ let require_idle sess =
 
 let fresh_txn sess =
   let base = Atomic.get sess.eng.committed in
-  { base; cat = base.catalog; writes = [] }
+  { base; cat = base.catalog; writes = []; net = String_map.empty }
 
 let begin_ sess =
   require_idle sess;
@@ -645,6 +672,11 @@ let exec sess stmt =
             if not (List.exists (String.equal rel) t.writes) then
               t.writes <- rel :: t.writes)
           out.Dml.touched;
+        t.net <-
+          List.fold_left
+            (fun net (d : Constr.delta) ->
+              String_map.update d.d_rel (fun prev -> Some (compose prev d)) net)
+            t.net out.Dml.deltas;
         out
     | exception e ->
         (* A failed statement leaves the staged txn as it was — and
@@ -656,7 +688,13 @@ let exec sess stmt =
 let exec_string sess src = exec sess (Quel.Parser.parse_statement src)
 let rollback sess = sess.txn <- None
 
-let ops_of_txn t = Dml.ops_between t.base.catalog t.cat (List.rev t.writes)
+(* The transaction's journal record: each touched relation's composed
+   net delta in first-touch order, then the constraint DDL. Bounded by
+   the transaction's deltas, never by the relations they touch. *)
+let ops_of_txn t =
+  Dml.ops_of_deltas
+    (List.filter_map (fun rel -> String_map.find_opt rel t.net) (List.rev t.writes))
+  @ Dml.constraint_ops t.base.catalog t.cat
 
 let submit sess =
   require_idle sess;

@@ -223,27 +223,24 @@ let apply_delta cat name ~added ~removed =
   let idx2, admitted, evicted =
     List.fold_left
       (fun (idx, adm, ev) t ->
-        if Tuple.is_null_tuple t || Subsume_index.subsuming_exists idx t then
-          (idx, adm, ev)
-        else begin
-          (* Incremental integrity: domains and entity integrity are
-             per-tuple; key uniqueness is one probe of the key
-             restriction after the eviction pass (the index counts the
-             live tuples agreeing with [t] on the key, [t] included). *)
-          (match Schema.check_tuple e.e_schema t with
-          | [] -> ()
-          | vs -> raise (Violation vs));
-          let dead = Subsume_index.subsumed_within idx t in
-          let idx = Subsume_index.advance idx ~added:[ t ] ~removed:dead in
-          if (not (Attr.Set.is_empty key)) && Tuple.is_total_on key t then begin
-            let kr = Tuple.restrict t key in
-            if Subsume_index.count_at idx kr > 1 then
-              raise (Violation [ Schema.Duplicate_key kr ])
-          end;
-          ( idx,
-            Tuple.Set.add t adm,
-            List.fold_left (fun s d -> Tuple.Set.add d s) ev dead )
-        end)
+        match Subsume_index.admit idx t with
+        | None -> (idx, adm, ev)
+        | Some (idx, dead) ->
+            (* Incremental integrity: domains and entity integrity are
+               per-tuple; key uniqueness is one probe of the key
+               restriction after the eviction pass (the index counts the
+               live tuples agreeing with [t] on the key, [t] included). *)
+            (match Schema.check_tuple e.e_schema t with
+            | [] -> ()
+            | vs -> raise (Violation vs));
+            if (not (Attr.Set.is_empty key)) && Tuple.is_total_on key t then begin
+              let kr = Tuple.restrict t key in
+              if Subsume_index.count_at idx kr > 1 then
+                raise (Violation [ Schema.Duplicate_key kr ])
+            end;
+            ( idx,
+              Tuple.Set.add t adm,
+              List.fold_left (fun s d -> Tuple.Set.add d s) ev dead ))
       (idx1, Tuple.Set.empty, Tuple.Set.empty)
       added
   in
@@ -450,6 +447,7 @@ let enforce_env cat =
       (fun name ->
         Option.map (fun e -> e.e_x) (String_map.find_opt name cat.c_rels));
     probe = (fun name -> probe_index cat name);
+    equi_probe = equi_probe cat;
     key_of =
       (fun name ->
         match String_map.find_opt name cat.c_rels with

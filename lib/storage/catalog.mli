@@ -193,7 +193,8 @@ val revalidate_constraints : t -> t * (string * Constr.violation) list
 
 val enforce_env : t -> Constr.env
 (** The catalog as an enforcement environment: relation lookup, lazy
-    probe indexes, primary keys. *)
+    probe indexes, the declared equality indexes ({!equi_probe}),
+    primary keys. *)
 
 val enforce : t -> Constr.delta list -> Constr.delta list
 (** {!Constr.enforce} against this catalog's state and declarations. *)

@@ -147,6 +147,95 @@ let schedules_preserve_invariants =
       done;
       !ok)
 
+(* ------------- probe-served delete actions = the scan ----------- *)
+
+(* The same random schedule runs twice: once with declared indexes on
+   every foreign key's local attributes, so delete actions find the
+   references a removal broke by probing them, and once without, so
+   they scan. Q(F, H) carries a set-null key to T and a cascading key
+   to S, and its set-null key is declared first: deleting T(K = k)
+   rewrites Q(F = k, H = k) to Q(H = k) before the cascade T -> R -> S
+   reaches S(G = k) and orphans that rewrite within the same closure —
+   a tuple only the closure itself added, which no index holds. *)
+let q_declarations g =
+  [
+    "constrain fk Q (F) to T (K) on delete setnull as fk_qt";
+    "constrain unique T (K) as uq_t";
+    Printf.sprintf "constrain fk R (F) to T (K) on delete %s as fk_rt"
+      (Workload.Prng.choose g [ "restrict"; "cascade"; "setnull" ]);
+    "constrain unique R (W) as uq_r";
+    "constrain fk S (G) to R (W) on delete cascade as fk_sr";
+    "constrain fk Q (H) to S (G) on delete cascade as fk_qs";
+  ]
+
+let q_population =
+  List.concat_map
+    (fun k ->
+      [
+        Printf.sprintf "append to T (K = %d, V = %d)" k k;
+        Printf.sprintf "append to R (F = %d, W = %d)" k k;
+        Printf.sprintf "append to S (G = %d)" k;
+        Printf.sprintf "append to Q (F = %d, H = %d)" k k;
+      ])
+    [ 0; 1; 2; 3 ]
+
+let q_statement g =
+  let k () = Workload.Prng.int g domain in
+  match Workload.Prng.int g 8 with
+  | 0 -> Printf.sprintf "append to Q (F = %d, H = %d)" (k ()) (k ())
+  | 1 -> Printf.sprintf "range of v is Q delete v where v.H = %d" (k ())
+  | 2 | 3 -> Printf.sprintf "range of v is T delete v where v.V = %d" (k ())
+  | _ -> random_statement g
+
+(* What a statement did, as far as a user or the journal can tell: its
+   message and applied deltas, or the refusal (a [restrict] names its
+   tuple in the text). *)
+let observe cat stmt =
+  match Dml.exec_string cat stmt with
+  | out -> (out.Dml.catalog, Ok (out.Dml.message, out.Dml.deltas))
+  | exception Constr.Error v -> (cat, Error (Constr.to_string v))
+  | exception Storage.Catalog.Violation _ -> (cat, Error "schema violation")
+
+let same_outcome o1 o2 =
+  match (o1, o2) with
+  | Ok (m1, ds1), Ok (m2, ds2) ->
+      String.equal m1 m2
+      && List.equal
+           (fun (d1 : Constr.delta) (d2 : Constr.delta) ->
+             String.equal d1.d_rel d2.d_rel
+             && Tuple.Set.equal d1.d_added d2.d_added
+             && Tuple.Set.equal d1.d_removed d2.d_removed)
+           ds1 ds2
+  | Error e1, Error e2 -> String.equal e1 e2
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+let probe_served_equals_scan =
+  QCheck.Test.make ~count:80
+    ~name:"probe-served delete actions = the scan" seed_arb
+    (fun seed ->
+      let g = Workload.Prng.create seed in
+      let kind = Workload.Prng.choose g [ "hash"; "range" ] in
+      let scanned =
+        Storage.Catalog.add (base_catalog ()) (ints "Q" [ "F"; "H" ]) Xrel.bottom
+      in
+      let probed =
+        List.fold_left
+          (fun cat (rel, a) ->
+            Storage.Catalog.create_index cat rel ~kind
+              (Attr.Set.singleton (Attr.make a)))
+          scanned
+          [ ("R", "F"); ("S", "G"); ("Q", "F"); ("Q", "H") ]
+      in
+      let setup = q_declarations g @ q_population in
+      let stmts = List.init (4 + Workload.Prng.int g 12) (fun _ -> q_statement g) in
+      let step (c1, c2, ok) stmt =
+        let c1, o1 = observe c1 stmt and c2, o2 = observe c2 stmt in
+        (c1, c2, ok && same_outcome o1 o2 && catalogs_equal c1 c2)
+      in
+      let c1 = declare scanned setup and c2 = declare probed setup in
+      let _, _, ok = List.fold_left step (c1, c2, catalogs_equal c1 c2) stmts in
+      ok)
+
 (* Declaring over violating data must be refused — the Add*Constraint
    precondition — and refuse without attaching anything. *)
 let declaration_precondition =
@@ -343,4 +432,5 @@ let suite =
       declaration_precondition;
       crash_mid_cascade_invisible;
       concurrent_schedules_stay_clean;
+      probe_served_equals_scan;
     ]

@@ -224,4 +224,163 @@ let torn_everywhere =
       done;
       !ok)
 
-let suite = List.map to_alcotest [ isolation_and_durability; torn_everywhere ]
+(* ------------- composed records vs the whole-relation diff ------------- *)
+
+(* A session journals each transaction from its statements' composed
+   deltas. The reference is the exact difference of each touched
+   relation's snapshot and staged states, one change per relation in
+   first-touch order. *)
+let diff_ops before after touched =
+  List.filter_map
+    (fun rel ->
+      let c =
+        Storage.Wal.change ~rel
+          ~before:(Storage.Catalog.relation before rel)
+          ~after:(Storage.Catalog.relation after rel)
+      in
+      if Storage.Wal.change_is_noop c then None else Some (Storage.Wal.Change c))
+    touched
+
+let same_op o1 o2 =
+  match (o1, o2) with
+  | Storage.Wal.Change c1, Storage.Wal.Change c2 ->
+      String.equal c1.Storage.Wal.rel c2.Storage.Wal.rel
+      && Nullrel.Xrel.equal c1.Storage.Wal.added c2.Storage.Wal.added
+      && Nullrel.Xrel.equal c1.Storage.Wal.removed c2.Storage.Wal.removed
+  | _ -> false
+
+(* T(K, V) keyed on K; R(C, F, W) keyed on C, whose F cascades from T;
+   S(F, X), unkeyed, whose F is set to ni when its T row goes — two S
+   rows differing only in F collapse into one. *)
+let composed_catalog () =
+  let ints name ?key cols =
+    Nullrel.Schema.make ?key name
+      (List.map (fun c -> (c, Nullrel.Domain.Ints)) cols)
+  in
+  let empty = Nullrel.Xrel.bottom in
+  let cat = Storage.Catalog.add Storage.Catalog.empty (ints "T" ~key:[ "K" ] [ "K"; "V" ]) empty in
+  let cat = Storage.Catalog.add cat (ints "R" ~key:[ "C" ] [ "C"; "F"; "W" ]) empty in
+  let cat = Storage.Catalog.add cat (ints "S" [ "F"; "X" ]) empty in
+  List.fold_left
+    (fun cat stmt -> (Dml.exec_string cat stmt).Dml.catalog)
+    cat
+    [
+      "constrain fk R (F) to T (K) on delete cascade as fk_rt";
+      "constrain fk S (F) to T (K) on delete setnull as fk_st";
+      "append to T (K = 0, V = 0)";
+      "append to T (K = 1)";
+      "append to T (K = 2, V = 1)";
+      "append to T (K = 3)";
+      "append to R (C = 0, F = 0, W = 0)";
+      "append to R (C = 1, F = 2)";
+      "append to R (C = 2, F = 2, W = 1)";
+      "append to S (F = 0, X = 0)";
+      "append to S (F = 2, X = 0)";
+      "append to S (F = 1, X = 1)";
+    ]
+
+(* One to two statements of a pattern whose deltas cancel when composed:
+   append then delete of one tuple, delete then re-append, a refining
+   append that evicts, a replace (sometimes onto itself), and deletes
+   from T that cascade into R or set S's references to ni. *)
+let composed_pattern g =
+  let k () = Workload.Prng.int g 5 and v () = Workload.Prng.int g 3 in
+  match Workload.Prng.int g 7 with
+  | 0 ->
+      let c = 10 + Workload.Prng.int g 3 and f = k () in
+      [
+        Printf.sprintf "append to R (C = %d, F = %d, W = %d)" c f (v ());
+        Printf.sprintf "range of r is R delete r where r.C = %d" c;
+      ]
+  | 1 ->
+      let key = k () in
+      [
+        Printf.sprintf "range of t is T delete t where t.K = %d" key;
+        Printf.sprintf "append to T (K = %d, V = %d)" key (v ());
+      ]
+  | 2 ->
+      let key = k () in
+      [
+        Printf.sprintf "append to T (K = %d)" key;
+        Printf.sprintf "append to T (K = %d, V = %d)" key (v ());
+      ]
+  | 3 ->
+      let x = v () in
+      let y = if Workload.Prng.bool g 0.5 then x else v () in
+      [ Printf.sprintf "range of t is T replace t (V = %d) where t.V = %d" y x ]
+  | 4 -> [ Printf.sprintf "range of t is T delete t where t.V = %d" (v ()) ]
+  | 5 -> [ Printf.sprintf "range of t is T delete t where t.K = %d" (k ()) ]
+  | _ ->
+      [
+        Printf.sprintf "append to S (F = %d, X = %d)" (k ()) (v ());
+        Printf.sprintf "append to R (C = %d, F = %d)" (10 + Workload.Prng.int g 3) (k ());
+      ]
+
+let composed_records_equal_diff =
+  QCheck.Test.make ~count:60
+    ~name:"composed txn records = whole-relation diff, in frame bytes"
+    (QCheck.int_bound 1_000_000)
+    (fun seed ->
+      let g = Workload.Prng.create seed in
+      let dir = temp_dir "nullrel_props_composed" in
+      let ref_dir = temp_dir "nullrel_props_composed_ref" in
+      Fun.protect
+        ~finally:(fun () ->
+          rm_rf dir;
+          rm_rf ref_dir)
+      @@ fun () ->
+      let io = Storage.Io.real in
+      Storage.Persist.save ~io ~dir (composed_catalog ());
+      io.Storage.Io.mkdir ref_dir;
+      let eng, _ = Session.open_engine ~io ~dir () in
+      let sess = Session.attach eng in
+      let ok = ref true in
+      for _ = 1 to 1 + Workload.Prng.int g 3 do
+        let before = (Session.engine_snapshot eng).Session.catalog in
+        let stmts =
+          let rec fill acc =
+            if List.length acc >= 6 || (acc <> [] && Workload.Prng.bool g 0.4)
+            then acc
+            else
+              let p = composed_pattern g in
+              if List.length acc + List.length p > 6 then acc else fill (acc @ p)
+          in
+          fill []
+        in
+        Session.begin_ sess;
+        let touched = ref [] in
+        List.iter
+          (fun stmt ->
+            match Session.exec_string sess stmt with
+            | out ->
+                List.iter
+                  (fun rel ->
+                    if not (List.mem rel !touched) then touched := !touched @ [ rel ])
+                  out.Dml.touched
+            | exception (Storage.Catalog.Violation _ | Constr.Error _) -> ())
+          stmts;
+        let staged = (Session.snapshot sess).Session.catalog in
+        let expected = diff_ops before staged !touched in
+        let n0 = List.length (fst (Storage.Wal.read ~io ~dir)) in
+        let lsn = Session.commit sess in
+        let records = fst (Storage.Wal.read ~io ~dir) in
+        (match (expected, List.filteri (fun i _ -> i >= n0) records) with
+        | [], [] -> ()
+        | _ :: _, [ r ] ->
+            ok :=
+              !ok && r.Storage.Wal.lsn = lsn
+              && List.length r.Storage.Wal.ops = List.length expected
+              && List.for_all2 same_op r.Storage.Wal.ops expected;
+            Storage.Wal.append ~io ~dir:ref_dir { Storage.Wal.lsn; ops = expected }
+        | _ -> ok := false)
+      done;
+      Session.shutdown eng;
+      let bytes d =
+        let path = Storage.Wal.file ~dir:d in
+        if io.Storage.Io.file_exists path then io.Storage.Io.read_file path else ""
+      in
+      !ok && String.equal (bytes dir) (bytes ref_dir))
+
+let suite =
+  List.map to_alcotest
+    [ isolation_and_durability; torn_everywhere; composed_records_equal_diff ]

@@ -160,6 +160,89 @@ let test_fk_set_null_blocked_by_key () =
     (String.equal "set-null-blocked")
     cat "range of v is T delete v where v.K = 1"
 
+(* ------------- delete actions under an unverified fk ----------- *)
+
+(* T = {1, 2} referenced by R, the foreign key declared over clean data;
+   then R is reloaded wholesale with [r], which may dangle — the
+   constraint stays attached, unverified. [indexed] declares a hash
+   index on R (F), so the delete action is served by probes instead of
+   a scan; both must act on the same tuples. *)
+let unverified_fk ~action ~indexed r =
+  let cat =
+    base
+      ~t:[ [ ("K", 1); ("V", 10) ]; [ ("K", 2); ("V", 20) ] ]
+      ~r:[ [ ("F", 1); ("W", 5) ]; [ ("F", 2); ("W", 6) ] ]
+      ()
+  in
+  let cat =
+    run_cat cat
+      (Printf.sprintf "constrain fk R (F) to T (K) on delete %s as fkr" action)
+  in
+  let cat = Storage.Catalog.add cat (ints "R" [ "F"; "W" ]) (xrel r) in
+  Alcotest.(check (list string)) "reload leaves fkr unverified" [ "fkr" ]
+    (Storage.Catalog.unverified_constraints cat);
+  if indexed then
+    Storage.Catalog.create_index cat "R" ~kind:"hash"
+      (Attr.Set.singleton (Attr.make "F"))
+  else cat
+
+let r_rows cat =
+  List.map
+    (fun t ->
+      List.map
+        (fun a -> match Tuple.get t (Attr.make a) with Value.Int v -> v | _ -> -1)
+        [ "F"; "W" ])
+    (Xrel.to_list (Storage.Catalog.relation cat "R"))
+
+let both_paths f =
+  List.iter (fun indexed -> f ~indexed) [ false; true ]
+
+let test_cascade_only_broken () =
+  both_paths @@ fun ~indexed ->
+  let cat =
+    unverified_fk ~action:"cascade" ~indexed
+      [ [ ("F", 1); ("W", 5) ]; [ ("F", 2); ("W", 6) ]; [ ("F", 99); ("W", 7) ] ]
+  in
+  let out = run cat "range of v is T delete v where v.K = 1" in
+  Alcotest.(check string) "one cascade, the broken reference"
+    "1 tuple deleted; cascade: 1 removed from R" out.Dml.message;
+  Alcotest.(check (list (list int))) "the unrelated dangling row survives"
+    [ [ 2; 6 ]; [ 99; 7 ] ] (r_rows out.Dml.catalog)
+
+let test_restrict_only_broken () =
+  both_paths @@ fun ~indexed ->
+  let cat =
+    unverified_fk ~action:"restrict" ~indexed
+      [ [ ("F", 2); ("W", 6) ]; [ ("F", 99); ("W", 7) ] ]
+  in
+  let out = run cat "range of v is T delete v where v.K = 1" in
+  Alcotest.(check string) "nothing references K = 1" "1 tuple deleted"
+    out.Dml.message;
+  (* With a real reference beside a lesser unrelated dangling row, the
+     refusal names the reference the delete broke. *)
+  let cat =
+    unverified_fk ~action:"restrict" ~indexed
+      [ [ ("F", 0); ("W", 7) ]; [ ("F", 1); ("W", 5) ] ]
+  in
+  match run cat "range of v is T delete v where v.K = 1" with
+  | _ -> Alcotest.fail "the delete breaks (F=1, W=5) and must be refused"
+  | exception Constr.Error (Constr.Restricted { tuple; _ }) ->
+      Alcotest.(check string) "names the broken reference" "(F=1, W=5)"
+        (Pp.to_string Tuple.pp tuple)
+
+let test_set_null_only_broken () =
+  both_paths @@ fun ~indexed ->
+  let cat =
+    unverified_fk ~action:"setnull" ~indexed
+      [ [ ("F", 1); ("W", 5) ]; [ ("F", 2); ("W", 6) ]; [ ("F", 99); ("W", 7) ] ]
+  in
+  let out = run cat "range of v is T delete v where v.K = 1" in
+  Alcotest.(check string) "one rewrite, the broken reference"
+    "1 tuple deleted; cascade: 1 set to null in R" out.Dml.message;
+  Alcotest.(check (list (list int))) "only (F=1, W=5) lost its F"
+    [ [ -1; 5 ]; [ 2; 6 ]; [ 99; 7 ] ]
+    (List.sort compare (r_rows out.Dml.catalog))
+
 (* ------------------- declaration-time verify ------------------- *)
 
 let test_declare_verifies_existing_data () =
@@ -320,6 +403,12 @@ let suite =
       test_fk_set_null_blocked_by_not_null;
     Alcotest.test_case "set-null blocked by the key" `Quick
       test_fk_set_null_blocked_by_key;
+    Alcotest.test_case "unverified fk: cascade acts on broken refs only" `Quick
+      test_cascade_only_broken;
+    Alcotest.test_case "unverified fk: restrict refuses broken refs only" `Quick
+      test_restrict_only_broken;
+    Alcotest.test_case "unverified fk: set-null acts on broken refs only" `Quick
+      test_set_null_only_broken;
     Alcotest.test_case "declare verifies existing data" `Quick
       test_declare_verifies_existing_data;
     Alcotest.test_case "unconstrain drops enforcement" `Quick test_unconstrain;
