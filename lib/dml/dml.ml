@@ -54,12 +54,18 @@ let relation_of cat rel =
   | Some entry -> entry
   | None -> errorf "unknown relation %s" rel
 
+(* Keyed by the schema's own attribute names, so that the rows a
+   relation accumulates share them instead of each holding the parsed
+   statement's copies. *)
 let tuple_of_assignments schema rel values =
   List.fold_left
     (fun t (a, v) ->
-      let attr = Attr.make a in
-      if not (Schema.mem schema attr) then
-        errorf "relation %s has no attribute %s" rel a;
+      let attr =
+        let attr = Attr.make a in
+        match List.find_opt (Attr.equal attr) (Schema.attrs schema) with
+        | Some named -> named
+        | None -> errorf "relation %s has no attribute %s" rel a
+      in
       if not (Value.is_null (Tuple.get t attr)) then
         errorf "attribute %s assigned twice" a;
       Tuple.set t attr v)

@@ -6,8 +6,10 @@
     need an explicit finite universe (such as {!Xrel.top}) take it as an
     argument. *)
 
-type t
-(** An attribute name. *)
+type t = private string
+(** An attribute name. Private, so that {!Tuple}'s merges can compare
+    names with the runtime's string comparison directly; only {!make}
+    builds one. *)
 
 val make : string -> t
 (** [make s] is the attribute named [s]. Raises [Invalid_argument] if [s]

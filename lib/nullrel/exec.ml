@@ -102,9 +102,10 @@ let limited g = g != unlimited && g != unlimited_observed
 
 (* The base sentinel the ambient slot must hold when no governor is
    installed, given the current obs state. Only the main domain swaps
-   to [unlimited_observed]: span tracing is main-domain state, and a
-   freshly spawned session domain starts at plain [unlimited] anyway
-   (its DLS initializer cannot observe later hot flips). *)
+   to [unlimited_observed]: [tick] charges spans on the main domain
+   only, and a freshly spawned session domain starts at plain
+   [unlimited] anyway (its DLS initializer cannot observe later hot
+   flips). *)
 let base_sentinel () =
   if !Obs.Metrics.hot && Stdlib.Domain.is_main_domain () then
     unlimited_observed
@@ -125,8 +126,9 @@ let tick ?(cost = 1) () =
   let g = !(Stdlib.Domain.DLS.get ambient) in
   if g != unlimited then begin
     (if !Obs.Metrics.hot then begin
-       (* Span state lives on the main domain; governed session
-          domains skip the span charge but still count ticks (the
+       (* Spans are charged on the main domain only, where the shell
+          and [.explain analyze] open them (each domain has its own
+          span stack); governed session domains still count ticks (the
           counter is atomic). *)
        if Stdlib.Domain.is_main_domain () then begin
          Obs.Span.charge cost;

@@ -1,5 +1,5 @@
-(* Probe tables are keyed by the probe's non-null attribute set [pi]
-   and map a [pi]-restriction (as a canonical binding list) to:
+(* Probe tables are keyed by the probe's signature [pi] (its non-null
+   attributes) and map a [pi]-restriction, itself a tuple, to:
    - [count]: how many indexed tuples agree with it on [pi];
    - [exact]: whether one of them is that restriction itself
      (i.e. its non-null attribute set is exactly [pi]).
@@ -12,26 +12,29 @@
    O(overlay) on top of the hash lookup, which keeps the per-statement
    cost sublinear in the relation size. *)
 
-module Sigmap = Map.Make (Attr.Set)
+module Sigmap = Tuple.Signature_map
 
-(* A bucket is mutated only while its table is being built, before the
-   table is published; afterwards every probe is a pure read. *)
-type bucket = { mutable count : int; mutable exact : bool }
+(* Probed, never iterated: the hash order is unobservable. *)
+module Probe = Hashtbl.Make (Tuple)
 
-type table = ((Attr.t * Value.t) list, bucket) Hashtbl.t
+(* A bucket is one immediate int, [2 * count], plus 1 when [exact], so
+   an entry costs no block of its own. Buckets change only while their
+   table is being built, before it is published; afterwards every probe
+   is a pure read. *)
+type table = int Probe.t
+
+let count_of bucket = bucket lsr 1
+let exact_of bucket = bucket land 1
 
 type base = {
-  tuples : Tuple.t list;
+  set : Tuple.Set.t;
   tables : table Sigmap.t Atomic.t;
       (* Published probe tables, keyed by signature. A domain that
          misses builds the table privately and publishes it by
          compare-and-set, so probing is safe from any domain. *)
-  (* Built only for DML-style callers ({!advance}, {!mem},
-     {!subsumed_within}); pure probe workloads never pay for them.
-     [Once] cells, not [Lazy.t]: a catalog shares its indexes with
-     every session domain. *)
-  set : Tuple.Set.t Once.t;
   size : int Once.t;
+      (* A [Once] cell, not a [Lazy.t]: a catalog shares its indexes
+         with every session domain. *)
 }
 
 type t = {
@@ -39,8 +42,11 @@ type t = {
   added : Tuple.t list; (* live, not in base *)
   removed : Tuple.Set.t; (* in base, not live *)
   overlay : int; (* |added| + |removed| *)
-  live : Tuple.Set.t Once.t; (* base.set minus removed plus added *)
-  sigs : int Sigmap.t Once.t; (* live tuples per non-null signature *)
+  live : Tuple.Set.t; (* base.set minus removed plus added *)
+  sigs : int Sigmap.t Once.t;
+      (* live tuples per non-null signature; built only for DML-style
+         callers ({!advance}, {!subsumed_within}), so pure probe
+         workloads never pay for it *)
   size : int Once.t; (* |live| *)
 }
 
@@ -59,13 +65,13 @@ let m_compactions =
     ~help:"Subsumption-index overlay compactions (overlay folded into base)"
     "nullrel_subsume_index_compactions_total"
 
-let sigs_of tuples =
-  List.fold_left
-    (fun m t ->
-      Sigmap.update (Tuple.attrs t)
+let sigs_of set =
+  Tuple.Set.fold
+    (fun t m ->
+      Sigmap.update (Tuple.signature t)
         (function None -> Some 1 | Some c -> Some (c + 1))
         m)
-    Sigmap.empty tuples
+    set Sigmap.empty
 
 let of_base base =
   {
@@ -74,41 +80,34 @@ let of_base base =
     removed = Tuple.Set.empty;
     overlay = 0;
     live = base.set;
-    sigs = Once.make (fun () -> sigs_of base.tuples);
+    sigs = Once.make (fun () -> sigs_of base.set);
     size = base.size;
   }
 
 let build rel =
   if !Obs.Metrics.enabled then Obs.Metrics.inc m_builds;
-  let tuples = Relation.to_list rel in
+  (* A relation is already the tuple set. *)
+  let set = Relation.tuples rel in
   of_base
     {
-      tuples;
+      set;
       tables = Atomic.make Sigmap.empty;
-      (* A relation is already the tuple set. *)
-      set = Once.of_val (Relation.tuples rel);
-      size = Once.make (fun () -> List.length tuples);
+      size = Once.make (fun () -> Tuple.Set.cardinal set);
     }
 
-let build_table tuples pi : table =
-  let tbl = Hashtbl.create (List.length tuples) in
-  List.iter
+let build_table (base : base) pi : table =
+  let tbl = Probe.create (Once.get base.size) in
+  Tuple.Set.iter
     (fun t ->
-      if Tuple.is_total_on pi t then begin
-        let r = Tuple.restrict t pi in
-        let k = Tuple.to_list r in
+      if Tuple.is_total_on_signature pi t then begin
+        let r = Tuple.restrict_signature t pi in
         let bucket =
-          match Hashtbl.find_opt tbl k with
-          | Some b -> b
-          | None ->
-              let b = { count = 0; exact = false } in
-              Hashtbl.add tbl k b;
-              b
+          match Probe.find tbl r with b -> b | exception Not_found -> 0
         in
-        bucket.count <- bucket.count + 1;
-        if Tuple.equal r t then bucket.exact <- true
+        Probe.replace tbl r
+          ((bucket + 2) lor (if Tuple.equal r t then 1 else 0))
       end)
-    tuples;
+    base.set;
   tbl
 
 let table idx pi =
@@ -116,7 +115,7 @@ let table idx pi =
   match Sigmap.find_opt pi (Atomic.get tables) with
   | Some tbl -> tbl
   | None ->
-      let tbl = build_table idx.base.tuples pi in
+      let tbl = build_table idx.base pi in
       let rec publish () =
         let seen = Atomic.get tables in
         match Sigmap.find_opt pi seen with
@@ -129,16 +128,12 @@ let table idx pi =
       publish ()
 
 let prepare idx probes =
-  List.iter (fun t -> ignore (table idx (Tuple.attrs t))) probes;
-  (* With an overlay the strict probe consults [live]: build it too. *)
-  if idx.overlay > 0 then ignore (Once.get idx.live)
+  List.iter (fun t -> ignore (table idx (Tuple.signature t))) probes
 
-let bucket_at idx r =
-  let pi = Tuple.attrs r in
-  Hashtbl.find_opt (table idx pi) (Tuple.to_list r)
+let bucket_at idx r = Probe.find_opt (table idx (Tuple.signature r)) r
 
 let base_count idx r =
-  match bucket_at idx r with Some b -> b.count | None -> 0
+  match bucket_at idx r with Some b -> count_of b | None -> 0
 
 (* How the overlay changes the number of indexed tuples subsuming [r]. *)
 let overlay_count idx r =
@@ -161,24 +156,26 @@ let strictly_subsuming_exists idx r =
   if idx.overlay = 0 then
     match bucket_at idx r with
     | None -> false
-    | Some b -> b.count - (if b.exact then 1 else 0) > 0
+    | Some b -> count_of b - exact_of b > 0
   else
-    let self = if Tuple.Set.mem r (Once.get idx.live) then 1 else 0 in
+    let self = if Tuple.Set.mem r idx.live then 1 else 0 in
     count_at idx r - self > 0
 
-let mem idx t = Tuple.Set.mem t (Once.get idx.live)
+let mem idx t = Tuple.Set.mem t idx.live
+let tuples idx = idx.live
 let cardinal idx = Once.get idx.size
 
 let subsumed_within idx u =
-  let live = Once.get idx.live in
-  let au = Tuple.attrs u in
+  let live = idx.live in
+  let au = Tuple.signature u in
   Sigmap.fold
     (fun pi _count acc ->
       (* A live tuple with signature [pi] strictly below [u] can only
          be [u]'s own [pi]-restriction (canonical forms), so one set
          lookup per distinct signature decides eviction. *)
-      if Attr.Set.subset pi au && not (Attr.Set.equal pi au) then begin
-        let c = Tuple.restrict u pi in
+      if Tuple.subset_signature pi au && Tuple.compare_signature pi au <> 0
+      then begin
+        let c = Tuple.restrict_signature u pi in
         if Tuple.Set.mem c live then c :: acc else acc
       end
       else acc)
@@ -191,17 +188,12 @@ let compaction_slack = 16
 let compact ~live ~sigs ~size =
   if !Obs.Metrics.enabled then Obs.Metrics.inc m_compactions;
   of_base
-    {
-      tuples = Tuple.Set.elements live;
-      tables = Atomic.make Sigmap.empty;
-      set = Once.of_val live;
-      size = Once.of_val size;
-    }
+    { set = live; tables = Atomic.make Sigmap.empty; size = Once.of_val size }
   |> fun idx -> { idx with sigs = Once.of_val sigs }
 
 let advance idx ~added ~removed =
   if !Obs.Metrics.enabled then Obs.Metrics.inc m_advances;
-  let live = Once.get idx.live in
+  let live = idx.live in
   let sigs = Once.get idx.sigs in
   let size = Once.get idx.size in
   let bump delta pi m =
@@ -219,7 +211,7 @@ let advance idx ~added ~removed =
         if not (Tuple.Set.mem t live) then (a, rm, live, sigs, size)
         else
           let live = Tuple.Set.remove t live
-          and sigs = bump (-1) (Tuple.attrs t) sigs
+          and sigs = bump (-1) (Tuple.signature t) sigs
           and size = size - 1 in
           if List.exists (Tuple.equal t) a then
             (List.filter (fun u -> not (Tuple.equal u t)) a, rm, live, sigs, size)
@@ -233,7 +225,7 @@ let advance idx ~added ~removed =
         if Tuple.Set.mem t live then (a, rm, live, sigs, size)
         else
           let live = Tuple.Set.add t live
-          and sigs = bump 1 (Tuple.attrs t) sigs
+          and sigs = bump 1 (Tuple.signature t) sigs
           and size = size + 1 in
           if Tuple.Set.mem t rm then (a, Tuple.Set.remove t rm, live, sigs, size)
           else (t :: a, rm, live, sigs, size))
@@ -248,7 +240,7 @@ let advance idx ~added ~removed =
       added = a;
       removed = rm;
       overlay;
-      live = Once.of_val live;
+      live;
       sigs = Once.of_val sigs;
       size = Once.of_val size;
     }
@@ -259,9 +251,19 @@ let admit idx t =
     let dead = subsumed_within idx t in
     Some (advance idx ~added:[ t ] ~removed:dead, dead)
 
-let to_list idx =
-  if idx.overlay = 0 then idx.base.tuples
-  else Tuple.Set.elements (Once.get idx.live)
+let to_list idx = Tuple.Set.elements idx.live
+
+(* [t] re-keyed onto the key array of a live tuple with its signature,
+   so that the rows of one null pattern share one array. *)
+let share_signature idx t =
+  let s = Tuple.signature t in
+  match
+    Sigmap.find_first_opt
+      (fun pi -> Tuple.compare_signature pi s >= 0)
+      (Once.get idx.sigs)
+  with
+  | Some (pi, _) -> Tuple.with_signature pi t
+  | None -> t
 
 let diff r1 r2 =
   let idx = build r2 in

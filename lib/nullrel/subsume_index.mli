@@ -73,6 +73,17 @@ val mem : t -> Tuple.t -> bool
 val cardinal : t -> int
 (** Number of indexed tuples. *)
 
+val tuples : t -> Tuple.Set.t
+(** The indexed tuples: the base with the overlay applied. A relation
+    kept beside its index can be this very set. *)
+
+val share_signature : t -> Tuple.t -> Tuple.t
+(** [share_signature idx t] is [t] re-keyed onto the key array of an
+    indexed tuple with the same signature ({!Tuple.with_signature}), or
+    [t] itself when there is none. The write path calls it on each
+    incoming tuple, so the rows of one null pattern share one key
+    array. *)
+
 val subsumed_within : t -> Tuple.t -> Tuple.t list
 (** [subsumed_within idx u]: the indexed tuples strictly less
     informative than [u] — exactly the tuples an insert of [u] must

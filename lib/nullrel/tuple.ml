@@ -1,86 +1,434 @@
-(* Canonical form: the map binds only non-null values, so information-wise
-   equivalence is structural equality and [more_informative] is submap
-   inclusion. *)
+(* Canonical form as two parallel arrays: [keys] holds the non-null
+   attributes in strictly increasing order, [vals] their values, never
+   [Value.Null]. Information-wise equivalence is then structural
+   equality, and every operation on two tuples is one merge over their
+   sorted keys. The arrays are never written after construction:
+   catalogs, and so their tuples, are shared by session domains. Two
+   tuples may share a [keys] array. *)
 
-type t = Value.t Attr.Map.t
+type t = { keys : Attr.t array; vals : Value.t array }
+type signature = Attr.t array
 
-let empty = Attr.Map.empty
+(* The loops below are top-level functions or [while] loops over local
+   references, not local closures: a closure over a tuple's arrays
+   would be allocated on every call. *)
+
+(* [Attr.compare] and [Attr.equal], as direct calls to the runtime's
+   string primitives. *)
+let compare_attr (a : Attr.t) (b : Attr.t) =
+  Stdlib.compare (a :> string) (b :> string)
+
+let equal_attr (a : Attr.t) (b : Attr.t) =
+  String.equal (a :> string) (b :> string)
+
+(* [Value.equal] and [Value.compare], with the common integer case
+   decided here rather than by a call. *)
+let equal_value v w =
+  match (v, w) with
+  | Value.Int a, Value.Int b -> Int.equal a b
+  | _ -> Value.equal v w
+
+let compare_value v w =
+  match (v, w) with
+  | Value.Int a, Value.Int b -> Int.compare a b
+  | _ -> Value.compare v w
+
+(* A value's hash, consistent with [Value.equal] on the non-null values
+   a tuple stores: integers hash to themselves, and [Hashtbl.hash]
+   already maps equal floats (nan, -0.) together. *)
+let hash_value = function
+  | Value.Int i -> i
+  | Value.Bool b -> Bool.to_int b
+  | (Value.Float _ | Value.Str _ | Value.Null) as v -> Value.hash v
+
+let empty = { keys = [||]; vals = [||] }
+let length r = Array.length r.keys
+
+(* The first [i] in [lo, hi) with [keys.(i) >= a], or [hi]. *)
+let rec position keys a lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) lsr 1 in
+    if compare_attr keys.(mid) a < 0 then position keys a (mid + 1) hi
+    else position keys a lo mid
+
+let rec find_in keys a lo hi =
+  if lo >= hi then -1
+  else
+    let mid = (lo + hi) lsr 1 in
+    let c = compare_attr a keys.(mid) in
+    if c = 0 then mid
+    else if c < 0 then find_in keys a lo mid
+    else find_in keys a (mid + 1) hi
+
+let find keys a = find_in keys a 0 (Array.length keys)
+
+let get r a =
+  let i = find r.keys a in
+  if i < 0 then Value.Null else r.vals.(i)
 
 let set r a v =
-  if Value.is_null v then Attr.Map.remove a r else Attr.Map.add a v r
+  let n = length r in
+  let i = position r.keys a 0 n in
+  let bound = i < n && equal_attr r.keys.(i) a in
+  if Value.is_null v then
+    if not bound then r
+    else if n = 1 then empty
+    else begin
+      (* Drop slot [i]. *)
+      let keys = Array.make (n - 1) r.keys.(0)
+      and vals = Array.make (n - 1) r.vals.(0) in
+      for j = 0 to n - 2 do
+        let o = if j < i then j else j + 1 in
+        keys.(j) <- r.keys.(o);
+        vals.(j) <- r.vals.(o)
+      done;
+      { keys; vals }
+    end
+  else if bound && equal_value r.vals.(i) v then r
+  else if bound then begin
+    let vals = Array.copy r.vals in
+    vals.(i) <- v;
+    { keys = r.keys; vals }
+  end
+  else begin
+    (* Open slot [i] for the new binding. Plain loops: tuples are short,
+       and a [blit] is a runtime call. *)
+    let keys = Array.make (n + 1) a and vals = Array.make (n + 1) v in
+    for j = 0 to n - 1 do
+      let o = if j < i then j else j + 1 in
+      keys.(o) <- r.keys.(j);
+      vals.(o) <- r.vals.(j)
+    done;
+    { keys; vals }
+  end
+
+let rec strictly_sorted = function
+  | (a, _) :: ((a', _) :: _ as rest) ->
+      compare_attr a a' < 0 && strictly_sorted rest
+  | [ _ ] | [] -> true
+
+let rec count_non_null n = function
+  | [] -> n
+  | (_, v) :: rest -> count_non_null (if Value.is_null v then n else n + 1) rest
+
+let rec fill keys vals i = function
+  | [] -> ()
+  | (_, v) :: rest when Value.is_null v -> fill keys vals i rest
+  | (a, v) :: rest ->
+      keys.(i) <- a;
+      vals.(i) <- v;
+      fill keys vals (i + 1) rest
+
+let by_attr (a, _) (a', _) = compare_attr a a'
 
 let of_list bindings =
-  List.fold_left (fun r (a, v) -> set r a v) Attr.Map.empty bindings
+  match bindings with
+  | (a0, v0) :: _ when strictly_sorted bindings ->
+      let n = count_non_null 0 bindings in
+      if n = 0 then empty
+      else begin
+        let keys = Array.make n a0 and vals = Array.make n v0 in
+        fill keys vals 0 bindings;
+        { keys; vals }
+      end
+  | [] | _ :: _ ->
+      let b = Array.of_list bindings in
+      (* Stable: the bindings of one attribute keep their order, so the
+         last of each run is the one that wins. *)
+      Array.stable_sort by_attr b;
+      let n = Array.length b in
+      let wins i =
+        (i + 1 = n || not (equal_attr (fst b.(i)) (fst b.(i + 1))))
+        && not (Value.is_null (snd b.(i)))
+      in
+      let m = ref 0 in
+      for i = 0 to n - 1 do
+        if wins i then incr m
+      done;
+      if !m = 0 then empty
+      else begin
+        let keys = Array.make !m (fst b.(0))
+        and vals = Array.make !m (snd b.(0)) in
+        let k = ref 0 in
+        for i = 0 to n - 1 do
+          if wins i then begin
+            keys.(!k) <- fst b.(i);
+            vals.(!k) <- snd b.(i);
+            incr k
+          end
+        done;
+        { keys; vals }
+      end
 
 let of_strings bindings =
   of_list (List.map (fun (name, v) -> (Attr.make name, v)) bindings)
 
-let to_list r = Attr.Map.bindings r
+let rec bindings_before r i acc =
+  if i = 0 then acc
+  else bindings_before r (i - 1) ((r.keys.(i - 1), r.vals.(i - 1)) :: acc)
 
-let get r a =
-  match Attr.Map.find_opt a r with Some v -> v | None -> Value.Null
+let to_list r = bindings_before r (length r) []
 
-let attrs r = Attr.Map.fold (fun a _ acc -> Attr.Set.add a acc) r Attr.Set.empty
-let is_null_tuple r = Attr.Map.is_empty r
-let is_total_on x r = Attr.Set.for_all (fun a -> Attr.Map.mem a r) x
-let equal r t = Attr.Map.equal Value.equal r t
-let compare r t = Attr.Map.compare Value.compare r t
-let hash r = Hashtbl.hash (Attr.Map.bindings r)
+let fold f r init =
+  let acc = ref init in
+  for i = 0 to length r - 1 do
+    acc := f r.keys.(i) r.vals.(i) !acc
+  done;
+  !acc
 
-let more_informative r t =
-  Attr.Map.for_all (fun a v -> Value.equal (get r a) v) t
+let attrs r = Attr.Set.of_list (Array.to_list r.keys)
+let is_null_tuple r = length r = 0
+let is_total_on x r = Attr.Set.for_all (fun a -> find r.keys a >= 0) x
 
-let strictly_more_informative r t = more_informative r t && not (equal r t)
+let equal r t =
+  let n = length r in
+  r == t
+  || n = length t
+  &&
+  let shared = r.keys == t.keys in
+  let i = ref 0 in
+  while
+    !i < n
+    && (shared || equal_attr r.keys.(!i) t.keys.(!i))
+    && equal_value r.vals.(!i) t.vals.(!i)
+  do
+    incr i
+  done;
+  !i = n
 
+let rec compare_from r t i =
+  let n = length r and m = length t in
+  if i = n then if i = m then 0 else -1
+  else if i = m then 1
+  else
+    let c = compare_attr r.keys.(i) t.keys.(i) in
+    if c <> 0 then c
+    else
+      let c = compare_value r.vals.(i) t.vals.(i) in
+      if c <> 0 then c else compare_from r t (i + 1)
+
+(* Lexicographic over the (attribute, value) pairs, a proper prefix
+   first: the order [Attr.Map.compare Value.compare] gave the map
+   layout, so containers iterate exactly as they did. *)
+let compare r t = if r == t then 0 else compare_from r t 0
+
+(* Equal tuples have equal keys, so hashing the values alone is
+   consistent with [equal]; it spreads the tuples of one signature,
+   which is what a probe table holds. *)
+let hash r =
+  let h = ref (length r) in
+  for i = 0 to length r - 1 do
+    h := (!h * 65599) + hash_value r.vals.(i)
+  done;
+  (* Spread the low bits a power-of-two table indexes by. *)
+  let h = !h lxor (!h lsr 29) in
+  ((h * 0x2f0b3c5d) lxor (h lsr 31)) land max_int
+
+(* Every binding of [t] from [j] on is in [r] from [i] on. *)
+let rec covers r t i j =
+  let n = length r and m = length t in
+  j = m
+  || n - i >= m - j
+     &&
+     let c = compare_attr r.keys.(i) t.keys.(j) in
+     if c < 0 then covers r t (i + 1) j
+     else
+       c = 0 && equal_value r.vals.(i) t.vals.(j) && covers r t (i + 1) (j + 1)
+
+let more_informative r t = covers r t 0 0
+
+(* Above [t] with the same number of bindings is [t] itself. *)
+let strictly_more_informative r t =
+  length r > length t && more_informative r t
+
+(* The shared keys of [r1] and [r2] on which the values agree, counted
+   in one walk of the two key arrays. When [stop] is set, a shared key
+   whose values differ ends the walk and the count is -1. *)
+let rec agreed stop r1 r2 i j acc =
+  if i = length r1 || j = length r2 then acc
+  else
+    let c = compare_attr r1.keys.(i) r2.keys.(j) in
+    if c < 0 then agreed stop r1 r2 (i + 1) j acc
+    else if c > 0 then agreed stop r1 r2 i (j + 1) acc
+    else if equal_value r1.vals.(i) r2.vals.(j) then
+      agreed stop r1 r2 (i + 1) (j + 1) (acc + 1)
+    else if stop then -1
+    else agreed stop r1 r2 (i + 1) (j + 1) acc
+
+(* The [m] bindings of a merge of [r1] and [r2] in key order: the
+   shared keys whose values agree, and with [all] every key only one
+   side holds. *)
+let merge ~all m r1 r2 =
+  let n1 = length r1 and n2 = length r2 in
+  let first = if n1 > 0 then r1 else r2 in
+  let keys = Array.make m first.keys.(0)
+  and vals = Array.make m first.vals.(0) in
+  let i = ref 0 and j = ref 0 and k = ref 0 in
+  while !i < n1 || !j < n2 do
+    let c =
+      if !i = n1 then 1
+      else if !j = n2 then -1
+      else compare_attr r1.keys.(!i) r2.keys.(!j)
+    in
+    let from_left =
+      if c < 0 then all
+      else if c > 0 then false
+      else equal_value r1.vals.(!i) r2.vals.(!j)
+    in
+    if from_left then begin
+      keys.(!k) <- r1.keys.(!i);
+      vals.(!k) <- r1.vals.(!i);
+      incr k
+    end
+    else if c > 0 && all then begin
+      keys.(!k) <- r2.keys.(!j);
+      vals.(!k) <- r2.vals.(!j);
+      incr k
+    end;
+    if c <= 0 then incr i;
+    if c >= 0 then incr j
+  done;
+  { keys; vals }
+
+(* Both return one of their arguments, not a copy, when it is the
+   answer. *)
 let meet r1 r2 =
-  Attr.Map.merge
-    (fun _ v1 v2 ->
-      match (v1, v2) with
-      | Some v1, Some v2 when Value.equal v1 v2 -> Some v1
-      | _ -> None)
-    r1 r2
+  let m = agreed false r1 r2 0 0 0 in
+  if m = length r1 then r1
+  else if m = length r2 then r2
+  else if m = 0 then empty
+  else merge ~all:false m r1 r2
 
-let joinable r1 r2 =
-  Attr.Map.for_all
-    (fun a v1 ->
-      match Attr.Map.find_opt a r2 with
-      | None -> true
-      | Some v2 -> Value.equal v1 v2)
-    r1
+let joinable r1 r2 = agreed true r1 r2 0 0 0 >= 0
 
-exception Conflict
+(* [r1]'s keys all below [r2]'s: the join is the concatenation. This is
+   the product of two range variables, whose prefixes differ. *)
+let precedes r1 r2 =
+  length r1 > 0
+  && length r2 > 0
+  && compare_attr r1.keys.(length r1 - 1) r2.keys.(0) < 0
+
+let append r1 r2 =
+  { keys = Array.append r1.keys r2.keys; vals = Array.append r1.vals r2.vals }
 
 let join r1 r2 =
-  let merge _ v1 v2 =
-    match (v1, v2) with
-    | (Some _ as v), None | None, (Some _ as v) -> v
-    | Some v1, Some v2 -> if Value.equal v1 v2 then Some v1 else raise Conflict
-    | None, None -> None
-  in
-  match Attr.Map.merge merge r1 r2 with
-  | joined -> Some joined
-  | exception Conflict -> None
+  if precedes r1 r2 then Some (append r1 r2)
+  else if precedes r2 r1 then Some (append r2 r1)
+  else
+    let m = agreed true r1 r2 0 0 0 in
+    if m < 0 then None
+    else if m = length r2 then Some r1
+    else if m = length r1 then Some r2
+    else Some (merge ~all:true (length r1 + length r2 - m) r1 r2)
 
-let restrict r x = Attr.Map.filter (fun a _ -> Attr.Set.mem a x) r
-let remove r x = Attr.Map.filter (fun a _ -> not (Attr.Set.mem a x)) r
+(* The bindings whose attribute satisfies [keep], sharing [r] when all
+   of them do. *)
+let filter_keys keep r =
+  let n = length r in
+  let m = ref 0 in
+  for i = 0 to n - 1 do
+    if keep r.keys.(i) then incr m
+  done;
+  if !m = n then r
+  else if !m = 0 then empty
+  else begin
+    let keys = Array.make !m r.keys.(0) and vals = Array.make !m r.vals.(0) in
+    let k = ref 0 in
+    for i = 0 to n - 1 do
+      if keep r.keys.(i) then begin
+        keys.(!k) <- r.keys.(i);
+        vals.(!k) <- r.vals.(i);
+        incr k
+      end
+    done;
+    { keys; vals }
+  end
+
+let restrict r x = filter_keys (fun a -> Attr.Set.mem a x) r
+let remove r x = filter_keys (fun a -> not (Attr.Set.mem a x)) r
 
 let rename mapping r =
   let target a =
-    match List.find_opt (fun (old, _) -> Attr.equal old a) mapping with
+    match List.find_opt (fun (old, _) -> equal_attr old a) mapping with
     | Some (_, fresh) -> fresh
     | None -> a
   in
-  Attr.Map.fold
+  fold
     (fun a v acc ->
       let a' = target a in
       match Attr.Map.find_opt a' acc with
-      | Some v' when not (Value.equal v v') ->
+      | Some v' when not (equal_value v v') ->
           Exec_error.bad_inputf "Tuple.rename: collision on attribute %s"
             (Attr.name a')
       | _ -> Attr.Map.add a' v acc)
     r Attr.Map.empty
+  |> Attr.Map.bindings |> of_list
 
-let fold f r init = Attr.Map.fold f r init
+(* ---------------------------- signatures --------------------------- *)
+
+let signature r = r.keys
+
+let rec compare_signature_from s1 s2 i =
+  let n1 = Array.length s1 and n2 = Array.length s2 in
+  if i = n1 then if i = n2 then 0 else -1
+  else if i = n2 then 1
+  else
+    let c = compare_attr s1.(i) s2.(i) in
+    if c <> 0 then c else compare_signature_from s1 s2 (i + 1)
+
+let compare_signature s1 s2 = compare_signature_from s1 s2 0
+
+(* Every attribute of [s1] from [i] on is in [s2] from [j] on. *)
+let rec subset_from s1 s2 i j =
+  let n1 = Array.length s1 and n2 = Array.length s2 in
+  i = n1
+  || n2 - j >= n1 - i
+     &&
+     let c = compare_attr s2.(j) s1.(i) in
+     if c < 0 then subset_from s1 s2 i (j + 1)
+     else c = 0 && subset_from s1 s2 (i + 1) (j + 1)
+
+let subset_signature s1 s2 = subset_from s1 s2 0 0
+let is_total_on_signature s r = subset_from s r.keys 0 0
+
+let with_signature s r =
+  if r.keys != s && compare_signature r.keys s = 0 then
+    { keys = s; vals = r.vals }
+  else r
+
+let restrict_signature r s =
+  let n = length r and m = Array.length s in
+  (* One walk counts the shared attributes, a second copies them. *)
+  let count = ref 0 and i = ref 0 and j = ref 0 in
+  while !i < n && !j < m do
+    let c = compare_attr r.keys.(!i) s.(!j) in
+    if c = 0 then incr count;
+    if c <= 0 then incr i;
+    if c >= 0 then incr j
+  done;
+  let k = !count in
+  if k = n then r
+  else if k = 0 then empty
+  else begin
+    (* Total on [s]: the restriction's keys are [s] itself, shared. *)
+    let keys = if k = m then s else Array.make k r.keys.(0)
+    and vals = Array.make k r.vals.(0) in
+    let o = ref 0 in
+    i := 0;
+    j := 0;
+    while !o < k do
+      let c = compare_attr r.keys.(!i) s.(!j) in
+      if c = 0 then begin
+        if k < m then keys.(!o) <- r.keys.(!i);
+        vals.(!o) <- r.vals.(!i);
+        incr o
+      end;
+      if c <= 0 then incr i;
+      if c >= 0 then incr j
+    done;
+    { keys; vals }
+  end
 
 let pp ppf r =
   let pp_binding ppf (a, v) = Format.fprintf ppf "%a=%a" Attr.pp a Value.pp v in
@@ -98,3 +446,9 @@ end
 
 module Set = Set.Make (Ordered)
 module Map = Map.Make (Ordered)
+
+module Signature_map = Stdlib.Map.Make (struct
+  type t = signature
+
+  let compare = compare_signature
+end)

@@ -14,7 +14,21 @@
     [t] ([r >= t]) when [r] matches [t] on every non-null value of [t].
     Under canonical form this order is a genuine partial order; every two
     tuples have a meet, and joinable tuples have a join (the tuples of
-    [U*] form a meet-semilattice, footnote 5). *)
+    [U*] form a meet-semilattice, footnote 5).
+
+    {b Physical layout.} A tuple is two parallel arrays: its non-null
+    attributes in strictly increasing {!Attr.compare} order, and their
+    values, none of them null. [>=], meet, join, restriction and
+    {!compare} are merges over the sorted attributes. The arrays are
+    never written once built, so a tuple may be read from any domain.
+    The attribute array is the tuple's {!signature}: tuples with the
+    same null pattern have equal signatures, which is what the
+    subsumption index buckets by.
+
+    {b Order guarantee.} {!compare} is lexicographic over the
+    (attribute, value) pairs, a proper prefix first, and {!fold} and
+    {!to_list} run in attribute order. Every {!Set} order, CSV file and
+    index dump follows from these. *)
 
 type t
 
@@ -54,9 +68,12 @@ val equal : t -> t -> bool
     canonical forms. *)
 
 val compare : t -> t -> int
-(** Container order (no semantic meaning). *)
+(** Container order (no semantic meaning): lexicographic over the
+    (attribute, value) pairs in attribute order, a proper prefix
+    first. *)
 
 val hash : t -> int
+(** Consistent with {!equal}; allocates nothing. *)
 
 val more_informative : t -> t -> bool
 (** [more_informative r t] is [r >= t] (Definition 3.1): for each
@@ -87,14 +104,47 @@ val remove : t -> Attr.Set.t -> t
 
 val rename : (Attr.t * Attr.t) list -> t -> t
 (** [rename mapping r] renames attributes per [mapping] (old, new);
-    attributes not mentioned are kept. Raises [Invalid_argument] if two
-    distinct non-null bindings collide on a target name. *)
+    attributes not mentioned are kept. Raises
+    [Exec_error.Error (Bad_input _)] if two distinct non-null bindings
+    collide on a target name; with several collisions it names the one
+    reached first in attribute order. *)
 
 val fold : (Attr.t -> Value.t -> 'a -> 'a) -> t -> 'a -> 'a
 (** Folds over the non-null bindings in attribute order. *)
+
+(** {1 Signatures}
+
+    A tuple's signature is its set of non-null attributes, kept as the
+    sorted attribute array the tuple already holds: taking it
+    allocates nothing. *)
+
+type signature
+
+val signature : t -> signature
+
+val compare_signature : signature -> signature -> int
+(** Lexicographic in attribute order, a proper prefix first: the order
+    [Attr.Set.compare] gives the same attribute sets. *)
+
+val subset_signature : signature -> signature -> bool
+(** [subset_signature s1 s2] iff every attribute of [s1] is in [s2]. *)
+
+val is_total_on_signature : signature -> t -> bool
+(** {!is_total_on} for the attributes of a signature. *)
+
+val restrict_signature : t -> signature -> t
+(** {!restrict} to the attributes of a signature. *)
+
+val with_signature : signature -> t -> t
+(** [with_signature s r] is [r] holding [s] as its attribute array when
+    [s] is [r]'s signature, and [r] otherwise: an equal tuple that
+    shares its attributes with the tuple [s] came from. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints as [(A=1, B=-)]-style binding list (only non-null bindings). *)
 
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t
+
+module Signature_map : Stdlib.Map.S with type key = signature
+(** Ordered by {!compare_signature}. *)

@@ -10,6 +10,16 @@ exception Type_error of string
 let null = Null
 let is_null = function Null -> true | _ -> false
 
+(* One shared box per integer in [-128, 255]: a stored relation holds
+   its small values without a block per cell. *)
+let small_min = -128
+let small_ints = Array.init 384 (fun i -> Int (small_min + i))
+
+let int i =
+  let k = i - small_min in
+  if k >= 0 && k < Array.length small_ints then Array.unsafe_get small_ints k
+  else Int i
+
 let type_name = function
   | Null -> "null"
   | Int _ -> "int"
@@ -72,7 +82,7 @@ let of_string_guess s =
   if String.equal s "-" then Null
   else
     match int_of_string_opt s with
-    | Some i -> Int i
+    | Some i -> int i
     | None -> (
         match float_of_string_opt s with
         | Some f -> Float f

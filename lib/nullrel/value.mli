@@ -22,6 +22,11 @@ exception Type_error of string
 val null : t
 val is_null : t -> bool
 
+val int : int -> t
+(** [Int i]. Integers in [-128, 255] share one preallocated value each,
+    so the parsers and loaders that build values through [int] spend no
+    allocation on them. *)
+
 val equal : t -> t -> bool
 (** Structural equality. [equal Null Null = true]: this is the syntactic
     equality used for set representations and for tuple meets/joins, where

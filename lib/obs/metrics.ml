@@ -4,12 +4,14 @@
    load, a branch on [enabled], and lock-free RMWs. Gauges stay plain
    mutable fields — they are only written under the writer's own
    serialization (the coordinator domain, or the session engine's
-   lock). Registration, dumps and span bookkeeping remain
-   coordinator-only. *)
+   lock). The open-span count is atomic as well, since a span may open
+   on any domain. Registration and dumps remain coordinator-only. *)
 
 let enabled = ref false
 let hot = ref false
-let open_spans = ref 0
+
+(* Spans open on every domain; atomic, since any domain may open one. *)
+let open_spans = Atomic.make 0
 
 (* Fired when [hot] flips, so a lower layer can fold the obs check into
    a fast-path compare it already performs (Nullrel.Exec swaps its
@@ -17,7 +19,7 @@ let open_spans = ref 0
 let on_hot_change : (bool -> unit) ref = ref ignore
 
 let recompute_hot () =
-  let h = !enabled || !open_spans > 0 in
+  let h = !enabled || Atomic.get open_spans > 0 in
   if h <> !hot then begin
     hot := h;
     !on_hot_change h
@@ -30,12 +32,14 @@ let set_enabled b =
 let is_enabled () = !enabled
 
 let spans_opened () =
-  incr open_spans;
+  Atomic.incr open_spans;
   recompute_hot ()
 
-let spans_closed () =
-  if !open_spans > 0 then decr open_spans;
-  recompute_hot ()
+let rec spans_closed () =
+  let n = Atomic.get open_spans in
+  if n > 0 && not (Atomic.compare_and_set open_spans n (n - 1)) then
+    spans_closed ()
+  else recompute_hot ()
 
 type counter = int Atomic.t
 type gauge = { mutable g : float }

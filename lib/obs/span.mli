@@ -13,7 +13,11 @@
       tracing is disabled it is a single branch and runs [f] directly.
     - {!timed} always measures and returns the measurement; it is what
       [.explain analyze] uses, so analysis works without globally
-      enabling tracing. *)
+      enabling tracing.
+
+    The open-span stack is domain-local, so a span measures only the
+    work of the domain that opened it. The event ring and the slow log
+    are shared by all domains and safe to write from any of them. *)
 
 type measure = { duration_s : float; ticks : int }
 (** [ticks] is inclusive: the span's own charges plus its children's. *)

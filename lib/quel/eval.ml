@@ -49,41 +49,71 @@ let rec predicate_of_cond = function
   | Ast.Or (c1, c2) -> Predicate.Or (predicate_of_cond c1, predicate_of_cond c2)
   | Ast.Not c -> Predicate.Not (predicate_of_cond c)
 
-(* A range variable's tuples, re-keyed onto prefixed attributes. *)
+(* A range variable's tuples, re-keyed onto prefixed attributes. The
+   prefixed names are built once per range, from the schema, and a
+   common prefix keeps each tuple's attribute order. *)
 let prefixed_tuples db (v, rel_name) =
-  let _, x = Resolve.relation db rel_name in
+  let schema, x = Resolve.relation db rel_name in
+  let names =
+    List.fold_left
+      (fun m a -> Attr.Map.add a (Resolve.prefixed v (Attr.name a)) m)
+      Attr.Map.empty (Schema.attrs schema)
+  in
+  let prefixed a =
+    match Attr.Map.find_opt a names with
+    | Some p -> p
+    | None -> Resolve.prefixed v (Attr.name a)
+  in
+  let rekey (a, value) = (prefixed a, value) in
   List.map
-    (fun r ->
-      Tuple.fold
-        (fun a value acc -> Tuple.set acc (Resolve.prefixed v (Attr.name a)) value)
-        r Tuple.empty)
+    (fun r -> Tuple.of_list (List.map rekey (Tuple.to_list r)))
     (Xrel.to_list x)
+
+(* Calls [f] on every combined tuple of a checked query, in
+   [combined_tuples]' order, one row at a time: the product is never
+   held, so a query keeps alive only what [f] keeps. Each join of a
+   partial row with a range tuple charges one tick. *)
+let iter_combined db q f =
+  let rec extend combined = function
+    | [] -> f combined
+    | tuples :: rest ->
+        List.iter
+          (fun r ->
+            Exec.tick ();
+            match Tuple.join combined r with
+            | Some c -> extend c rest
+            | None -> ())
+          tuples
+  in
+  extend Tuple.empty (List.map (prefixed_tuples db) q.Ast.ranges)
 
 let combined_tuples db q =
   Resolve.check db q;
-  List.fold_left
-    (fun acc range ->
-      let tuples = prefixed_tuples db range in
-      List.concat_map
-        (fun combined ->
-          List.filter_map
-            (fun r ->
-              Exec.tick ();
-              Tuple.join combined r)
-            tuples)
-        acc)
-    [ Tuple.empty ] q.Ast.ranges
+  let rows = ref [] in
+  iter_combined db q (fun r -> rows := r :: !rows);
+  List.rev !rows
 
 let output_attrs q = List.map (target_attr q.Ast.targets) q.Ast.targets
 
-let project_row q attrs r =
-  List.fold_left2
-    (fun acc (v, a) out -> Tuple.set acc out (Tuple.get r (Resolve.prefixed v a)))
-    Tuple.empty q.Ast.targets attrs
+(* Projects a combined row onto the target list. [project q attrs] pairs
+   each output attribute with its prefixed source once, sorted by output
+   attribute so that each row's bindings arrive in order; the sort is
+   stable, so a repeated output still takes its later binding in
+   [Tuple.of_list]. *)
+let project q attrs =
+  let pairs =
+    List.stable_sort
+      (fun (_, o) (_, o') -> Attr.compare o o')
+      (List.map2
+         (fun (v, a) out -> (Resolve.prefixed v a, out))
+         q.Ast.targets attrs)
+  in
+  fun r ->
+    Tuple.of_list (List.map (fun (src, out) -> (out, Tuple.get r src)) pairs)
 
 let project_targets q rows =
   let attrs = output_attrs q in
-  { attrs; rel = Xrel.of_list (List.map (project_row q attrs) rows) }
+  { attrs; rel = Xrel.of_list (List.map (project q attrs) rows) }
 
 (* The dialect's empty-qualification default comes from the capability
    record, not from a literal: Section 5 reads an absent qualification
@@ -97,53 +127,51 @@ let qualification ?(semantics = Semantics.of_dialect Semantics.Ni_lower) q =
 
 (* Qualification loops charge one tick per candidate row: predicate
    evaluation over the combined tuples is real work the governor must
-   see (the joins in [combined_tuples] are charged separately). *)
+   see (the joins in [iter_combined] are charged separately). *)
 let ticked keep r =
   Exec.tick ();
   keep r
 
 (* The dialect-parameterized core: one pass over the combined tuples,
-   each placed in a band by the dialect's admission rule, then the
-   dialect's set discipline applied to the projections. Every entry
-   point below is a shim over this. *)
+   each placed in a band by the dialect's admission rule and projected
+   into it at once, then the dialect's set discipline applied to the
+   bands. A band is a set of projections, so a query holds neither the
+   product nor the rows it admits. Every entry point below is a shim
+   over this. *)
 let query ctx db q =
   let sem = ctx.semantics in
   let run () =
     Obs.Span.with_span ("quel.query." ^ sem.Semantics.name) (fun () ->
         let p = qualification ~semantics:sem q in
-        let sure_rows, maybe_rows =
-          List.fold_left
-            (fun (sure, maybe) r ->
-              Exec.tick ();
-              match sem.Semantics.admit (Semantics.eval sem p r) with
-              | Semantics.Sure -> (r :: sure, maybe)
-              | Semantics.Maybe -> (sure, r :: maybe)
-              | Semantics.Out -> (sure, maybe))
-            ([], []) (combined_tuples db q)
-        in
+        Resolve.check db q;
         let attrs = output_attrs q in
         let scope = Attr.Set.of_list attrs in
-        let project rows =
-          List.filter
-            (Semantics.admit_tuple sem scope)
-            (List.map (project_row q attrs) (List.rev rows))
+        let row = project q attrs in
+        let into band r =
+          let t = row r in
+          if Semantics.admit_tuple sem scope t then band := Relation.add t !band
         in
+        let sure = ref Relation.empty and maybe = ref Relation.empty in
+        iter_combined db q (fun r ->
+            Exec.tick ();
+            match sem.Semantics.admit (Semantics.eval sem p r) with
+            | Semantics.Sure -> into sure r
+            | Semantics.Maybe -> if sem.Semantics.reports_maybe then into maybe r
+            | Semantics.Out -> ());
         let sure =
-          let projected = project sure_rows in
           (* Through Xrel so the minimizing dialect pays the kernel
              minimizer (bucketed, parallel-capable), not the naive
              quadratic Relation.minimize — E25 gates this path. *)
-          if sem.Semantics.minimize then Xrel.rep (Xrel.of_list projected)
-          else Relation.of_list projected
+          if sem.Semantics.minimize then Xrel.rep (Xrel.of_relation !sure)
+          else !sure
         in
         let maybe =
           if not sem.Semantics.reports_maybe then None
           else
-            let band = Relation.of_list (project maybe_rows) in
             Some
               (if sem.Semantics.exclude_sure then
-                 Relation.filter (fun r -> not (Relation.mem r sure)) band
-               else band)
+                 Relation.filter (fun r -> not (Relation.mem r sure)) !maybe
+               else !maybe)
         in
         { attrs; sure; maybe })
   in

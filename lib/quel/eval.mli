@@ -73,8 +73,10 @@ val ctx :
 val query : ctx -> Resolve.db -> Ast.query -> bands
 (** The dialect-parameterized core: evaluate the qualification on every
     combined tuple through the context's semantics, admit each into its
-    band, project, and apply the dialect's set discipline. Raises
-    {!Resolve.Error} on name errors. *)
+    band, project, and apply the dialect's set discipline. Each combined
+    tuple is projected as it is enumerated, so the query holds only the
+    projected bands, never the product. Raises {!Resolve.Error} on name
+    errors. *)
 
 val target_attr : (Ast.var * string) list -> Ast.var * string -> Attr.t
 (** Output column name for a target: the bare attribute name when
@@ -87,7 +89,9 @@ val predicate_of_cond : Ast.cond -> Predicate.t
 
 val combined_tuples : Resolve.db -> Ast.query -> Tuple.t list
 (** The Cartesian product of the range relations as combined tuples with
-    prefixed attributes. Exposed for the benchmarks. *)
+    prefixed attributes, one tick charged per join. Exposed for the
+    benchmarks; {!query} enumerates the same rows, with the same ticks,
+    without building this list. *)
 
 val domains_for : Resolve.db -> Ast.query -> Attr.t -> Domain.t
 (** Domain oracle for the prefixed attributes ([v.A] resolves through

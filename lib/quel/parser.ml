@@ -46,7 +46,7 @@ let term st =
       Ast.Attr (v, a)
   | Lexer.Int i ->
       advance st;
-      Ast.Const (Value.Int i)
+      Ast.Const (Value.int i)
   | Lexer.Float f ->
       advance st;
       Ast.Const (Value.Float f)
@@ -102,7 +102,7 @@ let literal st =
   match peek st with
   | Lexer.Int i ->
       advance st;
-      Value.Int i
+      Value.int i
   | Lexer.Float f ->
       advance st;
       Value.Float f

@@ -53,10 +53,21 @@ type pending = {
 
 (* Bounded per-relation memory of recently committed deltas, newest
    first, for conflict validation. Only the current leader touches it
-   (the [flushing] flag is a mutual exclusion for flush-side state). *)
+   (the [flushing] flag is a mutual exclusion for flush-side state).
+   An entry is one block holding the delta's tuples as lists: a list
+   cell costs less than a set node, and validation only asks whether
+   each tuple is in the candidate's own sets. *)
+type entries =
+  | Nil
+  | Entry of {
+      lsn : int;  (** The commit's LSN. *)
+      added : Tuple.t list;
+      removed : Tuple.t list;
+      older : entries;
+    }
+
 type hist = {
-  mutable entries : (int * Tuple.Set.t * Tuple.Set.t) list;
-      (** (commit lsn, touched = added ∪ removed, removed). *)
+  mutable entries : entries;
   mutable len : int;
   mutable pruned_upto : int;
       (** Deltas with lsn <= this may have been forgotten: snapshots
@@ -194,11 +205,15 @@ exception Conflicting of string
 
 let tuples_of x = Relation.tuples (Xrel.rep x)
 
-(* The conflict rule against one committed delta. [d]/[a] are the
+(* The conflict rule against one committed delta: the candidate removes
+   a tuple the delta touched, or adds one it removed. [d]/[a] are the
    candidate's removed/added tuples of the same relation. *)
-let check_against ~rel ~a ~d ~touched ~removed =
-  if not (Tuple.Set.disjoint d touched) then raise (Conflicting rel);
-  if not (Tuple.Set.disjoint a removed) then raise (Conflicting rel)
+let check_against ~rel ~a ~d ~added ~removed =
+  let hits s l =
+    (not (Tuple.Set.is_empty s)) && List.exists (fun t -> Tuple.Set.mem t s) l
+  in
+  if hits d added || hits d removed || hits a removed then
+    raise (Conflicting rel)
 
 (* Tuple-wise first-committer-wins over a transaction's relation
    changes. Constraint DDL carries no tuples; it is validated by the
@@ -212,11 +227,11 @@ let validate_tuplewise eng ~snap_lsn ~batch_hist ops =
           and d = tuples_of c.Storage.Wal.removed in
           let rel = c.Storage.Wal.rel in
           List.iter
-            (fun (rel', touched, removed) ->
+            (fun (rel', added, removed) ->
               (* Everything accepted earlier in this batch commits after
                  any snapshot in it, so it always counts. *)
               if String.equal rel' rel then
-                check_against ~rel ~a ~d ~touched ~removed)
+                check_against ~rel ~a ~d ~added ~removed)
             !batch_hist;
           (match Hashtbl.find_opt eng.history rel with
           | None -> ()
@@ -224,13 +239,21 @@ let validate_tuplewise eng ~snap_lsn ~batch_hist ops =
               if snap_lsn < h.pruned_upto then raise (Conflicting rel);
               (* Newest first: the walk ends at the snapshot. *)
               let rec newer = function
-                | (lsn, touched, removed) :: rest when lsn > snap_lsn ->
-                    check_against ~rel ~a ~d ~touched ~removed;
-                    newer rest
-                | _ -> ()
+                | Entry e when e.lsn > snap_lsn ->
+                    check_against ~rel ~a ~d ~added:e.added ~removed:e.removed;
+                    newer e.older
+                | Entry _ | Nil -> ()
               in
               newer h.entries))
     ops
+
+(* The newest [n] entries, and the LSN of the newest one left out. *)
+let rec newest n = function
+  | Entry e when n > 0 ->
+      let older, dropped = newest (n - 1) e.older in
+      (Entry { e with older }, dropped)
+  | Entry e -> (Nil, Some e.lsn)
+  | Nil -> (Nil, None)
 
 let record_history eng rs =
   List.iter
@@ -243,25 +266,24 @@ let record_history eng rs =
                 match Hashtbl.find_opt eng.history c.Storage.Wal.rel with
                 | Some h -> h
                 | None ->
-                    let h = { entries = []; len = 0; pruned_upto = 0 } in
+                    let h = { entries = Nil; len = 0; pruned_upto = 0 } in
                     Hashtbl.add eng.history c.Storage.Wal.rel h;
                     h
               in
-              let touched =
-                Tuple.Set.union
-                  (tuples_of c.Storage.Wal.added)
-                  (tuples_of c.Storage.Wal.removed)
-              in
               h.entries <-
-                (r.lsn, touched, tuples_of c.Storage.Wal.removed) :: h.entries;
+                Entry
+                  {
+                    lsn = r.lsn;
+                    added = Xrel.to_list c.Storage.Wal.added;
+                    removed = Xrel.to_list c.Storage.Wal.removed;
+                    older = h.entries;
+                  };
               h.len <- h.len + 1;
               if h.len > 2 * history_cap then begin
                 (* Amortized prune: keep the newest [history_cap]. *)
-                let kept =
-                  List.filteri (fun i _ -> i < history_cap) h.entries
-                in
-                (match List.nth_opt h.entries history_cap with
-                | Some (lsn, _, _) -> h.pruned_upto <- lsn
+                let kept, dropped = newest history_cap h.entries in
+                (match dropped with
+                | Some lsn -> h.pruned_upto <- lsn
                 | None -> ());
                 h.entries <- kept;
                 h.len <- history_cap
@@ -369,10 +391,8 @@ let flush_batch (eng : engine) batch =
                 | Storage.Wal.Change c ->
                     batch_hist :=
                       ( c.Storage.Wal.rel,
-                        Tuple.Set.union
-                          (tuples_of c.Storage.Wal.added)
-                          (tuples_of c.Storage.Wal.removed),
-                        tuples_of c.Storage.Wal.removed )
+                        Xrel.to_list c.Storage.Wal.added,
+                        Xrel.to_list c.Storage.Wal.removed )
                       :: !batch_hist)
               r.Storage.Wal.ops;
             records := r :: !records;

@@ -121,7 +121,7 @@ let read_string_pfx cur = read_bytes cur (read_varint cur)
 
 let read_value cur =
   match byte cur with
-  | 0x00 -> Value.Int (unzigzag (read_varint cur))
+  | 0x00 -> Value.int (unzigzag (read_varint cur))
   | 0x01 ->
       let bits = read_bytes cur 8 in
       let n = ref 0L in

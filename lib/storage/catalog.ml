@@ -183,15 +183,9 @@ let set_relation cat name x =
    the persistent set moves by the delta — O(|delta| log n) — instead of
    being rebuilt, which would put an O(n) term back into every
    statement, and every declared secondary index advances by the same
-   delta. [index] gives the new subsumption-index memo. *)
-let patch cat name e ~index ~added ~removed =
-  let x =
-    Xrel.unsafe_of_minimal
-      (List.fold_left
-         (fun r t -> Relation.add t r)
-         (List.fold_left (fun r t -> Relation.remove t r) (Xrel.rep e.e_x) removed)
-         added)
-  in
+   delta. [x] is the entry's relation with the delta applied, and
+   [index] gives the new subsumption-index memo. *)
+let patch cat name e ~x ~index ~added ~removed =
   let entry =
     {
       e with
@@ -223,6 +217,7 @@ let apply_delta cat name ~added ~removed =
   let idx2, admitted, evicted =
     List.fold_left
       (fun (idx, adm, ev) t ->
+        let t = Subsume_index.share_signature idx t in
         match Subsume_index.admit idx t with
         | None -> (idx, adm, ev)
         | Some (idx, dead) ->
@@ -251,7 +246,12 @@ let apply_delta cat name ~added ~removed =
   if Tuple.Set.is_empty net_added && Tuple.Set.is_empty net_removed then
     (cat, (Tuple.Set.empty, Tuple.Set.empty))
   else
-    ( patch cat name e ~index:(fun _ -> Once.of_val idx2)
+    (* The advanced index already holds the new relation: keep the one
+       set for both. *)
+    let x =
+      Xrel.unsafe_of_minimal (Relation.of_tuples (Subsume_index.tuples idx2))
+    in
+    ( patch cat name e ~x ~index:(fun _ -> Once.of_val idx2)
         ~added:(Tuple.Set.elements net_added)
         ~removed:(Tuple.Set.elements net_removed),
       (net_added, net_removed) )
@@ -266,7 +266,16 @@ let replay_delta cat name ~added ~removed =
   | [], [] -> cat
   | _ ->
       let e = String_map.find name cat.c_rels in
-      patch cat name e ~index:index_of ~added ~removed
+      let x =
+        List.fold_left
+          (fun r t -> Relation.add t r)
+          (List.fold_left
+             (fun r t -> Relation.remove t r)
+             (Xrel.rep e.e_x) removed)
+          added
+      in
+      patch cat name e ~x:(Xrel.unsafe_of_minimal x) ~index:index_of ~added
+        ~removed
 
 let to_db cat =
   List.map

@@ -84,7 +84,7 @@ let value_of_cell ?domain cell =
       match d with
       | Domain.Int_range _ | Domain.Ints -> (
           match int_of_string_opt s with
-          | Some i -> Value.Int i
+          | Some i -> Value.int i
           | None -> raise (Error (Printf.sprintf "expected an integer, got %S" s)))
       | Domain.Floats -> (
           match float_of_string_opt s with

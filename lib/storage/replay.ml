@@ -1,5 +1,5 @@
 open Nullrel
-module Sigmap = Map.Make (Attr.Set)
+module Sigmap = Tuple.Signature_map
 
 (* The composed state is [base] minus [removed] plus [added]. [above]
    holds, per probed signature [pi] and [pi]-restriction [u], the
@@ -30,8 +30,8 @@ let bump update d k m =
 
 (* Counts [t] with weight [d] in the table of signature [pi]. *)
 let count_at pi d t tbl =
-  if Tuple.is_total_on pi t then
-    bump Tuple.Map.update d (Tuple.restrict t pi) tbl
+  if Tuple.is_total_on_signature pi t then
+    bump Tuple.Map.update d (Tuple.restrict_signature t pi) tbl
   else tbl
 
 (* [t] joins ([d] = 1) or leaves ([d] = -1) the composed state. *)
@@ -40,7 +40,7 @@ let count_in st d t =
 
 (* Present tuples more informative than or equal to [u]. *)
 let above st u =
-  let pi = Tuple.attrs u in
+  let pi = Tuple.signature u in
   let tbl =
     match Sigmap.find_opt pi st.above with
     | Some tbl -> tbl
@@ -64,9 +64,9 @@ let below st t at =
     (Subsume_index.subsumed_within st.idx t)
   || Sigmap.exists
        (fun pi _ ->
-         Attr.Set.subset pi at
-         && (not (Attr.Set.equal pi at))
-         && Tuple.Set.mem (Tuple.restrict t pi) st.added)
+         Tuple.subset_signature pi at
+         && Tuple.compare_signature pi at <> 0
+         && Tuple.Set.mem (Tuple.restrict_signature t pi) st.added)
        st.added_sigs
 
 let present st t =
@@ -76,7 +76,7 @@ let present st t =
 let remove st t =
   if Tuple.Set.mem t st.added then begin
     st.added <- Tuple.Set.remove t st.added;
-    st.added_sigs <- bump Sigmap.update (-1) (Tuple.attrs t) st.added_sigs
+    st.added_sigs <- bump Sigmap.update (-1) (Tuple.signature t) st.added_sigs
   end
   else if Relation.mem t st.base && not (Tuple.Set.mem t st.removed) then
     st.removed <- Tuple.Set.add t st.removed
@@ -88,13 +88,13 @@ let remove st t =
    tuple total on the schema has nothing strictly above it, and a
    schema-valid tuple is total on the key. *)
 let admit st t =
-  let at = Tuple.attrs t in
+  let at = Tuple.signature t in
   let key = Schema.key st.schema in
   if
     Tuple.is_null_tuple t
     || Schema.check_tuple st.schema t <> []
     || present st t
-    || ((not (Attr.Set.equal at st.scope)) && above st t > 0)
+    || ((not (Tuple.is_total_on st.scope t)) && above st t > 0)
     || below st t at
     || (not (Attr.Set.is_empty key))
        && above st (Tuple.restrict t key) > 0

@@ -119,6 +119,54 @@ let test_span_inclusive_ticks () =
           Alcotest.fail
             (Printf.sprintf "expected two events, got %d" (List.length es)))
 
+(* Four domains each close 20,000 [outer] spans around [k] nested
+   [inner] spans charged one tick apiece; returns how many [outer]
+   spans measured other than [k] ticks. *)
+let span_race () =
+  let worker () =
+    let wrong = ref 0 in
+    for i = 1 to 20_000 do
+      let k = 1 + (i mod 3) in
+      let (), m =
+        Obs.Span.timed "outer" (fun () ->
+            for _ = 1 to k do
+              ignore (Obs.Span.timed "inner" (fun () -> Obs.Span.charge 1))
+            done)
+      in
+      if m.Obs.Span.ticks <> k then incr wrong
+    done;
+    !wrong
+  in
+  let domains = List.init 4 (fun _ -> Stdlib.Domain.spawn worker) in
+  List.fold_left (fun n d -> n + Stdlib.Domain.join d) 0 domains
+
+(* With tracing off, as [.explain analyze] measures, every span counts
+   only its own domain's ticks. With tracing on, all four domains also
+   write the event ring and the slow log (threshold 0: every outer
+   span), which must stay within their capacities and keep each event
+   at its own depth. *)
+let test_spans_are_domain_local () =
+  Alcotest.(check int) "wrong tick counts, tracing off" 0 (span_race ());
+  with_obs (fun () ->
+      Obs.Span.set_slow_threshold (Some 0.);
+      Alcotest.(check int) "wrong tick counts, tracing on" 0 (span_race ());
+      Alcotest.(check (option string)) "no span left open" None
+        (Obs.Span.current_label ());
+      let events = Obs.Span.events () in
+      Alcotest.(check int) "the ring is full" Obs.Span.ring_capacity
+        (List.length events);
+      List.iter
+        (fun (e : Obs.Span.event) ->
+          Alcotest.(check int)
+            (e.label ^ " recorded at its own depth")
+            (if e.label = "outer" then 0 else 1)
+            e.depth)
+        events;
+      let slow = Obs.Span.slow_log () in
+      Alcotest.(check bool) "the slow log holds outer spans, at most 64" true
+        (List.length slow <= 64
+        && List.for_all (fun (e : Obs.Span.event) -> e.label = "outer") slow))
+
 let test_prometheus_dump () =
   with_obs (fun () ->
       let c =
@@ -304,6 +352,8 @@ let suite =
       test_span_closes_on_exec_error;
     Alcotest.test_case "span ticks are inclusive" `Quick
       test_span_inclusive_ticks;
+    Alcotest.test_case "spans are domain-local" `Quick
+      test_spans_are_domain_local;
     Alcotest.test_case "prometheus dump is well-formed" `Quick
       test_prometheus_dump;
     Alcotest.test_case "prometheus escaping" `Quick test_prometheus_escaping;

@@ -149,6 +149,26 @@ let test_disjoint_appends_commute () =
   | _ -> Alcotest.fail "resurrecting a concurrently deleted tuple must abort"
   | exception Session.Session_error.Error (Session.Session_error.Conflict _)
     -> ());
+  (* And the mirror: a delete of a tuple a concurrent commit added
+     conflicts, through removed(r) ∩ added(q). q pins a snapshot before
+     p appends (4,4), so q's own append of (4,4) stages an addition;
+     r's snapshot, taken between the two commits, holds (4,4) to
+     delete. *)
+  let p = Session.attach eng in
+  let q = Session.attach eng in
+  let r = Session.attach eng in
+  Session.begin_ q;
+  ignore (Session.exec_string p "append to EVENTS (SID = 4, SEQ = 4)");
+  ignore (Session.commit p);
+  Session.begin_ r;
+  ignore (Session.exec_string q "append to EVENTS (SID = 4, SEQ = 4)");
+  ignore (Session.commit q);
+  ignore
+    (Session.exec_string r "range of e is EVENTS delete e where e.SID = 4");
+  (match Session.commit r with
+  | _ -> Alcotest.fail "deleting a concurrently added tuple must abort"
+  | exception Session.Session_error.Error (Session.Session_error.Conflict _)
+    -> ());
   Session.shutdown eng
 
 (* ---------------------- admission control --------------------- *)
