@@ -880,7 +880,7 @@ let e17 ~with_timings () =
         Sys.rmdir tmp_dir
       end
     in
-    printf "  checkpoint = atomic save, journal = one appended statement,@.";
+    printf "  checkpoint = atomic save, journal = a one-statement session commit,@.";
     printf "  recover = load + replay of the journal the appends built:@.";
     printf "  %8s | %12s | %14s | %12s@." "rows" "checkpoint" "journal/stmt"
       "recover";
@@ -910,17 +910,21 @@ let e17 ~with_timings () =
         in
         cleanup ();
         Storage.Persist.save ~dir:tmp_dir cat;
-        let d, _ = Dml.open_durable ~checkpoint_every:max_int ~dir:tmp_dir () in
-        let dref = ref d and k = ref 0 in
+        let eng, _ =
+          Session.open_engine
+            ~config:{ Session.default_config with Session.checkpoint_every = 0 }
+            ~dir:tmp_dir ()
+        in
+        let sess = Session.attach eng and k = ref 0 in
         let t_append =
           Timing.ns_per_run (fun () ->
               incr k;
-              let d', _ =
-                Dml.exec_durable_string !dref
-                  (Printf.sprintf "append to R (A1 = %d, A2 = %d)" (n + !k) !k)
-              in
-              dref := d')
+              ignore
+                (Session.exec_string sess
+                   (Printf.sprintf "append to R (A1 = %d, A2 = %d)" (n + !k) !k));
+              ignore (Session.commit sess))
         in
+        Session.shutdown eng;
         let t_recover =
           Timing.ns_per_run (fun () ->
               ignore (Storage.Persist.load_report ~dir:tmp_dir ()))

@@ -761,12 +761,17 @@ let dml_cmd =
   let run timeout tuples metrics trace tracef domains sem_d dir loads keys stmts =
     governed timeout tuples metrics trace tracef domains sem_d (fun () ->
         (* Phase 1: register any CSVs as relations of the directory's
-           catalog (a checkpoint write, like the shell's .load+.save). *)
+           catalog (a checkpoint write, like the shell's .load+.save).
+           Recovery first folds the journal into the checkpoint it
+           rewrites, so the new checkpoint, cut at the recovered LSN,
+           supersedes every record: none can replay a second time over
+           a reloaded relation. *)
         if loads <> [] then begin
-          let cat =
+          let cat, lsn =
             if Sys.file_exists dir then
-              (Storage.Persist.load_report ~dir ()).Storage.Persist.catalog
-            else Storage.Catalog.empty
+              let r = Storage.Persist.recover ~dir () in
+              (r.Storage.Persist.catalog, r.Storage.Persist.lsn)
+            else (Storage.Catalog.empty, 0)
           in
           let keys = List.map (split_eq "--key") keys in
           let cat =
@@ -783,36 +788,42 @@ let dml_cmd =
                 Storage.Catalog.add cat (guessed_schema ?key name attrs x) x)
               cat loads
           in
-          Storage.Persist.save ~dir cat
+          Storage.Persist.save ~lsn ~dir cat
         end;
-        (* Phase 2: run the statements through the durable write path —
-           constraint enforcement, cascades and the journal included. *)
-        let d, report = Dml.open_durable ~dir () in
+        (* Phase 2: one session commits each statement as its own
+           transaction — constraint enforcement, cascades and the
+           journal included — so a failing statement leaves the
+           directory at the last committed one. *)
+        let eng, report = Session.open_engine ~dir () in
         List.iter
           (fun l -> Printf.eprintf "recovery: %s\n" l)
           (Storage.Persist.report_lines report);
-        let d =
-          List.fold_left
-            (fun d src ->
-              let d, outcome = Dml.exec_durable_string d src in
-              (match outcome.Dml.result with
-              | Some result ->
-                  Format.printf "%a@?"
-                    (Pp.table result.Quel.Eval.attrs)
-                    result.Quel.Eval.rel
-              | None ->
-                  if outcome.Dml.message <> "" then
-                    print_endline outcome.Dml.message);
-              d)
-            d stmts
-        in
-        ignore (Dml.checkpoint d))
+        let sess = Session.attach eng in
+        List.iter
+          (fun src ->
+            let outcome = Session.exec_string sess src in
+            ignore (Session.commit sess);
+            match outcome.Dml.result with
+            | Some result ->
+                Format.printf "%a@?"
+                  (Pp.table result.Quel.Eval.attrs)
+                  result.Quel.Eval.rel
+            | None ->
+                if outcome.Dml.message <> "" then
+                  print_endline outcome.Dml.message)
+          stmts;
+        Session.shutdown eng);
+    (* Checkpoint on exit, outside the governor: every statement has
+       committed, so a limit must not turn the clean-up into a failure.
+       Recovery rewrites the checkpoint and empties the journal. *)
+    handle (fun () -> ignore (Storage.Persist.recover ~dir ()))
   in
   let doc =
-    "Run mini-QUEL statements against a durable catalog directory: \
-     journalled updates, declared-constraint enforcement (cascades in the \
-     same transaction), checkpoint on exit. A constraint violation exits \
-     10 with the directory unchanged."
+    "Run mini-QUEL statements against a durable catalog directory, each \
+     committed as its own session transaction: journalled updates, \
+     declared-constraint enforcement (cascades in the same transaction), \
+     checkpoint on exit. A constraint violation exits 10 with the \
+     directory at the last committed statement."
   in
   Cmd.v (Cmd.info "dml" ~doc)
     Term.(

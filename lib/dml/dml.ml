@@ -10,8 +10,8 @@ type outcome = {
   touched : string list;
   deltas : Constr.delta list;
       (** The net per-relation changes actually applied — the statement's
-          own delta followed by the cascades, in firing order. The
-          durable layer journals these directly; empty for reads, DDL
+          own delta followed by the cascades, in firing order. A session
+          composes them into its journal record; empty for reads, DDL
           and no-op writes. *)
 }
 
@@ -120,7 +120,7 @@ let cascade_note extras =
    order — ride the same path within the same transaction, so a
    set-null rewrite whose patched row is absorbed by an existing tuple
    settles without any re-minimize; [touched] names every relation the
-   transaction wrote so the durable layer journals them as one atomic
+   transaction wrote so the session layer journals them in one atomic
    record. [message] words the statement's own net delta. *)
 let write cat rel ~added ~removed message =
   let cat, (net_a, net_r) =
@@ -298,9 +298,9 @@ let is_read = function
   | Quel.Ast.Constrain _ | Quel.Ast.Unconstrain _ ->
       false
 
-(* The journal record of applied net deltas — a statement's, or a
-   session transaction's composed ones — with no O(n) re-diff of the
-   catalogs, so the journaling cost is bounded by the delta too. *)
+(* The journal record of a session transaction's composed net deltas,
+   with no O(n) re-diff of the catalogs, so the journaling cost is
+   bounded by the delta too. *)
 let ops_of_deltas deltas =
   List.filter_map
     (fun (d : Constr.delta) ->
@@ -340,89 +340,3 @@ let constraint_ops cat0 cat1 =
       defs1
   in
   dropped @ added
-
-(* ------------------------ durable mode ------------------------ *)
-
-type durable = {
-  dir : string;
-  io : Storage.Io.t;
-  cat : Storage.Catalog.t;
-  lsn : int;
-  dirty : int;  (** Journaled statements since the last checkpoint. *)
-  every : int;
-}
-
-let durable_catalog d = d.cat
-let durable_lsn d = d.lsn
-
-let checkpoint d =
-  Storage.Persist.save ~io:d.io ~lsn:d.lsn ~dir:d.dir d.cat;
-  Storage.Wal.reset ~io:d.io ~dir:d.dir;
-  { d with dirty = 0 }
-
-let open_durable ?(io = Storage.Io.retrying Storage.Io.real)
-    ?(checkpoint_every = 64) ~dir () =
-  if checkpoint_every < 1 then
-    Exec_error.bad_input "Dml.open_durable: checkpoint_every must be >= 1";
-  let report =
-    if io.Storage.Io.file_exists dir then Storage.Persist.recover ~io ~dir ()
-    else begin
-      (* a brand-new database: an empty, durable checkpoint *)
-      Storage.Persist.save ~io ~dir Storage.Catalog.empty;
-      Storage.Persist.load_report ~io ~dir ()
-    end
-  in
-  ( {
-      dir;
-      io;
-      cat = report.Storage.Persist.catalog;
-      lsn = report.Storage.Persist.lsn;
-      dirty = 0;
-      every = checkpoint_every;
-    },
-    report )
-
-let target_relation = function
-  | Quel.Ast.Retrieve _ | Quel.Ast.Unconstrain _ -> None
-  | Quel.Ast.Append { rel; _ }
-  | Quel.Ast.Delete { rel; _ }
-  | Quel.Ast.Replace { rel; _ }
-  | Quel.Ast.Constrain { rel; _ } ->
-      Some rel
-
-(* Journal, then apply, then (sometimes) checkpoint. The journal append
-   is the commit point: a crash before it loses the statement, a crash
-   after it is replayed by recovery, and the checkpoint itself is
-   crash-safe ({!Storage.Persist.save}), so every interruption lands on
-   either the last checkpoint or the last journaled commit. The whole
-   statement — its own delta, every cascade/set-null delta its
-   constraints fired, and any constraint DDL — is one journal frame, so
-   recovery can never land between a delete and its cascade. *)
-let exec_durable d statement =
-  (* Abort-before-apply: both cancellation points sit strictly before
-     the journal append (the commit point), so a governed abort leaves
-     the directory exactly at the last committed state — never between
-     the append and the in-memory apply. *)
-  Exec.checkpoint ();
-  let outcome = exec d.cat statement in
-  let ops =
-    match outcome.deltas with
-    | [] -> constraint_ops d.cat outcome.catalog
-    | deltas -> ops_of_deltas deltas
-  in
-  match ops with
-  | [] -> (d, outcome)
-  | ops ->
-      Exec.checkpoint ();
-      d.io.Storage.Io.note "dml:apply";
-      Storage.Wal.append ~io:d.io ~dir:d.dir
-        { Storage.Wal.lsn = d.lsn + 1; ops };
-      d.io.Storage.Io.note "dml:journaled";
-      let d =
-        { d with cat = outcome.catalog; lsn = d.lsn + 1; dirty = d.dirty + 1 }
-      in
-      let d = if d.dirty >= d.every then checkpoint d else d in
-      (d, outcome)
-
-let exec_durable_string d src =
-  exec_durable d (Quel.Parser.parse_statement src)

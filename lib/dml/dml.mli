@@ -33,10 +33,11 @@ type outcome = {
           and constraint DDL. *)
   deltas : Constr.delta list;
       (** The net per-relation changes actually applied, in firing
-          order (the statement's own delta, then the cascades). The
-          durable layer journals these directly, so the journaling
-          cost is bounded by the delta rather than the relation. Empty
-          for reads, DDL and no-op writes. *)
+          order (the statement's own delta, then the cascades). A
+          session composes them per relation into its transaction's
+          journal record, so the journaling cost is bounded by the
+          delta rather than the relation. Empty for reads, DDL and
+          no-op writes. *)
 }
 
 val exec :
@@ -83,15 +84,10 @@ val exec_string :
 val is_read : Quel.Ast.statement -> bool
 (** True exactly for [retrieve]. *)
 
-val target_relation : Quel.Ast.statement -> string option
-(** The relation a statement writes: [None] for [retrieve] and
-    [unconstrain], the target name otherwise. The session layer uses
-    this to maintain per-transaction write sets. *)
-
 val ops_of_deltas : Constr.delta list -> Storage.Wal.op list
 (** One {!Storage.Wal.Change} per delta that changes something, in
-    order — the journal record of applied net deltas (an {!outcome}'s
-    [deltas], or a transaction's composed ones), built without looking
+    order — the journal record of applied net deltas (a session
+    transaction's composed {!outcome} [deltas]), built without looking
     at the relations they apply to. *)
 
 val constraint_ops : Storage.Catalog.t -> Storage.Catalog.t -> Storage.Wal.op list
@@ -100,45 +96,3 @@ val constraint_ops : Storage.Catalog.t -> Storage.Catalog.t -> Storage.Wal.op li
     name [cat1] lacks, then a {!Storage.Wal.Add_constraint} per
     definition [cat0] lacks, each in declaration order. The DDL part of
     a transaction record. *)
-
-(** {1 Durable mode}
-
-    A durable session pins the catalog to a directory with
-    write-ahead-journalled updates: every statement is appended to
-    [DIR/wal] ({!Storage.Wal}) {e before} its effect is applied, and a
-    full crash-safe checkpoint ({!Storage.Persist.save}) is cut every
-    [checkpoint_every] statements. A crash at any moment therefore
-    loses at most the statement whose journal append was interrupted;
-    {!open_durable} (via {!Storage.Persist.recover}) replays the
-    committed journal tail and leaves the directory clean again. *)
-
-type durable
-
-val open_durable :
-  ?io:Storage.Io.t ->
-  ?checkpoint_every:int ->
-  dir:string ->
-  unit ->
-  durable * Storage.Persist.report
-(** Opens (creating if absent) a durable catalog directory, running
-    full recovery first. The report says what recovery found; a
-    relation quarantined as [Corrupt] is absent from the session.
-    Default [checkpoint_every] is 64. *)
-
-val durable_catalog : durable -> Storage.Catalog.t
-val durable_lsn : durable -> int
-
-val exec_durable : durable -> Quel.Ast.statement -> durable * outcome
-(** Journal, apply, checkpoint-if-due. Statements that change nothing
-    (including every [retrieve]) are not journaled. Exceptions from the
-    statement itself ({!Nullrel.Exec_error.Error},
-    {!Storage.Catalog.Violation}) leave the session unchanged;
-    exceptions from the filesystem propagate and the session value must
-    be discarded — re-open to recover. A governed abort (timeout,
-    budget, cancellation) is checked strictly {e before} the journal
-    append, so it always leaves the directory at the last committed
-    state. *)
-
-val exec_durable_string : durable -> string -> durable * outcome
-val checkpoint : durable -> durable
-(** Forces a checkpoint now (also empties the journal). *)

@@ -30,50 +30,6 @@ let op_label = function
   | Divide _ -> "divide"
   | Rename _ -> "rename"
 
-(* Physical-operator seams. The planner sits below the storage layer
-   in the library graph, so it cannot name the hash join directly;
-   the shells and the CLI install [Storage.Join.hash_equijoin] (and
-   friends) here at load time — same inverted-dependency idiom as
-   [Obs.Metrics.on_hot_change]. The first argument is the planner's
-   dispatch hint ([Kernel.strategy], derived from estimated
-   cardinalities when statistics are available); the default logical
-   operators ignore it, so a bare [eval] stays correct without any
-   installation. *)
-let equijoin_impl :
-    (Kernel.strategy -> Attr.Set.t -> Xrel.t -> Xrel.t -> Xrel.t) ref =
-  ref (fun _ x r1 r2 -> Algebra.equijoin x r1 r2)
-
-let union_join_impl :
-    (Kernel.strategy -> Attr.Set.t -> Xrel.t -> Xrel.t -> Xrel.t) ref =
-  ref (fun _ x r1 r2 -> Algebra.union_join x r1 r2)
-
-(* Equijoin against a pre-built equality probe (a declared secondary
-   index served by the catalog): the build side is never materialized.
-   The default is a governed sequential probe loop, so a bare [eval]
-   handed an [index_probe] stays correct without any installation; the
-   shells install [Storage.Join.probe_equijoin] for the parallel-aware
-   version. *)
-let equijoin_probe_impl :
-    (Kernel.strategy ->
-    Attr.Set.t ->
-    Xrel.t ->
-    (Tuple.t -> Tuple.t list) ->
-    Xrel.t)
-    ref =
-  ref (fun _ _ r1 probe ->
-      Xrel.of_relation
-        (List.fold_left
-           (fun acc t1 ->
-             Exec.tick ();
-             List.fold_left
-               (fun acc t2 ->
-                 Exec.tick ();
-                 match Tuple.join t1 t2 with
-                 | Some joined -> Relation.add joined acc
-                 | None -> acc)
-               acc (probe t1))
-           Relation.empty (Xrel.to_list r1)))
-
 let rec eval ?(join_strategy = fun _ -> Kernel.Auto)
     ?(index_probe = fun _ -> None) ?observe ~env e =
   let eval = eval ~join_strategy ~index_probe ?observe in
@@ -103,8 +59,8 @@ let rec eval ?(join_strategy = fun _ -> Kernel.Auto)
           | Product (e1, e2) -> (
               match index_probe node with
               | Some probe ->
-                  !equijoin_probe_impl (join_strategy node)
-                    (Predicate.attrs p) (eval ~env e1) probe
+                  Storage.Join.probe_equijoin ~strategy:(join_strategy node)
+                    ~probe (eval ~env e1)
               | None -> (
                   (* The product is symmetric, so when the indexed
                      factor sits on the left (the cost-based reorder
@@ -113,8 +69,8 @@ let rec eval ?(join_strategy = fun _ -> Kernel.Auto)
                   let commuted = Select (p, Product (e2, e1)) in
                   match index_probe commuted with
                   | Some probe ->
-                      !equijoin_probe_impl (join_strategy commuted)
-                        (Predicate.attrs p) (eval ~env e2) probe
+                      Storage.Join.probe_equijoin
+                        ~strategy:(join_strategy commuted) ~probe (eval ~env e2)
                   | None -> Algebra.select p (eval ~env e)))
           | _ -> Algebra.select p (eval ~env e))
       | Project (x, e) -> Algebra.project x (eval ~env e)
@@ -124,12 +80,14 @@ let rec eval ?(join_strategy = fun _ -> Kernel.Auto)
              build side entirely. *)
           match index_probe node with
           | Some probe ->
-              !equijoin_probe_impl (join_strategy node) x (eval ~env e1) probe
+              Storage.Join.probe_equijoin ~strategy:(join_strategy node) ~probe
+                (eval ~env e1)
           | None ->
-              !equijoin_impl (join_strategy node) x (eval ~env e1)
-                (eval ~env e2))
+              Storage.Join.hash_equijoin ~strategy:(join_strategy node) x
+                (eval ~env e1) (eval ~env e2))
       | Union_join (x, e1, e2) as node ->
-          !union_join_impl (join_strategy node) x (eval ~env e1) (eval ~env e2)
+          Storage.Join.hash_union_join ~strategy:(join_strategy node) x
+            (eval ~env e1) (eval ~env e2)
       | Union (e1, e2) -> Xrel.union (eval ~env e1) (eval ~env e2)
       | Diff (e1, e2) -> Xrel.diff (eval ~env e1) (eval ~env e2)
       | Inter (e1, e2) -> Xrel.inter (eval ~env e1) (eval ~env e2)

@@ -5,7 +5,8 @@
     class value so they can be built by the mini-QUEL compiler
     ({!Compile}), rewritten by the optimizer ({!Rewrite}) and costed
     ({!Cost}). Evaluation is the straightforward bottom-up application
-    of the operators of {!Nullrel.Xrel} and {!Nullrel.Algebra}. *)
+    of the operators of {!Nullrel.Xrel} and {!Nullrel.Algebra}, with
+    the physical joins of {!Storage.Join}. *)
 
 open Nullrel
 
@@ -29,37 +30,6 @@ val op_label : t -> string
 (** Short operator name for spans and EXPLAIN output: the relation name
     for [Rel], otherwise ["select"], ["equijoin"], ["union-join"], … *)
 
-val equijoin_impl :
-  (Kernel.strategy -> Attr.Set.t -> Xrel.t -> Xrel.t -> Xrel.t) ref
-
-val union_join_impl :
-  (Kernel.strategy -> Attr.Set.t -> Xrel.t -> Xrel.t -> Xrel.t) ref
-(** The physical operators run for [Equijoin]/[Union_join] nodes. The
-    first argument is the planner's {!Nullrel.Kernel.strategy} hint for
-    the node (see [eval]'s [join_strategy]); implementations are free
-    to ignore it. Default to {!Nullrel.Algebra.equijoin}/[union_join]
-    (which do); the shells and the CLI install
-    [Storage.Join.hash_equijoin]/[hash_union_join] at load time (the
-    planner cannot depend on the storage library, so the binding is a
-    link-time seam, like [Obs.Metrics.on_hot_change]). Any installed
-    implementation must agree with the logical operator extensionally —
-    that agreement is property-tested. *)
-
-val equijoin_probe_impl :
-  (Kernel.strategy ->
-  Attr.Set.t ->
-  Xrel.t ->
-  (Tuple.t -> Tuple.t list) ->
-  Xrel.t)
-  ref
-(** The physical operator run for an [Equijoin] node whose build side
-    is served by a pre-built equality probe (see [eval]'s
-    [index_probe]): the build operand is never evaluated. The default
-    is a governed sequential probe loop; the shells install
-    [Storage.Join.probe_equijoin]. The probe contract is
-    [Storage.Join.probe_equijoin]'s: exact matches on the join
-    attributes for X-total tuples, [[]] otherwise. *)
-
 val eval :
   ?join_strategy:(t -> Kernel.strategy) ->
   ?index_probe:(t -> (Tuple.t -> Tuple.t list) option) ->
@@ -67,20 +37,21 @@ val eval :
   env:(string -> Xrel.t option) ->
   t -> Xrel.t
 (** Bottom-up evaluation. Raises {!Unbound_relation} when a [Rel] name
-    is not in the environment. [join_strategy] is consulted once per
-    [Equijoin]/[Union_join] node (receiving the node itself) and its
-    answer passed to the installed physical operator; the default
+    is not in the environment. [Equijoin] and [Union_join] nodes run
+    the physical hash joins of {!Storage.Join}, which agree with the
+    logical operators extensionally (property-tested). [join_strategy]
+    is consulted once per [Equijoin]/[Union_join] node (receiving the
+    node itself) and its answer passed to that operator; the default
     answers {!Nullrel.Kernel.Auto} everywhere, i.e. the operator's own
     size cutovers decide. [index_probe] is consulted once per
     [Equijoin] node and once per [Select]-over-[Product] node (the
     join shape compiled queries take, since the algebra cannot merge
-    two differently-named columns into an [Equijoin]); when it
-    answers a probe — a declared secondary
-    index covering the build side, translated through the plan's
-    renames by [Compile.index_probe_of] — the node runs through
-    {!equijoin_probe_impl} and the build operand (for a
-    select-over-product, the right factor) is never evaluated. The
-    default answers [None] everywhere.
+    two differently-named columns into an [Equijoin]); when it answers
+    a probe — a declared secondary index covering the build side,
+    translated through the plan's renames by [Compile.index_probe_of]
+    — the node runs through {!Storage.Join.probe_equijoin} and the
+    build operand (for a select-over-product, the right factor) is
+    never evaluated. The default answers [None] everywhere.
 
     [observe], when given, wraps the evaluation of every node that
     actually runs: it receives the node and the thunk computing it

@@ -79,10 +79,11 @@ val open_engine :
   dir:string ->
   unit ->
   engine * Storage.Persist.report
-(** Opens the directory with full recovery first (creating an empty
-    durable catalog if the directory does not exist), like
-    {!Dml.open_durable}. The default [io] is
-    [Storage.Io.retrying Storage.Io.real]. *)
+(** Opens the directory with full recovery first
+    ({!Storage.Persist.recover}; an empty durable catalog if the
+    directory does not exist). The engine is the only journal writer:
+    every durable update, the CLI's [dml] included, commits through
+    it. The default [io] is [Storage.Io.retrying Storage.Io.real]. *)
 
 val engine_snapshot : engine -> snapshot
 (** The latest committed snapshot — a lock-free atomic load. *)

@@ -1,16 +1,5 @@
 open Nullrel
 
-(* The shell links the storage layer, so it installs the physical join
-   operators into the planner's link-time seams (the planner itself
-   cannot depend on storage). *)
-let () =
-  Plan.Expr.equijoin_impl :=
-    (fun strategy x r1 r2 -> Storage.Join.hash_equijoin ~strategy x r1 r2);
-  Plan.Expr.union_join_impl :=
-    (fun strategy x r1 r2 -> Storage.Join.hash_union_join ~strategy x r1 r2);
-  Plan.Expr.equijoin_probe_impl :=
-    (fun strategy _x r1 probe -> Storage.Join.probe_equijoin ~strategy ~probe r1)
-
 type limits = { time_s : float option; max_tuples : int option }
 
 type state = {
@@ -613,7 +602,19 @@ let exec st line =
               :: List.map (fun l -> "  " ^ l)
                    (Storage.Persist.report_lines report)) )
       | [ ".save"; dir ] ->
-          Storage.Persist.save ~dir st.cat;
+          (* The checkpoint supersedes the target's journal: cut it at an
+             LSN no lower than any journaled record, then empty the
+             journal (save, then reset, as recovery does), so no record
+             can replay over the saved catalog. *)
+          let io = Storage.Io.real in
+          let lsn =
+            List.fold_left
+              (fun lsn (r : Storage.Wal.record) -> max lsn r.Storage.Wal.lsn)
+              0
+              (fst (Storage.Wal.read ~io ~dir))
+          in
+          Storage.Persist.save ~io ~lsn ~dir st.cat;
+          Storage.Wal.reset ~io ~dir;
           ({ st with dir = Some dir }, Printf.sprintf "saved to %s" dir)
       | [ ".open" ] | [ ".fsck" ] | [ ".save" ] | [ ".load" ] | [ ".show" ]
       | [ ".schema" ] ->

@@ -10,8 +10,8 @@
     of a minimal representation is itself minimal and therefore survives
     the encode/decode roundtrip unchanged.
 
-    A {!record} is one {e atomic transaction}: the list of relation
-    changes a statement produced — including every cascade and set-null
+    A {!record} is one {e atomic transaction}: the relation changes a
+    session transaction produced — including every cascade and set-null
     delta its constraints fired — plus any constraint DDL, in a single
     frame. The frame is the atomicity unit of the journal: {!read}
     returns whole frames only, so a crash mid-append can never surface

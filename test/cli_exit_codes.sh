@@ -158,6 +158,25 @@ expect 10 "duplicate under a unique constraint" \
 expect 0 "null key under a unique constraint" \
     "$CLI" dml --dir "$tmp/uniquedb" 'append to T (V = 7)'
 
+# --- a reload supersedes the journal ----------------------------
+# A run that exits 10 leaves its committed append in the journal. A
+# later --load of the same relation replaces it whole: the journaled
+# row must not replay over the reloaded ones, and a clean exit leaves
+# the journal empty.
+printf 'A,B\n1,10\n2,-\n' > "$tmp/r1.csv"
+printf 'A,B\n7,70\n' > "$tmp/r2.csv"
+expect 10 "violation after a committed append" \
+    "$CLI" dml --dir "$tmp/reloaddb" --load "R=$tmp/r1.csv" \
+    'append to R (A = 3, B = 30)' 'constrain unique R (A) as u' \
+    'append to R (A = 1, B = 99)'
+[ -s "$tmp/reloaddb/wal" ] || fail "the committed append is not journaled"
+"$CLI" dml --dir "$tmp/reloaddb" --load "R=$tmp/r2.csv" \
+    'range of r is R retrieve (r.A, r.B)' > "$tmp/reload.txt" 2>/dev/null \
+    || fail "the reload run failed"
+grep -q '70' "$tmp/reload.txt" || fail "the reloaded row is missing"
+grep -q '30' "$tmp/reload.txt" && fail "--load replayed a journaled row"
+[ -s "$tmp/reloaddb/wal" ] && fail "the journal is not empty after a clean exit"
+
 # --- statistics-driven planning --------------------------------
 expect 0 "query with --analyze" \
     "$CLI" query --analyze --rel "R=$tmp/r.csv" \

@@ -272,8 +272,9 @@ let declaration_precondition =
 (* ---------------- crash drills: interrupted cascades ----------- *)
 
 (* An io that tears the statement's journal append in half once the
-   DML layer announces it is about to journal — a torn multi-op
-   cascade record, which recovery must drop whole. *)
+   group commit announces it has validated the batch and is about to
+   journal it — a torn multi-op cascade record, which recovery must
+   drop whole. *)
 let tearing base =
   let armed = ref false in
   {
@@ -281,7 +282,7 @@ let tearing base =
     Storage.Io.note =
       (fun p ->
         base.Storage.Io.note p;
-        if String.equal p "dml:apply" then armed := true);
+        if String.equal p "group-commit:validated" then armed := true);
     append_file =
       (fun path contents ->
         if !armed then begin
@@ -295,37 +296,33 @@ let tearing base =
 
 let crash_io mode base =
   match mode with
-  | `Before_append -> Storage.Io.crash_at ~point:"dml:apply" base
+  | `Before_append -> Storage.Io.crash_at ~point:"group-commit:validated" base
   | `Torn_append -> tearing base
-  | `After_append -> Storage.Io.crash_at ~point:"dml:journaled" base
+  | `After_append -> Storage.Io.crash_at ~point:"group-commit:fsynced" base
 
 (* Seed a durable directory with the chain schema, constraints and a
    population whose keys all exist, so a delete from T fires a real
    multi-relation cascade. *)
 let seed_durable g dir =
   Storage.Persist.save ~dir (base_catalog ());
-  let d, _ = Dml.open_durable ~checkpoint_every:1000 ~dir () in
-  let d =
-    List.fold_left
-      (fun d stmt -> fst (Dml.exec_durable_string d stmt))
-      d
-      ([
-         "constrain unique T (K) as uq_t";
-         Printf.sprintf "constrain fk R (F) to T (K) on delete %s as fk_rt"
-           (Workload.Prng.choose g [ "cascade"; "setnull" ]);
-         "constrain unique R (W) as uq_r";
-         "constrain fk S (G) to R (W) on delete cascade as fk_sr";
-       ]
-      @ List.concat_map
-          (fun k ->
-            [
-              Printf.sprintf "append to T (K = %d, V = %d)" k (k * 10);
-              Printf.sprintf "append to R (F = %d, W = %d)" k k;
-              Printf.sprintf "append to S (G = %d)" k;
-            ])
-          [ 0; 1; 2 ])
-  in
-  Dml.durable_catalog (Dml.checkpoint d)
+  Test_durability.with_writer ~checkpoint_every:1000 ~dir (fun _ sess ->
+      Test_durability.commit_all sess
+        ([
+           "constrain unique T (K) as uq_t";
+           Printf.sprintf "constrain fk R (F) to T (K) on delete %s as fk_rt"
+             (Workload.Prng.choose g [ "cascade"; "setnull" ]);
+           "constrain unique R (W) as uq_r";
+           "constrain fk S (G) to R (W) on delete cascade as fk_sr";
+         ]
+        @ List.concat_map
+            (fun k ->
+              [
+                Printf.sprintf "append to T (K = %d, V = %d)" k (k * 10);
+                Printf.sprintf "append to R (F = %d, W = %d)" k k;
+                Printf.sprintf "append to S (G = %d)" k;
+              ])
+            [ 0; 1; 2 ]));
+  (Storage.Persist.recover ~dir ()).Storage.Persist.catalog
 
 let crash_mid_cascade_invisible =
   QCheck.Test.make ~count:30
@@ -349,8 +346,8 @@ let crash_mid_cascade_invisible =
           (* run the statement into a modelled crash *)
           (try
              let io = crash_io mode Storage.Io.real in
-             let d, _ = Dml.open_durable ~io ~checkpoint_every:1000 ~dir () in
-             ignore (Dml.exec_durable_string d stmt)
+             Test_durability.with_writer ~io ~checkpoint_every:1000 ~dir
+               (fun _ sess -> Test_durability.commit_stmt sess stmt)
            with Storage.Io.Injected_fault _ -> ());
           let report = Storage.Persist.recover ~dir () in
           let recovered = report.Storage.Persist.catalog in

@@ -213,6 +213,11 @@ let random_scenario seed =
   in
   (g, cat, stmts, fault)
 
+let with_writer = Test_durability.with_writer
+let commit_stmt = Test_durability.commit_stmt
+let commit_all = Test_durability.commit_all
+let committed = Test_durability.committed
+
 let catalogs_equal c1 c2 =
   List.equal String.equal (Storage.Catalog.names c1) (Storage.Catalog.names c2)
   && List.for_all
@@ -232,26 +237,22 @@ let save_fault_recover_roundtrips =
       let states =
         with_temp_dir (fun dir ->
             Storage.Persist.save ~dir cat;
-            let d, _ = Dml.open_durable ~checkpoint_every ~dir () in
-            let states, _ =
-              List.fold_left
-                (fun (states, d) stmt ->
-                  let d, _ = Dml.exec_durable_string d stmt in
-                  (Dml.durable_catalog d :: states, d))
-                ([ Dml.durable_catalog d ], d)
-                stmts
-            in
-            Array.of_list (List.rev states))
+            with_writer ~checkpoint_every ~dir (fun eng sess ->
+                let states =
+                  List.fold_left
+                    (fun states stmt ->
+                      commit_stmt sess stmt;
+                      committed eng :: states)
+                    [ committed eng ] stmts
+                in
+                Array.of_list (List.rev states)))
       in
       let total =
         with_temp_dir (fun dir ->
             Storage.Persist.save ~dir cat;
             let io, ops = Storage.Io.counting Storage.Io.real in
-            let d, _ = Dml.open_durable ~io ~checkpoint_every ~dir () in
-            ignore
-              (List.fold_left
-                 (fun d stmt -> fst (Dml.exec_durable_string d stmt))
-                 d stmts);
+            with_writer ~io ~checkpoint_every ~dir (fun _ sess ->
+                commit_all sess stmts);
             ops ())
       in
       let after = Workload.Prng.int g total in
@@ -260,14 +261,8 @@ let save_fault_recover_roundtrips =
           let io = Storage.Io.faulty ~fault ~after Storage.Io.real in
           let completed = ref 0 in
           (try
-             let d, _ = Dml.open_durable ~io ~checkpoint_every ~dir () in
-             ignore
-               (List.fold_left
-                  (fun d stmt ->
-                    let d, _ = Dml.exec_durable_string d stmt in
-                    incr completed;
-                    d)
-                  d stmts)
+             with_writer ~io ~checkpoint_every ~dir (fun _ sess ->
+                 commit_all ~completed sess stmts)
            with Storage.Io.Injected_fault _ -> ());
           let report = Storage.Persist.recover ~dir () in
           let clean =
@@ -321,22 +316,18 @@ let torn_cascade_replay_idempotent =
             Storage.Catalog.add cat (ints "R" [ "F"; "W" ]) Xrel.bottom
           in
           Storage.Persist.save ~dir cat;
-          let d, _ = Dml.open_durable ~checkpoint_every:1000 ~dir () in
           let rows = 1 + Workload.Prng.int g 3 in
-          let d =
-            List.fold_left
-              (fun d stmt -> fst (Dml.exec_durable_string d stmt))
-              d
-              ("constrain fk R (F) to T (K) on delete cascade as fk_rt"
-              :: List.concat_map
-                   (fun k ->
-                     [
-                       Printf.sprintf "append to T (K = %d)" k;
-                       Printf.sprintf "append to R (F = %d, W = %d)" k (k + 10);
-                     ])
-                   (List.init rows Fun.id))
-          in
-          let pre = Dml.durable_catalog (Dml.checkpoint d) in
+          with_writer ~checkpoint_every:1000 ~dir (fun _ sess ->
+              commit_all sess
+                ("constrain fk R (F) to T (K) on delete cascade as fk_rt"
+                :: List.concat_map
+                     (fun k ->
+                       [
+                         Printf.sprintf "append to T (K = %d)" k;
+                         Printf.sprintf "append to R (F = %d, W = %d)" k (k + 10);
+                       ])
+                     (List.init rows Fun.id)));
+          let pre = (Storage.Persist.recover ~dir ()).Storage.Persist.catalog in
           (* tear the cascade's journal append in half *)
           let armed = ref false in
           let base = Storage.Io.real in
@@ -345,7 +336,7 @@ let torn_cascade_replay_idempotent =
               base with
               Storage.Io.note =
                 (fun p ->
-                  if String.equal p "dml:apply" then armed := true);
+                  if String.equal p "group-commit:validated" then armed := true);
               append_file =
                 (fun path contents ->
                   if !armed then begin
@@ -358,11 +349,10 @@ let torn_cascade_replay_idempotent =
             }
           in
           (try
-             let d, _ = Dml.open_durable ~io ~checkpoint_every:1000 ~dir () in
-             ignore
-               (Dml.exec_durable_string d
-                  (Printf.sprintf "range of v is T delete v where v.K = %d"
-                     (Workload.Prng.int g rows)))
+             with_writer ~io ~checkpoint_every:1000 ~dir (fun _ sess ->
+                 commit_stmt sess
+                   (Printf.sprintf "range of v is T delete v where v.K = %d"
+                      (Workload.Prng.int g rows)))
            with Storage.Io.Injected_fault _ -> ());
           let r1 = Storage.Persist.recover ~dir () in
           let r2 = Storage.Persist.recover ~dir () in
@@ -564,9 +554,6 @@ let durable_schedule g dir =
     }
   in
   let every = 4 + Workload.Prng.int g 12 in
-  let d, _ = Dml.open_durable ~io ~checkpoint_every:every ~dir () in
-  checkpointed := false;
-  let last = ref (Dml.durable_catalog d, Dml.durable_lsn d) in
   let stmts =
     [
       "constrain fk R (F) to T (K) on delete cascade as fk_r";
@@ -574,19 +561,24 @@ let durable_schedule g dir =
     ]
     @ List.init (8 + Workload.Prng.int g 20) (fun _ -> replay_statement g)
   in
-  let d =
-    List.fold_left
-      (fun d stmt ->
-        let d = try fst (Dml.exec_durable_string d stmt) with _ -> d in
-        if !checkpointed then begin
-          checkpointed := false;
-          last := (Dml.durable_catalog d, Dml.durable_lsn d)
-        end;
-        d)
-      d stmts
+  let (cat_j, j), (cat_k, k) =
+    with_writer ~io ~checkpoint_every:every ~dir (fun eng sess ->
+        let snap () =
+          let s = Session.engine_snapshot eng in
+          (s.Session.catalog, s.Session.lsn)
+        in
+        checkpointed := false;
+        let last = ref (snap ()) in
+        List.iter
+          (fun stmt ->
+            (try commit_stmt sess stmt with _ -> ());
+            if !checkpointed then begin
+              checkpointed := false;
+              last := snap ()
+            end)
+          stmts;
+        (!last, snap ()))
   in
-  let cat_j, j = !last in
-  let k = Dml.durable_lsn d in
   let ddl_lsn =
     if Workload.Prng.bool g 0.5 then j
     else begin
@@ -607,7 +599,7 @@ let durable_schedule g dir =
                 constraints_renamed := true);
         }
       in
-      (try Storage.Persist.save ~io:crashing ~lsn:k ~dir (Dml.durable_catalog d)
+      (try Storage.Persist.save ~io:crashing ~lsn:k ~dir cat_k
        with Storage.Io.Injected_fault _ -> ());
       if !constraints_renamed then k else j
     end

@@ -63,21 +63,48 @@ let catalogs_equal c1 c2 =
               (Storage.Persist.schema_to_string (Storage.Catalog.schema c2 name)))
        (Storage.Catalog.names c1)
 
+(* The drills' single writer, as the CLI's [dml] runs it: a one-session
+   engine that commits every statement as its own transaction. The
+   engine is shut down however [f] leaves, so a poisoned one never
+   lingers in the registry [sys_sessions] reads. *)
+let with_writer ?io ?(checkpoint_every = checkpoint_every) ~dir f =
+  let eng, _ =
+    Session.open_engine ?io
+      ~config:{ Session.default_config with Session.checkpoint_every }
+      ~dir ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Session.shutdown eng)
+    (fun () -> f eng (Session.attach eng))
+
+let commit_stmt sess stmt =
+  ignore (Session.exec_string sess stmt);
+  ignore (Session.commit sess)
+
+let committed eng = (Session.engine_snapshot eng).Session.catalog
+
+(* Commits [stmts] in order, counting each one that fully committed. *)
+let commit_all ?(completed = ref 0) sess stmts =
+  List.iter
+    (fun stmt ->
+      commit_stmt sess stmt;
+      incr completed)
+    stmts
+
 (* Every state a committed run passes through: the seed, then the state
    after each statement. *)
 let committed_states () =
   with_temp_dir (fun dir ->
       Storage.Persist.save ~dir (seed_catalog ());
-      let d, _ = Dml.open_durable ~checkpoint_every ~dir () in
-      let states, _ =
-        List.fold_left
-          (fun (states, d) stmt ->
-            let d, _ = Dml.exec_durable_string d stmt in
-            (Dml.durable_catalog d :: states, d))
-          ([ Dml.durable_catalog d ], d)
-          workload
-      in
-      Array.of_list (List.rev states))
+      with_writer ~dir (fun eng sess ->
+          let states =
+            List.fold_left
+              (fun states stmt ->
+                commit_stmt sess stmt;
+                committed eng :: states)
+              [ committed eng ] workload
+          in
+          Array.of_list (List.rev states)))
 
 (* One faulted run: seed, open, execute until the injected crash, count
    fully completed statements. *)
@@ -85,15 +112,7 @@ let faulted_run ~fault ~after dir =
   Storage.Persist.save ~dir (seed_catalog ());
   let io = Storage.Io.faulty ~fault ~after Storage.Io.real in
   let completed = ref 0 in
-  (try
-     let d, _ = Dml.open_durable ~io ~checkpoint_every ~dir () in
-     ignore
-       (List.fold_left
-          (fun d stmt ->
-            let d, _ = Dml.exec_durable_string d stmt in
-            incr completed;
-            d)
-          d workload)
+  (try with_writer ~io ~dir (fun _ sess -> commit_all ~completed sess workload)
    with Storage.Io.Injected_fault _ -> ());
   !completed
 
@@ -101,11 +120,7 @@ let count_fs_ops () =
   with_temp_dir (fun dir ->
       Storage.Persist.save ~dir (seed_catalog ());
       let io, ops = Storage.Io.counting Storage.Io.real in
-      let d, _ = Dml.open_durable ~io ~checkpoint_every ~dir () in
-      ignore
-        (List.fold_left
-           (fun d stmt -> fst (Dml.exec_durable_string d stmt))
-           d workload);
+      with_writer ~io ~dir (fun _ sess -> commit_all sess workload);
       ops ())
 
 let no_corruption report =
@@ -176,11 +191,7 @@ let flip_last_byte data =
 
 let populated_dir dir =
   Storage.Persist.save ~dir (seed_catalog ());
-  let d, _ = Dml.open_durable ~checkpoint_every:1000 ~dir () in
-  ignore
-    (List.fold_left
-       (fun d stmt -> fst (Dml.exec_durable_string d stmt))
-       d workload)
+  with_writer ~checkpoint_every:1000 ~dir (fun _ sess -> commit_all sess workload)
 
 let test_corrupt_csv_quarantined () =
   with_temp_dir (fun dir ->
@@ -355,6 +366,99 @@ let test_merged_eviction_not_resurrected () =
       Alcotest.(check bool) "every record replayed" true
         (report.Storage.Persist.statuses = [ ("T", Storage.Persist.Recovered 3) ]))
 
+(* [test/journal_golden/] is a directory the statement-per-record
+   journal writer that preceded the session engine left mid-run, with
+   p.csv = {(1, 10), (2, 20), (3, 30)}, c.csv = {(1, 5), (2, 6), (3, 7)}
+   and d.csv = {(2, 8), (3, 9)}:
+
+     nullrel dml --dir db --load P=p.csv --load C=c.csv --load D=d.csv \
+       --key P=K 'constrain fk C (F) to P (K) on delete cascade as fkc' \
+       'append to P (K = 4, V = 40)'
+     nullrel dml --dir db \
+       'constrain fk D (G) to P (K) on delete setnull as fkd' \
+       'append to C (F = 4, W = 8)' \
+       'range of v is P delete v where v.K = 1' \
+       'range of v is P delete v where v.K = 2' \
+       'constrain unique C (W) as uw' 'constrain notnull D (X) as nx' \
+       'unconstrain uw' 'append to C (F = 9, W = 7)'
+
+   The first run checkpointed at LSN 2 on exit. The second journaled
+   one record per statement, LSNs 3 to 9, each delete's cascade and
+   set-null ops in firing order after its own, and exited 10 on the
+   dangling append, leaving that tail. A session engine must still
+   recover it, and carry on numbering from it. *)
+let golden_dir = "journal_golden"
+
+let copy_dir ~src ~dst =
+  Sys.mkdir dst 0o755;
+  Array.iter
+    (fun f ->
+      let data =
+        In_channel.with_open_bin (Filename.concat src f) In_channel.input_all
+      in
+      Out_channel.with_open_bin (Filename.concat dst f) (fun oc ->
+          output_string oc data))
+    (Sys.readdir src)
+
+let test_golden_journal_recovers () =
+  let records, note = Storage.Wal.read ~io:Storage.Io.real ~dir:golden_dir in
+  Alcotest.(check (option string)) "the golden tail is clean" None note;
+  Alcotest.(check (list (pair int (list string))))
+    "one record per statement, cascades in firing order"
+    [
+      (3, []); (4, [ "C" ]); (5, [ "P"; "C" ]); (6, [ "P"; "C"; "D" ]);
+      (7, []); (8, []); (9, []);
+    ]
+    (List.map
+       (fun (r : Storage.Wal.record) ->
+         ( r.Storage.Wal.lsn,
+           List.filter_map
+             (function
+               | Storage.Wal.Change c -> Some c.Storage.Wal.rel
+               | Storage.Wal.Add_constraint _ | Storage.Wal.Drop_constraint _ ->
+                   None)
+             r.Storage.Wal.ops ))
+       records);
+  let row pairs =
+    Tuple.of_strings (List.map (fun (a, v) -> (a, Value.Int v)) pairs)
+  in
+  with_temp_dir (fun dir ->
+      copy_dir ~src:golden_dir ~dst:dir;
+      let eng, report = Session.open_engine ~dir () in
+      Fun.protect
+        ~finally:(fun () -> Session.shutdown eng)
+        (fun () ->
+          Alcotest.(check int) "recovered lsn" 9 report.Storage.Persist.lsn;
+          Alcotest.(check (option string)) "no journal note" None
+            report.Storage.Persist.journal_note;
+          Alcotest.(check bool) "Recovered n counts each relation's records"
+            true
+            (report.Storage.Persist.statuses
+            = Storage.Persist.
+                [ ("C", Recovered 3); ("D", Recovered 1); ("P", Recovered 2) ]);
+          let cat = committed eng in
+          let check name rows =
+            Alcotest.check Helpers.xrel name (Xrel.of_list (List.map row rows))
+              (Storage.Catalog.relation cat name)
+          in
+          check "P" [ [ ("K", 3); ("V", 30) ]; [ ("K", 4); ("V", 40) ] ];
+          check "C" [ [ ("F", 3); ("W", 7) ]; [ ("F", 4); ("W", 8) ] ];
+          check "D" [ [ ("X", 8) ]; [ ("G", 3); ("X", 9) ] ];
+          Alcotest.(check (list string))
+            "declarations, uw dropped"
+            [
+              "fk\tfkc\tC\tP\tcascade\tF\tK";
+              "fk\tfkd\tD\tP\tsetnull\tG\tK";
+              "notnull\tnx\tD\tX";
+            ]
+            (List.map Constr.def_to_line (Storage.Catalog.constraints cat));
+          Alcotest.(check bool) "references intact" true
+            (Storage.Catalog.check_references cat = []);
+          let sess = Session.attach eng in
+          ignore (Session.exec_string sess "append to P (K = 5, V = 50)");
+          Alcotest.(check int) "the next commit continues the numbering" 10
+            (Session.commit sess)))
+
 let suite =
   [
     Alcotest.test_case "fault matrix: fail-stop" `Slow
@@ -377,4 +481,6 @@ let suite =
       test_duplicate_key_record_noted;
     Alcotest.test_case "a merged commit's eviction is not resurrected" `Quick
       test_merged_eviction_not_resurrected;
+    Alcotest.test_case "journals of the statement-per-record writer recover"
+      `Quick test_golden_journal_recovers;
   ]

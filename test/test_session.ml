@@ -458,6 +458,44 @@ let test_demo_deterministic () =
        (fun l -> contains_sub l "aborted" || contains_sub l "conflict")
        lines1)
 
+(* A governed abort lands before the journal append only if nothing on
+   the commit path ticks or polls: [Session.commit] charges the ambient
+   governor nothing past its entry check, whatever the statement and
+   however large its relation, a due checkpoint (the third commit)
+   included. *)
+let test_commit_charges_nothing () =
+  with_temp_dir (fun dir ->
+      let schema =
+        Schema.make "R" [ ("A", Domain.Ints); ("B", Domain.Ints) ]
+      in
+      let row k =
+        Tuple.of_strings [ ("A", Value.Int k); ("B", Value.Int (k mod 7)) ]
+      in
+      Storage.Persist.save ~dir
+        (Storage.Catalog.add Storage.Catalog.empty schema
+           (Xrel.of_list (List.init 2000 row)));
+      Test_durability.with_writer ~dir (fun _ sess ->
+          List.iter
+            (fun stmt ->
+              ignore (Session.exec_string sess stmt);
+              let polls = ref 0 in
+              let cancelled () =
+                incr polls;
+                false
+              in
+              let g = Exec.make ~cancelled ~check_every:1 () in
+              ignore (Exec.with_governor g (fun () -> Session.commit sess));
+              Alcotest.(check (pair int int))
+                (stmt ^ ": ticks, and polls past the entry check")
+                (0, 0)
+                (Exec.charged g, !polls - 1))
+            [
+              "append to R (A = 2000, B = 1)";
+              "range of r is R delete r where r.B = 3";
+              "range of r is R replace r (B = 9) where r.A = 5";
+              "constrain unique R (A) as ua";
+            ]))
+
 let suite =
   [
     Alcotest.test_case "snapshot isolation" `Quick test_snapshot_isolation;
@@ -487,6 +525,8 @@ let suite =
       test_crash_at_point;
     Alcotest.test_case "governors are domain-local" `Quick
       test_governor_domain_local;
+    Alcotest.test_case "a commit charges the governor nothing" `Quick
+      test_commit_charges_nothing;
     Alcotest.test_case "session demo is deterministic" `Quick
       test_demo_deterministic;
   ]

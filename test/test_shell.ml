@@ -128,6 +128,44 @@ let test_save_open_roundtrip () =
               Alcotest.(check string) "PS is back" "PS" listed
           | _ -> Alcotest.fail "expected three outputs"))
 
+(* [.save] over a directory whose journal still holds a committed
+   append: the saved checkpoint must supersede that record, or reopening
+   replays it and brings back the row the shell deleted. *)
+let test_save_supersedes_journal () =
+  Test_durability.with_temp_dir (fun dir ->
+      let open Nullrel in
+      Storage.Persist.save ~dir
+        (Storage.Catalog.add Storage.Catalog.empty
+           (Schema.make "R" [ ("A", Domain.Ints); ("B", Domain.Ints) ])
+           (x
+              [
+                Tuple.of_strings [ ("A", i 1); ("B", i 10) ];
+                Tuple.of_strings [ ("A", i 2) ];
+              ]));
+      Test_durability.with_writer ~dir (fun _ sess ->
+          Test_durability.commit_stmt sess "append to R (A = 3, B = 30)");
+      let _, outputs =
+        feed
+          [
+            Printf.sprintf ".open %s" dir;
+            "range of r is R delete r where r.A = 3";
+            Printf.sprintf ".save %s" dir;
+            Printf.sprintf ".open %s" dir;
+            "range of r is R retrieve (r.A, r.B)";
+          ]
+      in
+      match outputs with
+      | [ _; deleted; _; reopened; rows ] ->
+          Alcotest.(check bool) "the delete ran" true
+            (contains deleted "1 tuple deleted");
+          Alcotest.(check bool) "reopens clean: nothing left to replay" false
+            (contains reopened "problems found");
+          Alcotest.(check bool) "the deleted row stays deleted" false
+            (contains rows "30");
+          Alcotest.(check bool) "the other rows are back" true
+            (contains rows "10")
+      | _ -> Alcotest.fail "expected five outputs")
+
 let test_agg_command () =
   with_ps_csv (fun path ->
       let _, outputs =
@@ -369,4 +407,6 @@ let suite =
     Alcotest.test_case ".analyze and .stats-catalog" `Quick
       test_analyze_and_stats_catalog;
     Alcotest.test_case "empty input" `Quick test_empty_input;
+    Alcotest.test_case ".save supersedes the target's journal" `Quick
+      test_save_supersedes_journal;
   ]

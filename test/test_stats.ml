@@ -201,9 +201,8 @@ let test_torn_stats_file () =
 let test_wal_replay_invalidates () =
   with_temp_dir (fun dir ->
       Storage.Persist.save ~dir (analyzed_catalog ());
-      let d, _ = Dml.open_durable ~checkpoint_every:1000 ~dir () in
-      let d, _ = Dml.exec_durable_string d "append to R (A = 8, B = 8)" in
-      ignore d;
+      Test_durability.with_writer ~checkpoint_every:1000 ~dir (fun _ sess ->
+          Test_durability.commit_stmt sess "append to R (A = 8, B = 8)");
       let report = Storage.Persist.load_report ~dir () in
       let loaded = report.Storage.Persist.catalog in
       Alcotest.(check bool) "R was recovered from the journal" true

@@ -286,9 +286,11 @@ let test_wal_and_crc_columns () =
           (x [ Tuple.of_strings [ ("A", i 1) ] ])
       in
       Storage.Persist.save ~dir cat;
-      let d, _ = Dml.open_durable ~dir () in
-      let d, _ = Dml.exec_durable_string d "append to R (A = 2)" in
-      let cat = Dml.durable_catalog d in
+      let cat =
+        Test_durability.with_writer ~dir (fun eng sess ->
+            Test_durability.commit_stmt sess "append to R (A = 2)";
+            Test_durability.committed eng)
+      in
       (* The checkpointed relation has CRCs; the journaled append shows
          in sys_wal with its tuple delta. *)
       let crc =
