@@ -14,7 +14,11 @@ open Paperdata.Fixtures
 
 let printf = Format.printf
 
+(* The id of the section running, for the gate list. *)
+let current_section = ref ""
+
 let section id title =
+  current_section := id;
   printf "@.=================================================================@.";
   printf "%s | %s@." id title;
   printf "=================================================================@."
@@ -22,6 +26,15 @@ let section id title =
 let verdict label ok expected =
   printf "  [%s] %s (paper: %s)@." (if ok then "OK" else "DEVIATION") label
     expected
+
+(* A verdict that fails the run: every failed gate is listed at the end,
+   and the list alone decides the exit code. *)
+let failed_gates = ref []
+
+let gate label ok expected =
+  verdict label ok expected;
+  if not ok then
+    failed_gates := (!current_section ^ ": " ^ label) :: !failed_gates
 
 let show_table ?title attrs x = printf "%a" (Pp.table_s ?title attrs) x
 
@@ -396,21 +409,21 @@ let e7 ~with_timings () =
           in
           let t_hash_union =
             Timing.ns_per_run (fun () ->
-                ignore (Storage.Hash_index.minimize (Relation.union r1 r2)))
+                ignore (Subsume_index.minimize (Relation.union r1 r2)))
           in
           let t_naive_diff =
             Timing.ns_per_run (fun () -> ignore (Xrel.diff x1 x2))
           in
           let t_hash_diff =
             Timing.ns_per_run (fun () ->
-                ignore (Storage.Hash_index.diff (Xrel.rep x1) (Xrel.rep x2)))
+                ignore (Subsume_index.diff (Xrel.rep x1) (Xrel.rep x2)))
           in
           let t_naive_min =
             Timing.ns_per_run (fun () -> ignore (Relation.minimize r1))
           in
           let t_hash_min =
             Timing.ns_per_run (fun () ->
-                ignore (Storage.Hash_index.minimize r1))
+                ignore (Subsume_index.minimize r1))
           in
           printf "  %6d | %10s %10s %10s | %10s %10s | %10s %10s@." n
             (Timing.pp_ns t_rep_union) (Timing.pp_ns t_xrel_union)
@@ -484,7 +497,7 @@ let e7 ~with_timings () =
           Timing.ns_per_run (fun () -> ignore (Relation.minimize r))
         in
         let t_hash =
-          Timing.ns_per_run (fun () -> ignore (Storage.Hash_index.minimize r))
+          Timing.ns_per_run (fun () -> ignore (Subsume_index.minimize r))
         in
         printf "  %8.2f | %6d / %3d | %12s | %12s@." density minimal
           (Relation.cardinal r) (Timing.pp_ns t_naive) (Timing.pp_ns t_hash))
@@ -733,9 +746,13 @@ let e12 ~with_timings () =
           [ ("R", (schema_of "A", r)); ("S", (schema_of "B", s_rel)) ]
         in
         let q = Quel.Parser.parse src in
+        let schemas name =
+          Option.map (fun (s_, _) -> Schema.attrs s_) (List.assoc_opt name db)
+        in
+        let env name = Option.map snd (List.assoc_opt name db) in
         let t_plain =
           Timing.ns_per_run (fun () ->
-              ignore (Plan.Compile.run ~optimize:false db q))
+              ignore (Plan.Expr.eval ~env (Plan.Compile.query ~schemas q)))
         in
         let t_opt =
           Timing.ns_per_run (fun () -> ignore (Plan.Compile.run db q))
@@ -776,7 +793,7 @@ let e15 ~with_timings () =
            these sizes *)
         let x1 =
           Xrel.unsafe_of_minimal
-            (Storage.Hash_index.minimize (Workload.Gen.relation g spec))
+            (Subsume_index.minimize (Workload.Gen.relation g spec))
         in
         let a = Attr.make "A1" in
         let k = i (n / 100) in
@@ -963,29 +980,14 @@ let e18 ~with_timings () =
         (Exec.make ~deadline_s:3600. ~max_tuples:max_int ())
         workload
     in
-    (* Interleaved rounds with a min on each side: alternation cancels
-       slow drift, and scheduler or GC noise only ever adds time, so
-       the minimum is the faithful per-run cost. *)
-    let time_once f =
-      let t0 = Exec.monotonic_now () in
-      f ();
-      (Exec.monotonic_now () -. t0) *. 1e9
-    in
-    Gc.major ();
-    let t_off = ref infinity and t_on = ref infinity in
-    for _ = 1 to 12 do
-      t_off := Float.min !t_off (time_once workload);
-      t_on := Float.min !t_on (time_once governed)
-    done;
-    let t_off = !t_off and t_on = !t_on in
-    let overhead = (t_on -. t_off) /. t_off *. 100. in
-    printf
-      "  x-intersection, 400 x 400 rows (min of 12 interleaved rounds):@.";
-    printf "  ungoverned %s, governed %s@." (Timing.pp_ns t_off)
-      (Timing.pp_ns t_on);
-    printf "  governor overhead: %+.1f%%  (target: < 5%%)@." overhead;
+    let r = Timing.ab ~base:workload ~variant:governed in
+    printf "  x-intersection, 400 x 400 rows (%s):@." Timing.describe_ab;
+    printf "  ungoverned %s, governed %s@." (Timing.pp_ns r.Timing.base_ns)
+      (Timing.pp_ns r.Timing.variant_ns);
+    printf "  governor overhead: %+.1f%%  (target: < 5%%)@."
+      r.Timing.overhead_pct;
     verdict "amortized governor checks stay under the 5% overhead target"
-      (overhead < 5.0) "robustness goal, not a paper claim";
+      (r.Timing.overhead_pct < 5.0) "robustness goal, not a paper claim";
     (* Time-to-abort: a brute-force tautology check over 10^12
        substitutions would run for hours; a 20 ms deadline must stop it
        almost immediately. *)
@@ -1027,8 +1029,6 @@ let e18 ~with_timings () =
 (* E19: observability -- what the Obs layer costs when nobody is
    watching (the branch in Exec.tick and the metric call sites) and
    when everything is on.                                             *)
-
-let e19_gate_failed = ref false
 
 (* A structurally 1:1 reimplementation of Xrel.inter (pairwise meets,
    then Kernel.minimize, which picks the Subsume_index strategy at
@@ -1087,54 +1087,17 @@ let e19 ~with_timings () =
       Obs.Span.with_span "bench.e19" (fun () -> ignore (Xrel.inter x1 x2));
       Obs.Metrics.set_enabled false
     in
-    (* Interleaved rounds like E18, but a blockwise estimator: the 80
-       rounds are cut into blocks of 10, each block takes the min per
-       side (timing noise is additive-positive, so the min is the
-       cleanest round), the ratio is formed within the block (the two
-       minima are temporally close, so clock drift cancels), and the
-       median across blocks rejects the odd block still corrupted by a
-       GC pause or scheduler preemption. *)
-    let time_once f =
-      let t0 = Exec.monotonic_now () in
-      f ();
-      (Exec.monotonic_now () -. t0) *. 1e9
-    in
-    Gc.major ();
-    let blocks = 8 and per_block = 10 in
-    let r_off = Array.make blocks 0. and r_on = Array.make blocks 0. in
-    let t_bare = ref infinity
-    and t_off = ref infinity
-    and t_on = ref infinity in
-    for i = 0 to blocks - 1 do
-      let b = ref infinity and o = ref infinity and e = ref infinity in
-      for _ = 1 to per_block do
-        b := Float.min !b (time_once bare);
-        o := Float.min !o (time_once instrumented);
-        e := Float.min !e (time_once enabled)
-      done;
-      r_off.(i) <- !o /. !b;
-      r_on.(i) <- !e /. !b;
-      t_bare := Float.min !t_bare !b;
-      t_off := Float.min !t_off !o;
-      t_on := Float.min !t_on !e
-    done;
-    let median a =
-      Array.sort Float.compare a;
-      (a.((Array.length a - 1) / 2) +. a.(Array.length a / 2)) /. 2.
-    in
-    let over_off = (median r_off -. 1.) *. 100. in
-    let over_on = (median r_on -. 1.) *. 100. in
-    printf
-      "  x-intersection, 200 x 200 rows (median over 8 blocks of 10 \
-       interleaved rounds):@.";
+    let off = Timing.ab ~base:bare ~variant:instrumented in
+    let on_ = Timing.ab ~base:bare ~variant:enabled in
+    printf "  x-intersection, 200 x 200 rows (%s):@." Timing.describe_ab;
     printf "  uninstrumented %s, obs off %s, obs on %s (overall minima)@."
-      (Timing.pp_ns !t_bare) (Timing.pp_ns !t_off) (Timing.pp_ns !t_on);
-    printf "  overhead: off %+.1f%% (gate: < 3%%), on %+.1f%%@." over_off
-      over_on;
-    let ok = over_off < 3.0 in
-    if not ok then e19_gate_failed := true;
-    verdict "disabled instrumentation stays under the 3% overhead gate" ok
-      "observability goal, not a paper claim";
+      (Timing.pp_ns off.Timing.base_ns)
+      (Timing.pp_ns off.Timing.variant_ns)
+      (Timing.pp_ns on_.Timing.variant_ns);
+    printf "  overhead: off %+.1f%% (gate: < 3%%), on %+.1f%%@."
+      off.Timing.overhead_pct on_.Timing.overhead_pct;
+    gate "disabled instrumentation stays under the 3% overhead gate"
+      (off.Timing.overhead_pct < 3.0) "observability goal, not a paper claim";
     Obs.Metrics.reset ();
     Par.Pool.set_domains saved_domains
   end
@@ -1142,8 +1105,6 @@ let e19 ~with_timings () =
 (* ---------------------------------------------------------------- *)
 (* E20: multicore kernels -- parity everywhere, speedup where the
    hardware allows it.                                                *)
-
-let e20_gate_failed = ref false
 
 let e20 ~with_timings () =
   section "E20" "Parallel kernels: one dispatch, byte-identical results";
@@ -1222,25 +1183,18 @@ let e20 ~with_timings () =
         { Workload.Gen.arity = 4; rows = 50; domain_size = 8;
           null_density = 0.2 }
     in
-    let direct = ref infinity and dispatched = ref infinity in
-    for _ = 1 to 5 do
-      direct :=
-        Float.min !direct
-          (Timing.ns_per_run (fun () -> ignore (Relation.minimize small)));
-      dispatched :=
-        Float.min !dispatched
-          (Timing.ns_per_run (fun () -> ignore (Kernel.minimize small)))
-    done;
-    let over = ((!dispatched /. !direct) -. 1.) *. 100. in
-    printf
-      "  dispatch overhead (%d tuples, sequential): direct %s, via Kernel %s \
-       (%+.1f%%)@."
-      (Relation.cardinal small) (Timing.pp_ns !direct)
-      (Timing.pp_ns !dispatched) over;
-    let ok_dispatch = over < 3.0 in
-    if not ok_dispatch then e20_gate_failed := true;
-    verdict "single-domain dispatch overhead stays under the 3% gate"
-      ok_dispatch "engineering goal, not a paper claim";
+    let d =
+      Timing.ab
+        ~base:(fun () -> ignore (Relation.minimize small))
+        ~variant:(fun () -> ignore (Kernel.minimize small))
+    in
+    printf "  dispatch overhead (%d tuples, sequential; %s):@."
+      (Relation.cardinal small) Timing.describe_ab;
+    printf "  direct %s, via Kernel %s (%+.1f%%)@."
+      (Timing.pp_ns d.Timing.base_ns)
+      (Timing.pp_ns d.Timing.variant_ns) d.Timing.overhead_pct;
+    gate "single-domain dispatch overhead stays under the 3% gate"
+      (d.Timing.overhead_pct < 3.0) "engineering goal, not a paper claim";
     (* Parallel speedup: gated only on hardware with >= 4 cores. The
        baseline is the best single-domain strategy (indexed for
        minimize, sequential probing for the join) -- the naive
@@ -1306,9 +1260,8 @@ let e20 ~with_timings () =
       | Some (_, s_min, s_join) ->
           printf "  speedup on 4 domains: minimize %.2fx, equijoin %.2fx@."
             s_min s_join;
-          let ok = s_min >= 1.8 && s_join >= 1.8 in
-          if not ok then e20_gate_failed := true;
-          verdict "parallel kernels reach 1.8x on 4 domains" ok
+          gate "parallel kernels reach 1.8x on 4 domains"
+            (s_min >= 1.8 && s_join >= 1.8)
             "ROADMAP: as fast as the hardware allows"
     end;
     Par.Pool.set_domains saved_domains
@@ -1319,8 +1272,6 @@ let e20 ~with_timings () =
    null fractions / distinct counts / min-max ranges into Plan.Cost
    actually estimate better than the constant model, and does the
    cost-based reorder change a plan?                                  *)
-
-let e21_gate_failed = ref false
 
 let e21 ~with_timings () =
   section "E21" "Null-aware statistics: estimation quality, plan changes";
@@ -1390,20 +1341,14 @@ let e21 ~with_timings () =
           errors_stats := err stats_model :: !errors_stats)
         plans)
     sweep_specs;
-  let median l =
-    let a = Array.of_list l in
-    Array.sort Float.compare a;
-    (a.((Array.length a - 1) / 2) +. a.(Array.length a / 2)) /. 2.
-  in
-  let m_const = median !errors_const and m_stats = median !errors_stats in
+  let m_const = Timing.median (Array.of_list !errors_const)
+  and m_stats = Timing.median (Array.of_list !errors_stats) in
   printf
     "  est/actual error over %d plans on 3 generated databases:@.\
     \  constant model median %.2fx, statistics model median %.2fx@."
     (List.length !errors_const) m_const m_stats;
-  let ok_error = m_stats < m_const in
-  if not ok_error then e21_gate_failed := true;
-  verdict "collected statistics beat the constant cost model" ok_error
-    "engineering goal on top of the Table III semantics";
+  gate "collected statistics beat the constant cost model"
+    (m_stats < m_const) "engineering goal on top of the Table III semantics";
   (* --- the reorder changes a join order ------------------------- *)
   let big_schema =
     Schema.make "BIG" [ ("A", Domain.Ints); ("B", Domain.Ints) ]
@@ -1454,8 +1399,7 @@ let e21 ~with_timings () =
     && Plan.Expr.equal without chain
     && Xrel.equal (Plan.Expr.eval ~env chain) (Plan.Expr.eval ~env with_stats)
   in
-  if not ok_reorder then e21_gate_failed := true;
-  verdict "statistics flip the join order (smallest first), same answer"
+  gate "statistics flip the join order (smallest first), same answer"
     ok_reorder "cost-based reorder, result preserved by commutativity";
   (* --- analyze overhead ----------------------------------------- *)
   if not with_timings then printf "  (timings skipped)@."
@@ -1481,17 +1425,13 @@ let e21 ~with_timings () =
        (%.1fx; gate: < 50x)@."
       (Xrel.cardinal x) (List.length attrs) (Timing.pp_ns t_scan)
       (Timing.pp_ns t_collect) ratio;
-    let ok_overhead = ratio < 50. in
-    if not ok_overhead then e21_gate_failed := true;
-    verdict "analyze costs a bounded constant factor over one scan"
-      ok_overhead "single governed pass per relation"
+    gate "analyze costs a bounded constant factor over one scan"
+      (ratio < 50.) "single governed pass per relation"
   end
 
 (* ---------------------------------------------------------------- *)
 (* E22: the concurrent session layer -- snapshot isolation, group
    commit throughput, and the crash-fault matrix.                     *)
-
-let e22_gate_failed = ref false
 
 let e22_temp_dir tag =
   let base = Filename.get_temp_dir_name () in
@@ -1563,8 +1503,7 @@ let e22 ~with_timings () =
       in
       if not ok then all_ok := false)
     modes;
-  if not !all_ok then e22_gate_failed := true;
-  verdict
+  gate
     (Printf.sprintf
        "%d seeded kills: zero lost committed, zero resurrected aborted"
        (3 * trials))
@@ -1657,21 +1596,17 @@ let e22 ~with_timings () =
           speedup;
         ignore st_g)
       [ 1; 2; 4; 8 ];
-    let ok = !speedup_at_8 >= 2. in
-    if not ok then e22_gate_failed := true;
-    verdict
+    gate
       (Printf.sprintf
          "group commit amortizes the fsync: %.1fx throughput at 8 sessions \
           (gate: >= 2x)"
          !speedup_at_8)
-      ok "one bounded-window fsync per batch"
+      (!speedup_at_8 >= 2.) "one bounded-window fsync per batch"
   end
 
 (* ---------------------------------------------------------------- *)
-(* E23: the constraint subsystem -- index probes vs full rescans, and
-   the price of the machinery when nothing is declared.               *)
-
-let e23_gate_failed = ref false
+(* E23: the constraint subsystem -- index probes vs full rescans, on
+   the insert side and on the delete side.                            *)
 
 let e23 ~with_timings () =
   section "E23" "Constraints: incremental enforcement cost";
@@ -1680,7 +1615,7 @@ let e23 ~with_timings () =
     \  index, not by rescanning the catalog; a catalog with no declarations\n\
     \  must pay one branch.  Gates: per-insert probe cost grows sublinearly\n\
     \  where a full check_references pass grows with the target, and the\n\
-    \  constraint-free DML overhead stays < 3%%.@.";
+    \  indexed delete action grows sublinearly where its scan does not.@.";
   (* Declared constraints mirror into the advisory full-scan check --
      the symbolic half of the section, independent of timings. *)
   let mk_cat ?(action = "restrict") ?(indexed = false) n =
@@ -1759,10 +1694,9 @@ let e23 ~with_timings () =
       (Timing.pp_ns p8) growth_p;
     printf "  check_references:  %s -> %s (%.1fx)@." (Timing.pp_ns s1)
       (Timing.pp_ns s8) growth_s;
-    let ok_sublinear = growth_p < 0.5 *. growth_s && p8 < s8 in
-    if not ok_sublinear then e23_gate_failed := true;
-    verdict "probe cost is sublinear in the target where the rescan is not"
-      ok_sublinear "incremental enforcement pays per statement, not per row";
+    gate "probe cost is sublinear in the target where the rescan is not"
+      (growth_p < 0.5 *. growth_s && p8 < s8)
+      "incremental enforcement pays per statement, not per row";
     (* --- (a') the delete side: one cascading delete, n and 8n rows -- *)
     (* Deleting T(K = 1) orphans R(F = 1, W = 1), which the cascade
        removes. With a declared hash index on R (F) the action finds it
@@ -1806,70 +1740,14 @@ let e23 ~with_timings () =
       (Timing.pp_ns dp8) growth_dp;
     printf "  scan of R:         %s -> %s (%.1fx)@." (Timing.pp_ns ds1)
       (Timing.pp_ns ds8) growth_ds;
-    let ok_delete = growth_dp < 0.5 *. growth_ds in
-    if not ok_delete then e23_gate_failed := true;
-    verdict "an indexed delete action grows sublinearly where the scan does not"
-      ok_delete "the cascade probes the references the delete broke";
-    (* --- (b) constraint-free overhead, blockwise like E19 --------- *)
-    let free =
-      let schema = Schema.make "P" [ ("A", Domain.Ints); ("B", Domain.Ints) ] in
-      let rows =
-        Xrel.of_list (List.init 400 (fun k -> t [ ("A", i k); ("B", i (k mod 13)) ]))
-      in
-      Storage.Catalog.add Storage.Catalog.empty schema rows
-    in
-    let stmts =
-      List.init 8 (fun k ->
-          Quel.Parser.parse_statement
-            (Printf.sprintf "append to P (A = %d, B = %d)" (500 + k) k))
-    in
-    let workload () =
-      List.iter (fun stmt -> ignore (Dml.exec free stmt)) stmts
-    in
-    let time_once f =
-      let t0 = Exec.monotonic_now () in
-      f ();
-      (Exec.monotonic_now () -. t0) *. 1e9
-    in
-    Gc.major ();
-    let blocks = 8 and per_block = 10 in
-    let ratios = Array.make blocks 0. in
-    let t_off = ref infinity and t_on = ref infinity in
-    for b = 0 to blocks - 1 do
-      let off = ref infinity and on_ = ref infinity in
-      for _ = 1 to per_block do
-        Constr.enabled := false;
-        off := Float.min !off (time_once workload);
-        Constr.enabled := true;
-        on_ := Float.min !on_ (time_once workload)
-      done;
-      ratios.(b) <- !on_ /. !off;
-      t_off := Float.min !t_off !off;
-      t_on := Float.min !t_on !on_
-    done;
-    Constr.enabled := true;
-    let median a =
-      Array.sort Float.compare a;
-      (a.((Array.length a - 1) / 2) +. a.(Array.length a / 2)) /. 2.
-    in
-    let overhead = (median ratios -. 1.) *. 100. in
-    printf
-      "  8 appends on a constraint-free catalog (median over %d blocks of \
-       %d):@."
-      blocks per_block;
-    printf "  kill switch off %s, on %s; overhead %+.1f%% (gate: < 3%%)@."
-      (Timing.pp_ns !t_off) (Timing.pp_ns !t_on) overhead;
-    let ok_overhead = overhead < 3.0 in
-    if not ok_overhead then e23_gate_failed := true;
-    verdict "an undeclared catalog pays under 3% for the machinery"
-      ok_overhead "the enforcement fast path is one branch"
+    gate "an indexed delete action grows sublinearly where the scan does not"
+      (growth_dp < 0.5 *. growth_ds)
+      "the cascade probes the references the delete broke"
   end
 
 (* ---------------------------------------------------------------- *)
 (* E24: the system catalog -- telemetry as relations, the history
    ring, and the price of the machinery when the recorder is off.     *)
-
-let e24_gate_failed = ref false
 
 let e24 ~with_timings () =
   section "E24" "System catalog: telemetry as relations";
@@ -1957,7 +1835,7 @@ let e24 ~with_timings () =
     "the flight recorder is bounded";
   if not with_timings then printf "  (timings skipped)@."
   else begin
-    (* --- recorder off vs on, blockwise like E23 ------------------- *)
+    (* --- recorder off vs on ---------------------------------------- *)
     (* A metrics-hot governed workload (every tick takes the observed
        main-domain branch, where History.charge sits): the kill switch
        off must make the recorder one predicted branch, and even on,
@@ -1975,63 +1853,38 @@ let e24 ~with_timings () =
       Exec.with_governor (Exec.make ()) (fun () ->
           ignore (Algebra.equijoin on' left right))
     in
-    let time_once f =
-      let t0 = Exec.monotonic_now () in
-      f ();
-      (Exec.monotonic_now () -. t0) *. 1e9
+    let with_recorder on () =
+      Obs.History.set_enabled on;
+      workload ()
     in
     Obs.Metrics.set_enabled true;
-    Gc.major ();
-    let blocks = 8 and per_block = 10 in
-    let ratios = Array.make blocks 0. in
-    let t_off = ref infinity and t_on = ref infinity in
-    for b = 0 to blocks - 1 do
-      let off = ref infinity and on_ = ref infinity in
-      for _ = 1 to per_block do
-        Obs.History.set_enabled false;
-        off := Float.min !off (time_once workload);
-        Obs.History.set_enabled true;
-        on_ := Float.min !on_ (time_once workload)
-      done;
-      ratios.(b) <- !on_ /. !off;
-      t_off := Float.min !t_off !off;
-      t_on := Float.min !t_on !on_
-    done;
+    let r =
+      Timing.ab ~base:(with_recorder false) ~variant:(with_recorder true)
+    in
     Obs.History.set_enabled false;
     Obs.History.clear ();
     Obs.Metrics.set_enabled false;
     Obs.Metrics.reset ();
-    let median a =
-      Array.sort Float.compare a;
-      (a.((Array.length a - 1) / 2) +. a.(Array.length a / 2)) /. 2.
-    in
-    let overhead = (median ratios -. 1.) *. 100. in
-    printf
-      "  governed 300x300 equijoin, metrics hot (median over %d blocks of \
-       %d):@."
-      blocks per_block;
+    printf "  governed 300x300 equijoin, metrics hot (%s):@."
+      Timing.describe_ab;
     printf "  recorder off %s, on %s; overhead %+.1f%% (gate: < 3%%)@."
-      (Timing.pp_ns !t_off) (Timing.pp_ns !t_on) overhead;
-    let ok_overhead = overhead < 3.0 in
-    if not ok_overhead then e24_gate_failed := true;
-    verdict "the switched-off recorder pays under 3%" ok_overhead
+      (Timing.pp_ns r.Timing.base_ns) (Timing.pp_ns r.Timing.variant_ns)
+      r.Timing.overhead_pct;
+    gate "the switched-off recorder pays under 3%" (r.Timing.overhead_pct < 3.0)
       "history is one branch until asked for"
   end
 
 (* ---------------------------------------------------------------- *)
 (* E25: the semantics dialects -- the containment lattice between the
-   four readings, and the price of routing ||Q||- through the seam.   *)
+   four readings.                                                     *)
 
-let e25_gate_failed = ref false
-
-let e25 ~with_timings () =
+let e25 () =
   section "E25" "Semantics dialects: one seam, four readings";
   printf
     "  Every evaluator now answers through a Semantics capability record\n\
     \  (ni / codd / sql / certain).  Gates: the differential harness's\n\
-    \  containment lattice holds on generated queries, the dialects split\n\
-    \  the paper's PS example as Section 5 predicts, and the ni dialect\n\
-    \  pays < 3%% over a replica of the pre-seam evaluator.@.";
+    \  containment lattice holds on generated queries, and the dialects\n\
+    \  split the paper's PS example as Section 5 predicts.@.";
   (* --- symbolic: the harness at bench volume ---------------------- *)
   let report = Workload.Diff.run ~queries:200 () in
   List.iter
@@ -2085,93 +1938,13 @@ let e25 ~with_timings () =
       ]
   in
   verdict "the dialects split the PS example as the paper predicts"
-    split_as_printed "||Q||- = {s1,s2}; s3 is MAYBE/UNKNOWN only";
-  if not with_timings then printf "  (timings skipped)@."
-  else begin
-    (* --- seam cost on the ni fast path, blockwise like E23 -------- *)
-    (* A replica of the pre-seam evaluator: the same combined tuples,
-       a plain [Predicate.eval = True] filter, the same projection and
-       minimizing x-relation build.  The seam adds one record
-       dereference per connective and a band dispatch per row; that
-       must stay in the noise. *)
-    let spec =
-      { Workload.Gen.rows = 400; domain_size = 16; arity = 4;
-        null_density = 0.15 }
-    in
-    let g = Workload.Prng.create 7 in
-    let bdb = Workload.Gen.db (Workload.Prng.split g) spec 1 in
-    let bq =
-      Quel.Parser.parse
-        "range of x is R1 retrieve (x.A1, x.A2) where x.A1 > 3 and x.A3 <= 12"
-    in
-    let replica () =
-      let p =
-        match bq.Quel.Ast.where with
-        | None -> Predicate.Const Tvl.True
-        | Some c -> Quel.Eval.predicate_of_cond c
-      in
-      let rows =
-        List.filter
-          (fun r ->
-            Exec.tick ();
-            Predicate.eval p r = Tvl.True)
-          (Quel.Eval.combined_tuples bdb bq)
-      in
-      let attrs =
-        List.map (Quel.Eval.target_attr bq.Quel.Ast.targets) bq.Quel.Ast.targets
-      in
-      let project r =
-        List.fold_left2
-          (fun acc (v, a) out ->
-            Tuple.set acc out (Tuple.get r (Quel.Resolve.prefixed v a)))
-          Tuple.empty bq.Quel.Ast.targets attrs
-      in
-      ignore (Xrel.of_list (List.map project rows))
-    in
-    let seam () = ignore (Quel.Eval.run bdb bq) in
-    let time_once f =
-      let t0 = Exec.monotonic_now () in
-      f ();
-      (Exec.monotonic_now () -. t0) *. 1e9
-    in
-    Gc.major ();
-    let blocks = 8 and per_block = 10 in
-    let ratios = Array.make blocks 0. in
-    let t_pre = ref infinity and t_seam = ref infinity in
-    for b = 0 to blocks - 1 do
-      let pre = ref infinity and post = ref infinity in
-      for _ = 1 to per_block do
-        pre := Float.min !pre (time_once replica);
-        post := Float.min !post (time_once seam)
-      done;
-      ratios.(b) <- !post /. !pre;
-      t_pre := Float.min !t_pre !pre;
-      t_seam := Float.min !t_seam !post
-    done;
-    let median a =
-      Array.sort Float.compare a;
-      (a.((Array.length a - 1) / 2) +. a.(Array.length a / 2)) /. 2.
-    in
-    let overhead = (median ratios -. 1.) *. 100. in
-    printf
-      "  400-row ni retrieve (median over %d blocks of %d):@." blocks
-      per_block;
-    printf "  pre-seam replica %s, through the seam %s; overhead %+.1f%% \
-            (gate: < 3%%)@."
-      (Timing.pp_ns !t_pre) (Timing.pp_ns !t_seam) overhead;
-    let ok_overhead = overhead < 3.0 in
-    if not ok_overhead then e25_gate_failed := true;
-    verdict "the ni fast path pays under 3% for the seam" ok_overhead
-      "the lower bound stays the cheap default"
-  end
+    split_as_printed "||Q||- = {s1,s2}; s3 is MAYBE/UNKNOWN only"
 
 (* ---------------------------------------------------------------- *)
 (* E26: incremental minimality and persistent secondary indexes --
    writes maintain the minimal representation by probing the
    subsumption index instead of re-minimizing, and declared
    equi-indexes survive a restart under the CRC stamp protocol.       *)
-
-let e26_gate_failed = ref false
 
 let e26_read path =
   let ic = open_in_bin path in
@@ -2266,8 +2039,7 @@ let e26 ~with_timings () =
   let ok_parity =
     catalogs_agree && List.equal String.equal log_inc log_ora
   in
-  if not ok_parity then e26_gate_failed := true;
-  verdict "the incremental path lands on the oracle's catalog, word for word"
+  gate "the incremental path lands on the oracle's catalog, word for word"
     ok_parity "minimality is maintained, never re-established";
   show_table ~title:"R after the schedule (either pipeline)" [ "A"; "B" ]
     (Storage.Catalog.relation cat_inc "R");
@@ -2318,7 +2090,7 @@ let e26 ~with_timings () =
         fresh.Storage.Persist.journal_note = None
         && indexes fresh = 2 && probes_toys fresh
       in
-      verdict "a fresh stamp re-attaches both dumps, no rebuild, no note"
+      gate "a fresh stamp re-attaches both dumps, no rebuild, no note"
         ok_attach "attach is the cold-start fast path";
       e26_filter_index proto_dir (function "line" :: _ -> false | _ -> true);
       let rebuilt = Storage.Persist.load_report ~dir:proto_dir () in
@@ -2326,7 +2098,7 @@ let e26 ~with_timings () =
         rebuilt.Storage.Persist.journal_note = None
         && indexes rebuilt = 2 && probes_toys rebuilt
       in
-      verdict "a missing dump degrades to a from-scratch rebuild"
+      gate "a missing dump degrades to a from-scratch rebuild"
         ok_rebuild "slower, never wrong";
       let path = Filename.concat proto_dir "INDEX" in
       let data = e26_read path in
@@ -2341,9 +2113,7 @@ let e26 ~with_timings () =
              (Storage.Catalog.relation torn.Storage.Persist.catalog "EMP")
              proto_rows
       in
-      if not (ok_attach && ok_rebuild && ok_torn) then
-        e26_gate_failed := true;
-      verdict "a torn INDEX file drops the declarations loudly, data intact"
+      gate "a torn INDEX file drops the declarations loudly, data intact"
         ok_torn "acceleration is never allowed to be wrong");
   if not with_timings then printf "  (timings skipped)@."
   else begin
@@ -2385,10 +2155,9 @@ let e26 ~with_timings () =
       (Timing.pp_ns p8) growth_p;
     printf "  full-rewrite oracle: %s -> %s (%.1fx)@." (Timing.pp_ns s1)
       (Timing.pp_ns s8) growth_s;
-    let ok_sublinear = growth_p < 0.5 *. growth_s && p8 < s8 in
-    if not ok_sublinear then e26_gate_failed := true;
-    verdict "per-statement cost is sublinear where the oracle's is not"
-      ok_sublinear "maintenance pays for the delta, not the relation";
+    gate "per-statement cost is sublinear where the oracle's is not"
+      (growth_p < 0.5 *. growth_s && p8 < s8)
+      "maintenance pays for the delta, not the relation";
     (* --- (b) cold start: attach fresh dumps vs rebuild ------------- *)
     (* The loader's index phase is [Catalog.restore_index] once per
        declaration: a positional re-attach of the dump when the stamp
@@ -2457,9 +2226,8 @@ let e26 ~with_timings () =
     printf "  attach fresh dumps: %s; rebuild from declarations: %s (%.1fx)@."
       (Timing.pp_ns attach_ns) (Timing.pp_ns rebuild_ns)
       (rebuild_ns /. attach_ns);
-    let ok_cold = all_attached && rebuild_ns >= 2. *. attach_ns in
-    if not ok_cold then e26_gate_failed := true;
-    verdict "attaching fresh dumps beats rebuilding >= 2x" ok_cold
+    gate "attaching fresh dumps beats rebuilding >= 2x"
+      (all_attached && rebuild_ns >= 2. *. attach_ns)
       "persisted indexes are worth their bytes"
   end
 
@@ -2548,12 +2316,13 @@ let () =
   e22 ~with_timings ();
   e23 ~with_timings ();
   e24 ~with_timings ();
-  e25 ~with_timings ();
+  e25 ();
   e26 ~with_timings ();
   e14 ();
   printf "@.All sections completed.@.";
-  if
-    !e19_gate_failed || !e20_gate_failed || !e21_gate_failed
-    || !e22_gate_failed || !e23_gate_failed || !e24_gate_failed
-    || !e25_gate_failed || !e26_gate_failed
-  then exit 1
+  match List.rev !failed_gates with
+  | [] -> ()
+  | failed ->
+      printf "%d gate(s) failed:@." (List.length failed);
+      List.iter (printf "  %s@.") failed;
+      exit 1

@@ -24,9 +24,19 @@
 open Nullrel
 open Cmdliner
 
-let load path =
-  try Storage.Csv.read_file path with
+(* [read path], with a CSV error naming the file. *)
+let csv_file read path =
+  try read path with
   | Storage.Csv.Error msg -> raise (Storage.Csv.Error (path ^ ": " ^ msg))
+
+let load = csv_file (fun path -> Storage.Csv.read_file path)
+
+let split_eq what binding =
+  match String.index_opt binding '=' with
+  | None -> Exec_error.bad_inputf "%s expects NAME=..., got %s" what binding
+  | Some idx ->
+      ( String.sub binding 0 idx,
+        String.sub binding (idx + 1) (String.length binding - idx - 1) )
 
 (* Column order for printing a result: requested attrs first, then any
    remaining scope attributes. *)
@@ -75,6 +85,10 @@ let handle f =
   | Quel.Resolve.Error msg ->
       abort "resolve" msg;
       Printf.eprintf "error: %s\n" msg;
+      exit 2
+  | Value.Type_error msg ->
+      abort "type" msg;
+      Printf.eprintf "type error: %s\n" msg;
       exit 2
   | Storage.Csv.Error msg ->
       abort "csv" msg;
@@ -161,15 +175,21 @@ let set_semantics dialect =
     (fun d -> Semantics.set_default (Semantics.of_dialect d))
     dialect
 
-let governed deadline_s max_tuples metrics_file trace trace_file domains
-    semantics f =
+let setup metrics_file trace trace_file domains semantics =
   Option.iter Par.Pool.set_domains domains;
   set_semantics semantics;
-  setup_obs metrics_file trace trace_file;
-  handle (fun () ->
-      match (deadline_s, max_tuples) with
-      | None, None -> f ()
-      | _ -> Exec.with_governor (Exec.make ?deadline_s ?max_tuples ()) f)
+  setup_obs metrics_file trace trace_file
+
+(* [f] under a governor, when any limit is set. *)
+let limited deadline_s max_tuples f =
+  match (deadline_s, max_tuples) with
+  | None, None -> f ()
+  | _ -> Exec.with_governor (Exec.make ?deadline_s ?max_tuples ()) f
+
+let governed deadline_s max_tuples metrics_file trace trace_file domains
+    semantics f =
+  setup metrics_file trace trace_file domains semantics;
+  handle (fun () -> limited deadline_s max_tuples f)
 
 (* ------------------------- arguments ---------------------- *)
 
@@ -368,48 +388,17 @@ let rel_arg =
   let doc = "Bind a relation: NAME=FILE.csv (repeatable)." in
   Arg.(value & opt_all string [] & info [ "rel"; "r" ] ~doc ~docv:"NAME=FILE")
 
-let db_of_rels rels =
-  List.map
-    (fun binding ->
-      match String.index_opt binding '=' with
-      | None -> Exec_error.bad_inputf "--rel expects NAME=FILE, got %s" binding
-      | Some idx ->
-          let name = String.sub binding 0 idx in
-          let path =
-            String.sub binding (idx + 1) (String.length binding - idx - 1)
-          in
-          let attrs, x = load path in
-          let schema =
-            Schema.make name
-              (List.map
-                 (fun a ->
-                   ( Attr.name a,
-                     (* guess the domain from the first non-null value *)
-                     match
-                       List.find_map
-                         (fun r ->
-                           match Tuple.get r a with
-                           | Value.Null -> None
-                           | Value.Int _ -> Some Domain.Ints
-                           | Value.Float _ -> Some Domain.Floats
-                           | Value.Bool _ -> Some Domain.Bools
-                           | Value.Str _ -> Some Domain.Strings)
-                         (Xrel.to_list x)
-                     with
-                     | Some d -> d
-                     | None -> Domain.Strings ))
-                 attrs)
-          in
-          (name, (schema, x)))
-    rels
-
-(* An in-memory catalog over the --rel bindings, feeding sys_relations
-   and sys_columns rows for them (stats are Missing, constraints none —
-   honestly reported as such). *)
-let catalog_of_db db =
+(* An in-memory catalog over the --rel bindings. The system catalog is
+   built over it when a query ranges over a sys_* relation, so
+   sys_relations and sys_columns report the bound CSVs (stats Missing,
+   constraints none — honestly reported as such). *)
+let catalog_of_rels rels =
   List.fold_left
-    (fun cat (_, (schema, x)) -> Storage.Catalog.add cat schema x)
-    Storage.Catalog.empty db
+    (fun cat binding ->
+      let name, path = split_eq "--rel" binding in
+      let schema, x = csv_file (Storage.Csv.read_relation name) path in
+      Storage.Catalog.add cat schema x)
+    Storage.Catalog.empty rels
 
 let query_cmd =
   let query_arg =
@@ -425,15 +414,13 @@ let query_cmd =
   in
   let run as_csv timeout tuples metrics trace tracef domains sem_d analyze rels query_src =
     governed timeout tuples metrics trace tracef domains sem_d (fun () ->
-        let user_db = db_of_rels rels in
-        (* The system catalog rides along: sys_* virtual relations over
-           a throwaway catalog holding the bound CSVs, so a query can
-           range over sys_metrics or sys_relations with no setup. *)
-        let db = user_db @ Sysview.db (catalog_of_db user_db) in
+        let cat = catalog_of_rels rels in
+        let q = Quel.Parser.parse query_src in
+        let db = Sysview.statement_db ~ranges:q.Quel.Ast.ranges cat in
         let sem = Semantics.current () in
         match (sem.Semantics.dialect, analyze) with
         | Semantics.Ni_lower, false ->
-            let result = Quel.Eval.run_string db query_src in
+            let result = Quel.Eval.run db q in
             emit ~as_csv result.Quel.Eval.attrs result.Quel.Eval.rel
         | _, true ->
             (* The planner path: under a reporting dialect the result is
@@ -443,7 +430,7 @@ let query_cmd =
               List.map
                 (fun (name, (schema, x)) ->
                   (name, Stats.collect ~attrs:(Schema.attrs schema) x))
-                user_db
+                (Storage.Catalog.to_db cat)
             in
             let stats =
               {
@@ -456,10 +443,7 @@ let query_cmd =
                 equipped = (fun _ _ -> false);
               }
             in
-            let result =
-              Plan.Compile.run ~stats ~semantics:sem db
-                (Quel.Parser.parse query_src)
-            in
+            let result = Plan.Compile.run ~stats ~semantics:sem db q in
             emit ~as_csv result.Quel.Eval.attrs result.Quel.Eval.rel
         | (Semantics.Codd_maybe | Semantics.Sql_3vl | Semantics.Certain), false
           ->
@@ -467,7 +451,6 @@ let query_cmd =
               Exec_error.bad_input
                 "--csv emits x-relations; the reporting dialects produce \
                  plain-set bands (drop --csv, or use --semantics ni)";
-            let q = Quel.Parser.parse query_src in
             let b = Quel.Eval.query (Quel.Eval.ctx ~semantics:sem ()) db q in
             Format.printf "%a@?"
               (Pp.table_rel b.Quel.Eval.attrs)
@@ -505,8 +488,7 @@ let agg_cmd =
   in
   let run timeout tuples metrics trace tracef domains sem_d rels kind attr query_src =
     governed timeout tuples metrics trace tracef domains sem_d (fun () ->
-        let user_db = db_of_rels rels in
-        let db = user_db @ Sysview.db (catalog_of_db user_db) in
+        let cat = catalog_of_rels rels in
         let parse_ref r =
           match String.index_opt r '.' with
           | Some idx ->
@@ -532,6 +514,7 @@ let agg_cmd =
               Exec_error.bad_input "sum/min/max need --attr V.ATTR"
         in
         let q = Quel.Parser.parse query_src in
+        let db = Sysview.statement_db ~ranges:q.Quel.Ast.ranges cat in
         let b =
           try Quel.Aggregate.bounds db q kind
           with Domain.Infinite what ->
@@ -731,35 +714,9 @@ let dml_cmd =
   let stmt_args =
     Arg.(value & pos_all string [] & info [] ~docv:"STATEMENT")
   in
-  let split_eq what binding =
-    match String.index_opt binding '=' with
-    | None -> Exec_error.bad_inputf "%s expects NAME=..., got %s" what binding
-    | Some idx ->
-        ( String.sub binding 0 idx,
-          String.sub binding (idx + 1) (String.length binding - idx - 1) )
-  in
-  let guessed_schema ?key name attrs x =
-    Schema.make ?key name
-      (List.map
-         (fun a ->
-           ( Attr.name a,
-             match
-               List.find_map
-                 (fun r ->
-                   match Tuple.get r a with
-                   | Value.Null -> None
-                   | Value.Int _ -> Some Domain.Ints
-                   | Value.Float _ -> Some Domain.Floats
-                   | Value.Bool _ -> Some Domain.Bools
-                   | Value.Str _ -> Some Domain.Strings)
-                 (Xrel.to_list x)
-             with
-             | Some d -> d
-             | None -> Domain.Strings ))
-         attrs)
-  in
   let run timeout tuples metrics trace tracef domains sem_d dir loads keys stmts =
-    governed timeout tuples metrics trace tracef domains sem_d (fun () ->
+    setup metrics trace tracef domains sem_d;
+    handle (fun () ->
         (* Phase 1: register any CSVs as relations of the directory's
            catalog (a checkpoint write, like the shell's .load+.save).
            Recovery first folds the journal into the checkpoint it
@@ -778,14 +735,16 @@ let dml_cmd =
             List.fold_left
               (fun cat binding ->
                 let name, path = split_eq "--load" binding in
-                let attrs, x = load path in
                 let key =
                   Option.map
                     (fun ks ->
                       List.map String.trim (String.split_on_char ',' ks))
                     (List.assoc_opt name keys)
                 in
-                Storage.Catalog.add cat (guessed_schema ?key name attrs x) x)
+                let schema, x =
+                  csv_file (Storage.Csv.read_relation ?key name) path
+                in
+                Storage.Catalog.add cat schema x)
               cat loads
           in
           Storage.Persist.save ~lsn ~dir cat
@@ -793,25 +752,29 @@ let dml_cmd =
         (* Phase 2: one session commits each statement as its own
            transaction — constraint enforcement, cascades and the
            journal included — so a failing statement leaves the
-           directory at the last committed one. *)
+           directory at the last committed one. The limits bound the
+           statements only: phase 1 and the recovery that opening the
+           engine runs charge about one tick per stored row, and stay
+           outside them like the exit checkpoint below. *)
         let eng, report = Session.open_engine ~dir () in
         List.iter
           (fun l -> Printf.eprintf "recovery: %s\n" l)
           (Storage.Persist.report_lines report);
         let sess = Session.attach eng in
-        List.iter
-          (fun src ->
-            let outcome = Session.exec_string sess src in
-            ignore (Session.commit sess);
-            match outcome.Dml.result with
-            | Some result ->
-                Format.printf "%a@?"
-                  (Pp.table result.Quel.Eval.attrs)
-                  result.Quel.Eval.rel
-            | None ->
-                if outcome.Dml.message <> "" then
-                  print_endline outcome.Dml.message)
-          stmts;
+        limited timeout tuples (fun () ->
+            List.iter
+              (fun src ->
+                let outcome = Session.exec_string sess src in
+                ignore (Session.commit sess);
+                match outcome.Dml.result with
+                | Some result ->
+                    Format.printf "%a@?"
+                      (Pp.table result.Quel.Eval.attrs)
+                      result.Quel.Eval.rel
+                | None ->
+                    if outcome.Dml.message <> "" then
+                      print_endline outcome.Dml.message)
+              stmts);
         Session.shutdown eng);
     (* Checkpoint on exit, outside the governor: every statement has
        committed, so a limit must not turn the clean-up into a failure.
@@ -872,9 +835,7 @@ let semantics_cmd =
 
 let repl_cmd =
   let run metrics trace tracef domains sem_d =
-    Option.iter Par.Pool.set_domains domains;
-    set_semantics sem_d;
-    setup_obs metrics trace tracef;
+    setup metrics trace tracef domains sem_d;
     print_endline "nullrel shell -- .help for commands, .quit to leave";
     let rec loop st =
       if Shell.finished st then ()

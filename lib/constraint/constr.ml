@@ -190,8 +190,6 @@ type env = {
   key_of : string -> Attr.Set.t;
 }
 
-let enabled = ref true
-
 (* A total reference of [r] through the fk pairs, as a tuple over the
    {e referenced} attributes — or [None] when any local attribute is
    null (the tuple asserts nothing, per Section 8). *)
@@ -454,7 +452,7 @@ let removal_checks st d ~emit =
       st.defs
 
 let enforce env defs seeds =
-  if (not !enabled) || defs = [] || seeds = [] then []
+  if defs = [] || seeds = [] then []
   else begin
     Obs.Metrics.inc m_checks;
     let st = { env; defs; overlay = String_map.empty } in

@@ -137,11 +137,6 @@ type env = {
       (** The relation's primary key (empty when none). *)
 }
 
-val enabled : bool ref
-(** Kill switch, [true] by default. When flipped off, {!enforce}
-    returns [[]] without checking — the bench baseline for the
-    enforcement-overhead gate. *)
-
 val enforce : env -> def list -> delta list -> delta list
 (** [enforce env defs seeds] checks the seed deltas (already reflected
     in [env]) against every constraint and computes the referential
@@ -157,11 +152,13 @@ val enforce : env -> def list -> delta list -> delta list
     attributes when it answers, by a scan of the referencing relation
     otherwise; a [Restrict] refusal names the least such tuple in
     [Xrel.to_list] order either way. Each action advances the working
-    state by its own delta, never rebuilding a relation or an index. Returns the extra deltas — cascade deletions and
-    set-null rewrites, in firing order — that must commit atomically
-    with the seeds. Raises {!Error} on any violation; the caller must
-    then abandon the whole transaction. With no definitions (or
-    {!enabled} off) it returns [[]] immediately. *)
+    state by its own delta, never rebuilding a relation or an index.
+    Returns the extra deltas — cascade deletions and set-null rewrites,
+    in firing order — that must commit atomically with the seeds.
+    Raises {!Error} on any violation; the caller must then abandon the
+    whole transaction. With no definitions or no seeds it returns [[]]
+    at once; {!Dml} does not call it at all on a catalog with nothing
+    declared. *)
 
 val verify : env -> def -> violation list
 (** Full-scan verification that the current data satisfies one

@@ -128,11 +128,9 @@ let write cat rel ~added ~removed message =
   in
   let noop = Tuple.Set.is_empty net_a && Tuple.Set.is_empty net_r in
   let seed = { Constr.d_rel = rel; d_added = net_a; d_removed = net_r } in
-  (* One branch when nothing is declared (or [Constr.enabled] is off):
-     the E23 overhead gate. *)
+  (* One branch when nothing is declared. *)
   let extras =
-    if noop || (not !Constr.enabled) || Storage.Catalog.constraints cat = []
-    then []
+    if noop || Storage.Catalog.constraints cat = [] then []
     else Storage.Catalog.enforce cat [ seed ]
   in
   let cat, applied_rev =

@@ -6,14 +6,6 @@ let strategy_name = function
   | Indexed -> "indexed"
   | Parallel -> "parallel"
 
-let strategy_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "auto" -> Some Auto
-  | "sequential" | "seq" -> Some Sequential
-  | "indexed" | "index" -> Some Indexed
-  | "parallel" | "par" -> Some Parallel
-  | _ -> None
-
 (* Below [indexed_cutover] the index build costs more than the scan it
    avoids — and keeping small inputs on the plain scans preserves the
    exact tick counts that governed callers and the golden bench output
@@ -47,9 +39,7 @@ let dispatch_counter =
 let count_dispatch kernel strat =
   if !Obs.Metrics.enabled then Obs.Metrics.inc (dispatch_counter kernel strat)
 
-(* The [Auto] rule as a function of a size — exposed so a planner can
-   pre-commit a strategy from an {e estimated} cardinality instead of
-   waiting for the materialized input. *)
+(* [minimize]'s [Auto] rule, as a function of the input's size. *)
 let strategy_for n =
   if n < indexed_cutover then Sequential
   else if n >= parallel_cutover && Par.Pool.parallelizable () then Parallel
@@ -111,14 +101,7 @@ let parallel_minimize r =
 
 let minimize ?(strategy = Auto) r =
   let strat =
-    match strategy with
-    | Auto ->
-        let n = Relation.cardinal r in
-        if n < indexed_cutover then Sequential
-        else if n >= parallel_cutover && Par.Pool.parallelizable () then
-          Parallel
-        else Indexed
-    | s -> s
+    match strategy with Auto -> strategy_for (Relation.cardinal r) | s -> s
   in
   count_dispatch "minimize" strat;
   match strat with

@@ -4,8 +4,8 @@
     dispatch.
 
     Callers used to pick between [Relation.minimize] (naive
-    quadratic), [Storage.Hash_index.minimize] (combinatorial hashing)
-    and ad-hoc loops. This facade makes that an implementation choice:
+    quadratic), [Subsume_index.minimize] (combinatorial hashing) and
+    ad-hoc loops. This facade makes that an implementation choice:
     [Auto] (the default) selects sequential scans for small inputs,
     the {!Subsume_index} for medium ones, and chunked fan-out over the
     {!Par.Pool} domains for large ones. Every strategy computes the
@@ -28,7 +28,6 @@ type strategy =
           read-only {!Subsume_index}; inline when the pool has size 1 *)
 
 val strategy_name : strategy -> string
-val strategy_of_string : string -> strategy option
 
 val indexed_cutover : int
 (** [Auto] stays [Sequential] below this cardinality (64): below it
@@ -38,13 +37,6 @@ val indexed_cutover : int
 val parallel_cutover : int
 (** [Auto] considers [Parallel] from this cardinality (512) up,
     provided {!Par.Pool.parallelizable}. *)
-
-val strategy_for : int -> strategy
-(** The [Auto] rule as a function of a size: [Sequential] below
-    {!indexed_cutover}, [Parallel] from {!parallel_cutover} up when
-    the pool can help, [Indexed] in between. Exposed so a cost-based
-    planner can pre-commit a strategy from an {e estimated}
-    cardinality instead of waiting for the materialized input. *)
 
 val fold_chunks :
   ?strategy:strategy ->
@@ -63,7 +55,10 @@ val fold_chunks :
     analyzer is the main client. *)
 
 val minimize : ?strategy:strategy -> Relation.t -> Relation.t
-(** Reduction to minimal form; agrees with [Relation.minimize]. *)
+(** Reduction to minimal form; agrees with [Relation.minimize]. [Auto]
+    is [Sequential] below {!indexed_cutover}, [Parallel] from
+    {!parallel_cutover} up when {!Par.Pool.parallelizable}, [Indexed]
+    in between. *)
 
 val subsumes : ?strategy:strategy -> Relation.t -> Relation.t -> bool
 (** [subsumes r1 r2]: does [r1] x-contain every non-null tuple of

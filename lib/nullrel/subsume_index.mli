@@ -1,6 +1,5 @@
 (** Hash-accelerated subsumption probes — the engine-core index behind
-    {!Kernel}'s indexed and parallel strategies ({!Storage.Hash_index}
-    re-exports it for storage-layer callers).
+    {!Kernel}'s indexed and parallel strategies.
 
     The paper notes after (4.6)-(4.8) that the naive implementations of
     difference and reduction to minimal form are quadratic, and that

@@ -15,7 +15,7 @@ type node = {
    it as a child of the node whose evaluation is open around it. Spans
    nest, so [ticks] and [elapsed_s] are inclusive of the children — the
    natural reading of an EXPLAIN ANALYZE tree. *)
-let run ?join_strategy ?index_probe ~stats ~env e =
+let run ?index_probe ~stats ~env e =
   (* The finished children of every open node, innermost first. *)
   let open_nodes = ref [ [] ] in
   let observe e f =
@@ -36,7 +36,7 @@ let run ?join_strategy ?index_probe ~stats ~env e =
     open_nodes := (node :: List.hd outer) :: List.tl outer;
     x
   in
-  let x = Expr.eval ?join_strategy ?index_probe ~observe ~env e in
+  let x = Expr.eval ?index_probe ~observe ~env e in
   (x, List.hd (List.hd !open_nodes))
 
 let rec rows prefix n =

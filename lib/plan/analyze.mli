@@ -17,7 +17,6 @@ type node = {
 }
 
 val run :
-  ?join_strategy:(Expr.t -> Nullrel.Kernel.strategy) ->
   ?index_probe:(Expr.t -> (Nullrel.Tuple.t -> Nullrel.Tuple.t list) option) ->
   stats:Cost.source ->
   env:(string -> Nullrel.Xrel.t option) ->
@@ -25,9 +24,8 @@ val run :
   Nullrel.Xrel.t * node
 (** Evaluate with {!Expr.eval} and profile every node it runs. Raises
     {!Expr.Unbound_relation} like {!Expr.eval}, and propagates governor
-    aborts. [join_strategy] and [index_probe] as in {!Expr.eval}: a
-    node served by an index probe shows its probe side only, as it
-    ran. *)
+    aborts. [index_probe] as in {!Expr.eval}: a node served by an
+    index probe shows its probe side only, as it ran. *)
 
 val render : ?semantics:string -> node -> string
 (** Aligned text tree: one row per operator (children indented), with

@@ -36,28 +36,6 @@ let query ~schemas (q : Quel.Ast.query) =
   in
   if needs_rename then Expr.Rename (output_mapping, projected) else projected
 
-(* With statistics, hint each join node's dispatch from the estimated
-   probe side (the hash join probes its left operand) instead of
-   leaving the physical operator to measure the actual input. A join
-   whose build side is covered by a declared secondary index is
-   dispatched [Indexed]: the probe loop runs sequentially against the
-   shared persistent index. *)
-let join_strategy_of ~stats node =
-  match node with
-  | Expr.Equijoin (x, e1, e2) ->
-      if Cost.probe_target stats x e2 <> None then Kernel.Indexed
-      else
-        Kernel.strategy_for
-          (int_of_float (Float.max 0. (Cost.cardinality ~stats e1)))
-  | Expr.Union_join (_, e1, _) ->
-      Kernel.strategy_for
-        (int_of_float (Float.max 0. (Cost.cardinality ~stats e1)))
-  | Expr.Select (p, Expr.Product (e1, e2))
-    when Cost.select_product_probe stats p e2 <> None
-         || Cost.select_product_probe stats p e1 <> None ->
-      Kernel.Indexed
-  | _ -> Kernel.Auto
-
 (* The probe a declared secondary index serves for one join node, seen
    through the plan's renames. [probe_for] supplies the raw probe over
    a base relation (the shells wire {!Storage.Catalog.equi_probe});
@@ -97,12 +75,12 @@ let index_probe_of ~stats ~probe_for node =
    lose their Codd-style row identity inside any plan node. They
    evaluate through the calculus evaluator instead — the planner
    dispatches on the dialect up front, and the Ni_lower path below is
-   byte-for-byte the pre-dialect pipeline (held within 3% by E25). *)
+   byte-for-byte the pre-dialect pipeline. *)
 let run_bands ?semantics (db : Quel.Resolve.db) q =
   let ctx = Quel.Eval.ctx ?semantics () in
   Quel.Eval.query ctx db q
 
-let run ?(optimize = true) ?stats ?semantics ?(index_probe = fun _ -> None)
+let run ?stats ?semantics ?(index_probe = fun _ -> None)
     (db : Quel.Resolve.db) q =
   let sem =
     match semantics with Some sem -> sem | None -> Semantics.current ()
@@ -121,16 +99,9 @@ let run ?(optimize = true) ?stats ?semantics ?(index_probe = fun _ -> None)
   let env_scope name =
     Option.map (fun (schema, _) -> Schema.attr_set schema) (List.assoc_opt name db)
   in
-  let plan =
-    if optimize then Rewrite.optimize ?cost:stats ~env_scope plan else plan
-  in
+  let plan = Rewrite.optimize ?cost:stats ~env_scope plan in
   let env name = Option.map snd (List.assoc_opt name db) in
-  let join_strategy =
-    match stats with
-    | None -> fun _ -> Kernel.Auto
-    | Some stats -> join_strategy_of ~stats
-  in
   let attrs =
     List.map (Quel.Eval.target_attr q.Quel.Ast.targets) q.Quel.Ast.targets
   in
-  { Quel.Eval.attrs; rel = Expr.eval ~join_strategy ~index_probe ~env plan }
+  { Quel.Eval.attrs; rel = Expr.eval ~index_probe ~env plan }

@@ -18,14 +18,6 @@ val query :
     {!Quel.Eval.target_attr}. Raises {!Quel.Resolve.Error} on unknown
     relations (schema lookup failures). *)
 
-val join_strategy_of : stats:Cost.source -> Expr.t -> Kernel.strategy
-(** The dispatch hint [run] hands the physical join for an
-    [Equijoin]/[Union_join] node: {!Cost.cardinality} of the estimated
-    probe (left) side through {!Nullrel.Kernel.strategy_for}; an
-    [Equijoin] whose build side has a {!Cost.probe_target}, or a
-    [Select]-over-[Product] with a {!Cost.select_product_probe}, is
-    [Indexed]. [Auto] for any other node. *)
-
 val index_probe_of :
   stats:Cost.source ->
   probe_for:(string -> Attr.Set.t -> (Tuple.t -> Tuple.t list) option) ->
@@ -52,17 +44,19 @@ val run_bands :
     routes through the calculus evaluator {!Quel.Eval.query}. *)
 
 val run :
-  ?optimize:bool -> ?stats:Cost.source -> ?semantics:Semantics.t ->
+  ?stats:Cost.source -> ?semantics:Semantics.t ->
   ?index_probe:(Expr.t -> (Tuple.t -> Tuple.t list) option) ->
   Quel.Resolve.db -> Quel.Ast.query ->
   Quel.Eval.result
-(** Compile (optimizing by default), then evaluate against the
-    database. Agrees with {!Quel.Eval.run}. A statistics source turns
-    on the cost-based parts of the pipeline: product chains reorder
-    smallest-first ({!Rewrite.optimize}'s [?cost]) and each join node
-    carries a {!Nullrel.Kernel.strategy} hint derived from its
-    estimated probe side. Under a non-[Ni_lower] dialect (explicit
-    [semantics], or the ambient default) the physical pipeline is
-    bypassed for {!run_bands} and the result is the sure band,
-    re-minimized to fit the [Xrel.t]-shaped result — callers wanting
-    the dialect's plain-set bands use {!run_bands} directly. *)
+(** Compile, optimize with {!Rewrite.optimize}, then evaluate against
+    the database. Agrees with {!Quel.Eval.run}. A statistics source
+    turns on the cost-based reorder: product chains run smallest-first
+    ({!Rewrite.optimize}'s [?cost]). [index_probe] goes to
+    {!Expr.eval}: a join node that a declared index serves is probed
+    instead of materializing the product. To run the plan unoptimized,
+    apply {!Expr.eval} to {!query}'s plan. Under a non-[Ni_lower]
+    dialect (explicit [semantics], or the ambient default) the
+    physical pipeline is bypassed for {!run_bands} and the result is
+    the sure band, re-minimized to fit the [Xrel.t]-shaped result —
+    callers wanting the dialect's plain-set bands use {!run_bands}
+    directly. *)

@@ -30,9 +30,8 @@ let op_label = function
   | Divide _ -> "divide"
   | Rename _ -> "rename"
 
-let rec eval ?(join_strategy = fun _ -> Kernel.Auto)
-    ?(index_probe = fun _ -> None) ?observe ~env e =
-  let eval = eval ~join_strategy ~index_probe ?observe in
+let rec eval ?(index_probe = fun _ -> None) ?observe ~env e =
+  let eval = eval ~index_probe ?observe in
   Exec.checkpoint ();
   let around =
     match observe with
@@ -59,8 +58,7 @@ let rec eval ?(join_strategy = fun _ -> Kernel.Auto)
           | Product (e1, e2) -> (
               match index_probe node with
               | Some probe ->
-                  Storage.Join.probe_equijoin ~strategy:(join_strategy node)
-                    ~probe (eval ~env e1)
+                  Storage.Join.probe_equijoin ~probe (eval ~env e1)
               | None -> (
                   (* The product is symmetric, so when the indexed
                      factor sits on the left (the cost-based reorder
@@ -69,8 +67,7 @@ let rec eval ?(join_strategy = fun _ -> Kernel.Auto)
                   let commuted = Select (p, Product (e2, e1)) in
                   match index_probe commuted with
                   | Some probe ->
-                      Storage.Join.probe_equijoin
-                        ~strategy:(join_strategy commuted) ~probe (eval ~env e2)
+                      Storage.Join.probe_equijoin ~probe (eval ~env e2)
                   | None -> Algebra.select p (eval ~env e)))
           | _ -> Algebra.select p (eval ~env e))
       | Project (x, e) -> Algebra.project x (eval ~env e)
@@ -79,15 +76,10 @@ let rec eval ?(join_strategy = fun _ -> Kernel.Auto)
           (* A probe served by a declared index replaces evaluating the
              build side entirely. *)
           match index_probe node with
-          | Some probe ->
-              Storage.Join.probe_equijoin ~strategy:(join_strategy node) ~probe
-                (eval ~env e1)
-          | None ->
-              Storage.Join.hash_equijoin ~strategy:(join_strategy node) x
-                (eval ~env e1) (eval ~env e2))
-      | Union_join (x, e1, e2) as node ->
-          Storage.Join.hash_union_join ~strategy:(join_strategy node) x
-            (eval ~env e1) (eval ~env e2)
+          | Some probe -> Storage.Join.probe_equijoin ~probe (eval ~env e1)
+          | None -> Storage.Join.hash_equijoin x (eval ~env e1) (eval ~env e2))
+      | Union_join (x, e1, e2) ->
+          Storage.Join.hash_union_join x (eval ~env e1) (eval ~env e2)
       | Union (e1, e2) -> Xrel.union (eval ~env e1) (eval ~env e2)
       | Diff (e1, e2) -> Xrel.diff (eval ~env e1) (eval ~env e2)
       | Inter (e1, e2) -> Xrel.inter (eval ~env e1) (eval ~env e2)

@@ -31,7 +31,6 @@ val op_label : t -> string
     for [Rel], otherwise ["select"], ["equijoin"], ["union-join"], … *)
 
 val eval :
-  ?join_strategy:(t -> Kernel.strategy) ->
   ?index_probe:(t -> (Tuple.t -> Tuple.t list) option) ->
   ?observe:(t -> (unit -> Xrel.t) -> Xrel.t) ->
   env:(string -> Xrel.t option) ->
@@ -39,12 +38,9 @@ val eval :
 (** Bottom-up evaluation. Raises {!Unbound_relation} when a [Rel] name
     is not in the environment. [Equijoin] and [Union_join] nodes run
     the physical hash joins of {!Storage.Join}, which agree with the
-    logical operators extensionally (property-tested). [join_strategy]
-    is consulted once per [Equijoin]/[Union_join] node (receiving the
-    node itself) and its answer passed to that operator; the default
-    answers {!Nullrel.Kernel.Auto} everywhere, i.e. the operator's own
-    size cutovers decide. [index_probe] is consulted once per
-    [Equijoin] node and once per [Select]-over-[Product] node (the
+    logical operators extensionally (property-tested), each under its
+    default {!Nullrel.Kernel.strategy}. [index_probe] is consulted once
+    per [Equijoin] node and once per [Select]-over-[Product] node (the
     join shape compiled queries take, since the algebra cannot merge
     two differently-named columns into an [Equijoin]); when it answers
     a probe — a declared secondary index covering the build side,

@@ -27,23 +27,6 @@ let effective_semantics st =
 let catalog st = st.cat
 let finished st = st.finished
 
-(* The database one statement sees: the user catalog plus the sys_*
-   virtual relations, materialized together at this instant (the
-   snapshot-consistency rule — build once per statement, share between
-   admission, planning and evaluation). The system catalog is only
-   materialized when the statement's range clauses actually mention a
-   sys_* name: building those xrels runs minimization under the
-   governor, and a statement over user data alone must not spend its
-   tick budget (or any time) on telemetry it never asked for. *)
-let full_db ?ranges st =
-  let wanted =
-    match ranges with
-    | None -> true
-    | Some rs -> List.exists (fun (_, rel) -> Sysview.is_sys rel) rs
-  in
-  Storage.Catalog.to_db st.cat
-  @ (if wanted then Sysview.db ?dir:st.dir st.cat else [])
-
 let describe_limits = function
   | { time_s = None; max_tuples = None } -> "limits: off"
   | { time_s; max_tuples } ->
@@ -123,26 +106,6 @@ let help =
    constrain fk REL (F) to T (K) on delete restrict|cascade|setnull [as \
    NAME]\n\
    unconstrain NAME                           drop a constraint"
-
-(* Guess per-column domains from the data so the loaded relation gets a
-   usable schema. *)
-let guessed_schema name attrs x =
-  Schema.make name
-    (List.map
-       (fun a ->
-         let domain =
-           List.find_map
-             (fun r ->
-               match Tuple.get r a with
-               | Value.Null -> None
-               | Value.Int _ -> Some Domain.Ints
-               | Value.Float _ -> Some Domain.Floats
-               | Value.Bool _ -> Some Domain.Bools
-               | Value.Str _ -> Some Domain.Strings)
-             (Xrel.to_list x)
-         in
-         (Attr.name a, Option.value domain ~default:Domain.Strings))
-       attrs)
 
 let with_relation st name f =
   match Storage.Catalog.find st.cat name with
@@ -231,7 +194,11 @@ let admission st db q =
 let run_statement st src =
   match Quel.Parser.parse_statement src with
   | Quel.Ast.Retrieve q -> (
-      let db = full_db ~ranges:q.Quel.Ast.ranges st in
+      (* Built once per statement, shared between admission, planning
+         and evaluation. *)
+      let db =
+        Sysview.statement_db ?dir:st.dir ~ranges:q.Quel.Ast.ranges st.cat
+      in
       match admission st db q with
       | Some (est, budget) ->
           ( st,
@@ -272,7 +239,9 @@ let run_statement st src =
 
 let show_plan st src =
   let q = Quel.Parser.parse src in
-  let db = full_db ~ranges:q.Quel.Ast.ranges st in
+  let db =
+    Sysview.statement_db ?dir:st.dir ~ranges:q.Quel.Ast.ranges st.cat
+  in
   Quel.Resolve.check db q;
   let ctx = db_context db st.cat in
   let raw = Plan.Compile.query ~schemas:ctx.schemas q in
@@ -287,7 +256,9 @@ let show_plan st src =
 
 let explain_analyze st src =
   let q = Quel.Parser.parse src in
-  let db = full_db ~ranges:q.Quel.Ast.ranges st in
+  let db =
+    Sysview.statement_db ?dir:st.dir ~ranges:q.Quel.Ast.ranges st.cat
+  in
   Quel.Resolve.check db q;
   let ctx = db_context db st.cat in
   let plan =
@@ -295,9 +266,8 @@ let explain_analyze st src =
       (Plan.Compile.query ~schemas:ctx.schemas q)
   in
   let _result, node =
-    Plan.Analyze.run
-      ~join_strategy:(Plan.Compile.join_strategy_of ~stats:ctx.stats)
-      ~index_probe:ctx.index_probe ~stats:ctx.stats ~env:ctx.env plan
+    Plan.Analyze.run ~index_probe:ctx.index_probe ~stats:ctx.stats
+      ~env:ctx.env plan
   in
   Plan.Analyze.render
     ~semantics:
@@ -443,7 +413,9 @@ let run_aggregate st words =
     | _ -> Exec_error.bad_input ".agg count|sum|min|max [v.ATTR] QUERY"
   in
   let q = Quel.Parser.parse (String.concat " " rest) in
-  let db = full_db ~ranges:q.Quel.Ast.ranges st in
+  let db =
+    Sysview.statement_db ?dir:st.dir ~ranges:q.Quel.Ast.ranges st.cat
+  in
   let b = Quel.Aggregate.bounds db q kind in
   Printf.sprintf "bounds: %d .. %d%s" b.Quel.Aggregate.lower
     b.Quel.Aggregate.upper
@@ -566,8 +538,7 @@ let exec st line =
                system catalog)"
               name )
       | [ ".load"; name; file ] ->
-          let attrs, x = Storage.Csv.read_file file in
-          let schema = guessed_schema name attrs x in
+          let schema, x = Storage.Csv.read_relation name file in
           ( { st with cat = Storage.Catalog.add st.cat schema x },
             Printf.sprintf "loaded %s (%d tuples)" name (Xrel.cardinal x) )
       | [ ".open"; dir ] ->

@@ -147,6 +147,25 @@ let read_file ?schema path =
   in
   read_string ?schema contents
 
+(* The domain of a column is guessed from its first non-null value in
+   [Xrel.to_list] order; an all-null column is a string column. *)
+let read_relation ?key name path =
+  let attrs, x = read_file path in
+  let rows = Xrel.to_list x in
+  let domain a =
+    List.find_map
+      (fun r ->
+        match Tuple.get r a with
+        | Value.Null -> None
+        | Value.Int _ -> Some Domain.Ints
+        | Value.Float _ -> Some Domain.Floats
+        | Value.Bool _ -> Some Domain.Bools
+        | Value.Str _ -> Some Domain.Strings)
+      rows
+    |> Option.value ~default:Domain.Strings
+  in
+  (Schema.make ?key name (List.map (fun a -> (Attr.name a, domain a)) attrs), x)
+
 let escape_cell s =
   let needs_quoting =
     String.equal s "-" = false

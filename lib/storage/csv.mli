@@ -22,6 +22,15 @@ val read_string : ?schema:Schema.t -> string -> Attr.t list * Xrel.t
 
 val read_file : ?schema:Schema.t -> string -> Attr.t list * Xrel.t
 
+val read_relation :
+  ?key:string list -> string -> string -> Schema.t * Xrel.t
+(** [read_relation name path] reads a CSV file as relation [name], with
+    a schema guessed from the data: each column takes the domain of its
+    first non-null value (ints, floats, bools or strings), and an
+    all-null column is a string column. [key] declares a primary key.
+    The one loader behind the shell's [.load] and the CLI's [--rel] and
+    [dml --load]. *)
+
 val write_string : Attr.t list -> Xrel.t -> string
 (** Renders a relation with the given column order. Nulls become [-]. *)
 

@@ -1,24 +1,5 @@
 open Nullrel
 
-(* The subsumption-probe core now lives in [Nullrel.Subsume_index]
-   where [Kernel] can reach it; this module re-exports it for
-   storage-layer callers and adds the equi-probe index. *)
-
-type t = Subsume_index.t
-
-let build = Subsume_index.build
-let advance = Subsume_index.advance
-let prepare = Subsume_index.prepare
-let count_at = Subsume_index.count_at
-let subsuming_exists = Subsume_index.subsuming_exists
-let strictly_subsuming_exists = Subsume_index.strictly_subsuming_exists
-let mem = Subsume_index.mem
-let cardinal = Subsume_index.cardinal
-let subsumed_within = Subsume_index.subsumed_within
-let to_list = Subsume_index.to_list
-let diff = Subsume_index.diff
-let minimize = Subsume_index.minimize
-
 (* Equality probes for the join: bucket the X-total tuples by their
    canonical X-restriction. Persistent under DML like the subsumption
    index: an immutable bucket table plus a functional overlay that

@@ -468,6 +468,10 @@ let db ?dir ?io cat =
     sys_constraints cat;
   ]
 
+let statement_db ?dir ~ranges cat =
+  Storage.Catalog.to_db cat
+  @ if List.exists (fun (_, rel) -> is_sys rel) ranges then db ?dir cat else []
+
 let schemas =
   [
     metrics_schema;

@@ -56,6 +56,19 @@ val db :
     is disk-backed) enables [sys_wal] rows and the CRC columns of
     [sys_relations]; without it those fields are [ni]/empty. *)
 
+val statement_db :
+  ?dir:string ->
+  ranges:(string * string) list ->
+  Storage.Catalog.t ->
+  (string * (Schema.t * Xrel.t)) list
+(** The database one statement sees: [Storage.Catalog.to_db cat], plus
+    {!db} materialized at this instant when one of the statement's
+    [ranges] (variable, relation) names a [sys_*] relation. Building the
+    system catalog runs minimization under the ambient governor, so a
+    statement over user data alone does not spend its tick budget, or
+    any time, on telemetry it never asked for. The shell and the CLI's
+    [query] and [agg] both assemble their database here. *)
+
 val schemas : Schema.t list
 (** The schemas alone (for [.schema sys_*] and the manual). *)
 

@@ -47,6 +47,25 @@ expect 2 "unknown relation" \
 expect 2 "malformed --rel binding" \
     "$CLI" query --rel "RNOFILE" 'range of r is R retrieve (r.A)'
 
+# a comparison across domains is a type error, reported as bad input
+# on every surface that evaluates a qualification (it used to escape
+# as an uncaught exception, exit 125)
+printf 'A,B\n1,x\n' > "$tmp/typed.csv"
+cross='range of r is R retrieve (r.A) where r.A < "x"'
+expect 2 "type error in query" \
+    "$CLI" query --rel "R=$tmp/typed.csv" "$cross"
+expect 2 "type error in query --analyze" \
+    "$CLI" query --analyze --rel "R=$tmp/typed.csv" "$cross"
+expect 2 "type error in agg" \
+    "$CLI" agg count --rel "R=$tmp/typed.csv" "$cross"
+expect 2 "type error in dml" \
+    "$CLI" dml --dir "$tmp/typeddb" --load "R=$tmp/typed.csv" "$cross"
+expect 2 "type error with --trace-file" \
+    "$CLI" query --trace-file "$tmp/type_trace.jsonl" \
+    --rel "R=$tmp/typed.csv" "$cross"
+grep -q '"type":"abort".*"kind":"type"' "$tmp/type_trace.jsonl" \
+    || fail "the trace file does not note the type-error abort"
+
 # --- 3: storage faults -----------------------------------------
 expect 3 "corrupt binary relation" \
     "$CLI" convert "$tmp/garbage.nrx" "$tmp/out.csv"
@@ -64,6 +83,32 @@ expect 5 "tiny tuple budget" \
     'range of r is R range of s is R retrieve (r.A, s.B)'
 expect 5 "tiny budget on an algebra command" \
     "$CLI" outerjoin --max-tuples 1 --on A "$tmp/r.csv" "$tmp/r.csv"
+
+# the limits bound the statement, not the system catalog: sys_*
+# relations are built only when a range names one (they used to be
+# charged to every query, about 2,000 tuples on a small relation)
+expect 0 "query over user data pays no system catalog" \
+    "$CLI" query --max-tuples 2000 --rel "R=$tmp/r.csv" \
+    'range of r is R retrieve (r.A)'
+expect 0 "agg over user data pays no system catalog" \
+    "$CLI" agg count --max-tuples 2000 --rel "R=$tmp/r.csv" \
+    'range of r is R retrieve (r.A)'
+expect 0 "a query ranging over sys_relations still sees it" \
+    "$CLI" query --rel "R=$tmp/r.csv" \
+    'range of s is sys_relations retrieve (s.NAME)'
+
+# dml's limits bound its statements, not the recovery of the
+# directory it opens (about one tick per stored row)
+awk 'BEGIN { print "A,B"; for (k = 0; k < 2000; k++) print k "," (k % 7) }' \
+    > "$tmp/big.csv"
+expect 0 "load a 2,000-row relation" \
+    "$CLI" dml --dir "$tmp/bigdb" --load "R=$tmp/big.csv"
+expect 0 "a small budget covers one append, not the recovery" \
+    "$CLI" dml --dir "$tmp/bigdb" --max-tuples 1000 \
+    'append to R (A = 5000, B = 1)'
+expect 5 "the budget still binds the statements" \
+    "$CLI" dml --dir "$tmp/bigdb" --max-tuples 10 \
+    'range of v is R range of w is R retrieve (v.A, w.B)'
 
 # --- metrics survive aborts ------------------------------------
 # --metrics-file must produce a well-formed Prometheus dump even when

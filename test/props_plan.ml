@@ -130,13 +130,17 @@ let compiled_equals_interpreted =
   test "compiled (optimized) queries = interpreter" arbitrary_db
     (fun (r, s_) ->
       let db : Quel.Resolve.db = [ ("R", (schema_r, r)); ("S", (schema_s, s_)) ] in
+      let schemas name =
+        Option.map (fun (s_, _) -> Schema.attrs s_) (List.assoc_opt name db)
+      in
       List.for_all
         (fun src ->
           let q = Quel.Parser.parse src in
           let reference = (Quel.Eval.run db q).Quel.Eval.rel in
           Xrel.equal reference (Plan.Compile.run db q).Quel.Eval.rel
           && Xrel.equal reference
-               (Plan.Compile.run ~optimize:false db q).Quel.Eval.rel)
+               (Plan.Expr.eval ~env:(env_of (r, s_))
+                  (Plan.Compile.query ~schemas q)))
         queries)
 
 let suite =

@@ -70,17 +70,17 @@ let binary_int_extremes =
 let hash_index_diff_agrees =
   test "indexed diff = naive diff" pair_xrel (fun (x1, x2) ->
       Relation.equal
-        (Storage.Hash_index.diff (Xrel.rep x1) (Xrel.rep x2))
+        (Subsume_index.diff (Xrel.rep x1) (Xrel.rep x2))
         (Xrel.rep (Xrel.diff x1 x2)))
 
 let hash_index_minimize_agrees =
   test "indexed minimize = naive minimize" arbitrary_relation (fun r ->
-      Relation.equal (Storage.Hash_index.minimize r) (Relation.minimize r))
+      Relation.equal (Subsume_index.minimize r) (Relation.minimize r))
 
 let hash_index_x_mem_agrees =
   test "indexed x_mem = naive x_mem"
     (QCheck.pair arbitrary_tuple arbitrary_relation) (fun (t, r) ->
-      Storage.Hash_index.subsuming_exists (Storage.Hash_index.build r) t
+      Subsume_index.subsuming_exists (Subsume_index.build r) t
       = Relation.x_mem t r)
 
 let persist_schema_roundtrip =

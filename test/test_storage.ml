@@ -3,7 +3,7 @@
 open Nullrel
 open Helpers
 
-(* ----------------------- Hash_index ----------------------- *)
+(* --------------------- Subsume_index --------------------- *)
 
 let ab = t [ ("A", i 1); ("B", i 2) ]
 let abc = t [ ("A", i 1); ("B", i 2); ("C", i 3) ]
@@ -11,31 +11,31 @@ let a1 = t [ ("A", i 1) ]
 let a2 = t [ ("A", i 2) ]
 
 let test_index_probes () =
-  let idx = Storage.Hash_index.build (rel [ ab; a2 ]) in
+  let idx = Subsume_index.build (rel [ ab; a2 ]) in
   Alcotest.(check int) "count at a1: ab matches" 1
-    (Storage.Hash_index.count_at idx a1);
-  Alcotest.(check int) "count at ab" 1 (Storage.Hash_index.count_at idx ab);
-  Alcotest.(check int) "count at a2" 1 (Storage.Hash_index.count_at idx a2);
+    (Subsume_index.count_at idx a1);
+  Alcotest.(check int) "count at ab" 1 (Subsume_index.count_at idx ab);
+  Alcotest.(check int) "count at a2" 1 (Subsume_index.count_at idx a2);
   Alcotest.(check int) "no match" 0
-    (Storage.Hash_index.count_at idx (t [ ("A", i 9) ]));
+    (Subsume_index.count_at idx (t [ ("A", i 9) ]));
   Alcotest.(check bool) "subsuming exists" true
-    (Storage.Hash_index.subsuming_exists idx a1);
+    (Subsume_index.subsuming_exists idx a1);
   Alcotest.(check bool) "strictly subsuming (a1 < ab)" true
-    (Storage.Hash_index.strictly_subsuming_exists idx a1);
+    (Subsume_index.strictly_subsuming_exists idx a1);
   Alcotest.(check bool) "ab not strictly subsumed" false
-    (Storage.Hash_index.strictly_subsuming_exists idx ab)
+    (Subsume_index.strictly_subsuming_exists idx ab)
 
 let test_index_strict_with_member () =
   (* a1 is itself indexed: its own presence must not count as a strict
      subsumer, but ab's must. *)
-  let idx = Storage.Hash_index.build (rel [ a1; ab ]) in
+  let idx = Subsume_index.build (rel [ a1; ab ]) in
   Alcotest.(check int) "two tuples agree on A=1" 2
-    (Storage.Hash_index.count_at idx a1);
+    (Subsume_index.count_at idx a1);
   Alcotest.(check bool) "a1 strictly subsumed by ab" true
-    (Storage.Hash_index.strictly_subsuming_exists idx a1);
-  let idx_alone = Storage.Hash_index.build (rel [ a1; a2 ]) in
+    (Subsume_index.strictly_subsuming_exists idx a1);
+  let idx_alone = Subsume_index.build (rel [ a1; a2 ]) in
   Alcotest.(check bool) "a1 alone not strictly subsumed" false
-    (Storage.Hash_index.strictly_subsuming_exists idx_alone a1)
+    (Subsume_index.strictly_subsuming_exists idx_alone a1)
 
 let test_index_diff_agrees () =
   let r1 = rel [ ab; a2; t [ ("B", i 9) ] ] in
@@ -44,13 +44,13 @@ let test_index_diff_agrees () =
     Relation.filter (fun r -> not (Relation.x_mem r r2)) r1
   in
   Alcotest.check relation "indexed diff = naive diff" naive
-    (Storage.Hash_index.diff r1 r2)
+    (Subsume_index.diff r1 r2)
 
 let test_index_minimize_agrees () =
   let redundant = rel [ ab; abc; a1; a2; Tuple.empty; t [ ("C", i 3) ] ] in
   Alcotest.check relation "indexed minimize = naive minimize"
     (Relation.minimize redundant)
-    (Storage.Hash_index.minimize redundant)
+    (Subsume_index.minimize redundant)
 
 let test_index_randomized_agreement () =
   (* Cross-validate on generated relations with nulls. *)
@@ -63,19 +63,19 @@ let test_index_randomized_agreement () =
     let r2 = Workload.Gen.relation g spec in
     Alcotest.check relation "diff agreement"
       (Relation.filter (fun r -> not (Relation.x_mem r r2)) r1)
-      (Storage.Hash_index.diff r1 r2);
+      (Subsume_index.diff r1 r2);
     Alcotest.check relation "minimize agreement" (Relation.minimize r1)
-      (Storage.Hash_index.minimize r1)
+      (Subsume_index.minimize r1)
   done
 
 let test_index_x_mem () =
   (* The one-shot [x_mem] helper is gone: a membership probe is a
      [build] + [subsuming_exists], so repeated probes share the index. *)
-  let idx = Storage.Hash_index.build (rel [ ab ]) in
+  let idx = Subsume_index.build (rel [ ab ]) in
   Alcotest.(check bool) "indexed x_mem" true
-    (Storage.Hash_index.subsuming_exists idx a1);
+    (Subsume_index.subsuming_exists idx a1);
   Alcotest.(check bool) "indexed x_mem negative" false
-    (Storage.Hash_index.subsuming_exists idx a2)
+    (Subsume_index.subsuming_exists idx a2)
 
 (* --------------------------- Csv -------------------------- *)
 
