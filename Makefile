@@ -42,8 +42,10 @@ metrics-demo:
 	echo; echo "--- $$tmp/metrics.prom ---"; cat "$$tmp/metrics.prom"
 
 # Statistics end to end on a sample database: load it into the shell,
-# run .analyze, list the stats catalog, and show a plan costed with
-# the collected statistics. Exercised by CI at 1 and 4 domains so the
+# run .analyze, list the stats catalog, show a plan costed with the
+# collected statistics, then measure it with .explain analyze: no index
+# is declared, and still no product may run (the join hashes one
+# factor per query). Exercised by CI at 1 and 4 domains so the
 # governed analyze scan runs through both kernel strategies.
 analyze-demo:
 	$(DUNE) build bin/nullrel_cli.exe
@@ -54,8 +56,13 @@ analyze-demo:
 	  printf '.load S %s/s.csv\n' "$$tmp"; \
 	  printf '.analyze\n.stats-catalog\n'; \
 	  printf '.plan range of p is PS range of s is S retrieve (s.CITY) where p.S# = s.S# and p.P# = "p1"\n'; \
+	  printf '.explain analyze range of p is PS range of s is S retrieve (s.CITY) where p.S# = s.S# and p.P# = "p1"\n'; \
 	  printf '.quit\n'; } | \
-	$(DUNE) exec bin/nullrel_cli.exe -- repl
+	$(DUNE) exec bin/nullrel_cli.exe -- repl | tee "$$tmp/out.txt"; \
+	grep -q 'est/act' "$$tmp/out.txt" || { \
+	  echo "explain analyze printed no plan"; exit 1; }; \
+	! grep -Eq '^(> )? *product +[0-9]' "$$tmp/out.txt" || { \
+	  echo "explain analyze measured a product: the join materialized it"; exit 1; }
 
 # The session layer end to end: two sessions race a write-write
 # hotspot on overlapping snapshots — one group batch, a conflict, a

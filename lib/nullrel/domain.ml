@@ -38,6 +38,12 @@ let mem v dom =
   | Value.Bool _, Bools -> true
   | (Value.Int _ | Value.Float _ | Value.Str _ | Value.Bool _), _ -> false
 
+let kind = function
+  | Int_range _ | Ints -> Value.kind (Value.Int 0)
+  | Floats -> Value.kind (Value.Float 0.)
+  | Enum _ | Strings -> Value.kind (Value.Str "")
+  | Bools -> Value.kind (Value.Bool false)
+
 let pp ppf = function
   | Int_range (lo, hi) -> Format.fprintf ppf "int[%d..%d]" lo hi
   | Enum ss ->

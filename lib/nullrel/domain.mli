@@ -32,4 +32,8 @@ val mem : Value.t -> t -> bool
     in selections must be drawn from [DOM(A)], "not the ni symbol"
     (Section 5). *)
 
+val kind : t -> int
+(** The {!Value.kind} of every member: a domain admits values of one
+    kind only. *)
+
 val pp : Format.formatter -> t -> unit

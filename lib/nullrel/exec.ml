@@ -5,6 +5,7 @@ type t = {
   max_tuples : int;  (** [max_int] when unbounded *)
   max_memory_words : int;  (** [max_int] when unbounded *)
   start_heap_words : int;
+  start_direct_words : int;
   cancelled : unit -> bool;
   check_every : int;
   mutable charged : int;
@@ -31,6 +32,7 @@ let unlimited =
     max_tuples = max_int;
     max_memory_words = max_int;
     start_heap_words = 0;
+    start_direct_words = 0;
     cancelled = never_cancelled;
     check_every = max_int;
     charged = 0;
@@ -39,6 +41,14 @@ let unlimited =
   }
 
 let heap_words () = (Gc.quick_stat ()).Gc.heap_words
+
+(* Words the calling domain allocated straight onto the major heap
+   (blocks too large for the minor heap). [heap_words] is a sample the
+   runtime refreshes only at a domain's minor collections; this count
+   is live. *)
+let direct_words () =
+  let _, promoted, major = Gc.counters () in
+  int_of_float (major -. promoted)
 
 let make ?deadline_s ?max_tuples ?max_memory_words ?cancelled
     ?(check_every = 256) ?(now = monotonic_now) () =
@@ -52,6 +62,8 @@ let make ?deadline_s ?max_tuples ?max_memory_words ?cancelled
     max_memory_words = Option.value max_memory_words ~default:max_int;
     start_heap_words =
       (match max_memory_words with Some _ -> heap_words () | None -> 0);
+    start_direct_words =
+      (match max_memory_words with Some _ -> direct_words () | None -> 0);
     cancelled = Option.value cancelled ~default:never_cancelled;
     check_every;
     charged = 0;
@@ -69,7 +81,14 @@ let full_check g =
   (if g.deadline < infinity && g.now () >= g.deadline then
      Exec_error.raise_ (Exec_error.Timeout { limit_s = g.limit_s }));
   if g.max_memory_words < max_int then begin
-    let grown = heap_words () - g.start_heap_words in
+    (* The heap's growth or, when larger, what the statement allocated
+       straight onto the major heap, which the heap's sample takes in
+       only at the next minor collection. *)
+    let grown =
+      max
+        (heap_words () - g.start_heap_words)
+        (direct_words () - g.start_direct_words)
+    in
     if grown > g.hwm_words then g.hwm_words <- grown;
     if grown > g.max_memory_words then
       Exec_error.raise_

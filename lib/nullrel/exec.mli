@@ -44,7 +44,10 @@ val make :
 (** [make ()] builds a governor. [deadline_s] is relative to now on a
     monotonic clock (never runs backwards); [max_tuples] bounds the
     work charged through {!tick}; [max_memory_words] bounds the growth
-    of the major heap (GC estimate) since the governor started;
+    of the major heap (GC estimate) since the governor started, or,
+    when larger, the words allocated straight onto the major heap
+    since then (blocks too large for the minor heap, which the heap
+    estimate takes in only at the next minor collection);
     [cancelled] is polled at every amortized check; [check_every]
     (default 256) sets the amortization grain; [now] overrides the
     clock (tests). *)
@@ -76,8 +79,9 @@ val charged : t -> int
 (** Work units charged so far. *)
 
 val memory_high_water : t -> int
-(** Largest observed major-heap growth (words) since [make]; only
-    sampled when [max_memory_words] is set. *)
+(** Largest observed major-heap growth (words, measured as
+    [max_memory_words] is) since [make]; only sampled when
+    [max_memory_words] is set. *)
 
 val monotonic_now : unit -> float
 (** The governor's default clock: wall time clamped to never decrease. *)

@@ -88,6 +88,19 @@ let rec attrs = function
   | Not p -> attrs p
   | Const _ -> Attr.Set.empty
 
+(* Two masks can meet two different kinds unless both are the same
+   single kind (or either is empty). *)
+let rec may_raise kinds = function
+  | Cmp_attrs (a, _, b) ->
+      let ka = kinds a and kb = kinds b in
+      ka <> 0 && kb <> 0 && not (ka = kb && ka land (ka - 1) = 0)
+  | Cmp_const (a, _, k) ->
+      let kk = Value.kind k in
+      kk <> 0 && kinds a land lnot kk <> 0
+  | And (p, q) | Or (p, q) -> may_raise kinds p || may_raise kinds q
+  | Not p -> may_raise kinds p
+  | Const _ -> false
+
 let rec map_attrs f = function
   | Cmp_attrs (a, cmp, b) -> Cmp_attrs (f a, cmp, f b)
   | Cmp_const (a, cmp, k) -> Cmp_const (f a, cmp, k)

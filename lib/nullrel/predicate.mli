@@ -49,6 +49,14 @@ val holds : t -> Tuple.t -> bool
 val attrs : t -> Attr.Set.t
 (** All attributes mentioned by the predicate. *)
 
+val may_raise : (Attr.t -> int) -> t -> bool
+(** [may_raise kinds p]: whether {!eval} can raise
+    [Value.Type_error] on some tuple whose attribute [a] holds only
+    values of the kinds in the mask [kinds a] ({!Value.kind}). Every
+    comparison of a predicate is evaluated, so this asks whether any
+    one of them can meet two kinds; [false] is a guarantee, [true] may
+    be a false alarm (two attributes of one tuple are judged apart). *)
+
 val map_attrs : (Attr.t -> Attr.t) -> t -> t
 (** Renames the attributes a predicate mentions (used by the plan
     optimizer to push selections through renames). *)

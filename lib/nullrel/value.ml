@@ -55,6 +55,8 @@ let compare v w =
 
 let hash = Hashtbl.hash
 
+let kind = function Null -> 0 | v -> 1 lsl rank v
+
 let type_error v w =
   raise
     (Type_error

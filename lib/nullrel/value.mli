@@ -49,6 +49,12 @@ val compare3 : t -> t -> int option
 val type_name : t -> string
 (** ["null"], ["int"], ["float"], ["string"] or ["bool"]. *)
 
+val kind : t -> int
+(** One bit per non-null constructor, [0] for the null: {!compare3}
+    raises exactly on two values whose kinds differ and are both
+    non-zero. Or-ing kinds over a column gives the set of kinds it
+    holds. *)
+
 val pp : Format.formatter -> t -> unit
 (** Prints the value; [Null] prints as ["-"] as in the paper's tables. *)
 

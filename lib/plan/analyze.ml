@@ -1,5 +1,3 @@
-open Nullrel
-
 type node = {
   label : string;
   est_rows : float;
@@ -15,28 +13,28 @@ type node = {
    it as a child of the node whose evaluation is open around it. Spans
    nest, so [ticks] and [elapsed_s] are inclusive of the children — the
    natural reading of an EXPLAIN ANALYZE tree. *)
-let run ?index_probe ~stats ~env e =
+let run ?index_probe ~schema ~stats ~env e =
   (* The finished children of every open node, innermost first. *)
   let open_nodes = ref [ [] ] in
   let observe e f =
     let est_rows = Cost.cardinality ~stats e in
     let outer = !open_nodes in
     open_nodes := [] :: outer;
-    let x, m = Obs.Span.timed (Expr.op_label e) f in
+    let rows, m = Obs.Span.timed (Expr.op_label e) f in
     let node =
       {
         label = Expr.op_label e;
         est_rows;
-        actual_rows = Xrel.cardinal x;
+        actual_rows = rows;
         ticks = m.Obs.Span.ticks;
         elapsed_s = m.Obs.Span.duration_s;
         children = List.rev (List.hd !open_nodes);
       }
     in
     open_nodes := (node :: List.hd outer) :: List.tl outer;
-    x
+    rows
   in
-  let x = Expr.eval ?index_probe ~observe ~env e in
+  let x = Expr.eval ?index_probe ~observe ~schema ~env e in
   (x, List.hd (List.hd !open_nodes))
 
 let rec rows prefix n =

@@ -18,14 +18,15 @@ type node = {
 
 val run :
   ?index_probe:(Expr.t -> (Nullrel.Tuple.t -> Nullrel.Tuple.t list) option) ->
+  schema:(string -> Nullrel.Schema.t option) ->
   stats:Cost.source ->
   env:(string -> Nullrel.Xrel.t option) ->
   Expr.t ->
   Nullrel.Xrel.t * node
 (** Evaluate with {!Expr.eval} and profile every node it runs. Raises
     {!Expr.Unbound_relation} like {!Expr.eval}, and propagates governor
-    aborts. [index_probe] as in {!Expr.eval}: a node served by an
-    index probe shows its probe side only, as it ran. *)
+    aborts. [index_probe] and [schema] as in {!Expr.eval}: a join
+    served by an index probe shows its probe side only, as it ran. *)
 
 val render : ?semantics:string -> node -> string
 (** Aligned text tree: one row per operator (children indented), with

@@ -49,7 +49,7 @@ let index_probe_of ~stats ~probe_for node =
       | Some (name, x0, down, up) -> (
           match probe_for name x0 with
           | None -> None
-          | Some p -> Some (fun t -> List.map up (p (down t)))))
+          | Some p -> Some (fun t -> List.filter_map up (p (down t)))))
   | Expr.Select (p, Expr.Product (_, e2)) -> (
       (* The compiled-query join shape: a cross-scope equality directly
          over a product. Key each left tuple's value of the non-indexed
@@ -66,7 +66,9 @@ let index_probe_of ~stats ~probe_for node =
                 (fun t ->
                   match Tuple.get t ka with
                   | Value.Null -> []
-                  | v -> List.map up (p (down (Tuple.of_list [ (kb, v) ]))))))
+                  | v ->
+                      List.filter_map up
+                        (p (down (Tuple.of_list [ (kb, v) ]))))))
   | _ -> None
 
 (* Physical execution serves the Ni_lower dialect only: every operator
@@ -96,12 +98,11 @@ let run ?stats ?semantics ?(index_probe = fun _ -> None)
     Option.map (fun (schema, _) -> Schema.attrs schema) (List.assoc_opt name db)
   in
   let plan = query ~schemas q in
-  let env_scope name =
-    Option.map (fun (schema, _) -> Schema.attr_set schema) (List.assoc_opt name db)
-  in
+  let schema name = Option.map fst (List.assoc_opt name db) in
+  let env_scope name = Option.map Schema.attr_set (schema name) in
   let plan = Rewrite.optimize ?cost:stats ~env_scope plan in
   let env name = Option.map snd (List.assoc_opt name db) in
   let attrs =
     List.map (Quel.Eval.target_attr q.Quel.Ast.targets) q.Quel.Ast.targets
   in
-  { Quel.Eval.attrs; rel = Expr.eval ~index_probe ~env plan }
+  { Quel.Eval.attrs; rel = Expr.eval ~index_probe ~schema ~env plan }

@@ -29,7 +29,8 @@ val index_probe_of :
     the join shape every compiled query takes. The raw base-relation
     probe comes from [probe_for] (the shells wire
     [Storage.Catalog.equi_probe]); inputs and hits are translated
-    through the plan's renames. The shape [eval]'s [index_probe]
+    through the plan's renames, and hits a selection pushed onto the
+    indexed factor rejects are dropped. The shape [eval]'s [index_probe]
     parameter expects, partially applied to the stats source and
     catalog. *)
 

@@ -34,17 +34,19 @@ let invert_set mapping x =
       | Some s -> Option.map (fun a0 -> Attr.Set.add a0 s) (invert_attr mapping a))
     x (Some Attr.Set.empty)
 
-(* A join arm that bottoms out, through renames only, in a base
-   relation equipped with a declared index on exactly the join
-   attributes. Returns the base name, the attributes under their base
-   names, and the tuple translations between the node's scope and the
-   base relation's: [down] carries a probe tuple into base names, [up]
-   carries an indexed hit back out. The compiler always wraps a range
-   variable as [Rename (prefix_mapping …, Rel name)], so this is the
-   shape every compiled join has. *)
+(* A join arm that bottoms out, through renames and selections only,
+   in a base relation equipped with a declared index on exactly the
+   join attributes. Returns the base name, the attributes under their
+   base names, and the tuple translations between the node's scope and
+   the base relation's: [down] carries a probe tuple into base names,
+   [up] carries an indexed hit back out, or drops it when a selection
+   on the way rejects it. The compiler wraps a range variable as
+   [Rename (prefix_mapping …, Rel name)] and the rewriter may push a
+   selection onto it, so this is the shape every compiled join has. *)
 let rec probe_target stats x = function
   | Expr.Rel name ->
-      if stats.equipped name x then Some (name, x, Fun.id, Fun.id) else None
+      if stats.equipped name x then Some (name, x, Fun.id, Option.some)
+      else None
   | Expr.Rename (mapping, e) -> (
       match invert_set mapping x with
       | None -> None
@@ -55,8 +57,19 @@ let rec probe_target stats x = function
               ( name,
                 xb,
                 (fun t -> down (Tuple.rename backward t)),
-                fun t -> Tuple.rename mapping (up t) ))
+                fun t -> Option.map (Tuple.rename mapping) (up t) ))
             (probe_target stats x0 e))
+  | Expr.Select (p, e) ->
+      Option.map
+        (fun (name, xb, down, up) ->
+          ( name,
+            xb,
+            down,
+            fun t ->
+              match up t with
+              | Some t' when Predicate.holds p t' -> Some t'
+              | _ -> None ))
+        (probe_target stats x e)
   | _ -> None
 
 (* A compiled query never forms [Equijoin] (the algebra cannot merge
@@ -78,15 +91,6 @@ let select_product_probe stats p e2 =
             (fun target -> (b, a, target))
             (probe_target stats (Attr.Set.singleton a) e2))
   | _ -> None
-
-let equipped_join stats = function
-  | Expr.Equijoin (x, _, e2) -> probe_target stats x e2 <> None
-  | Expr.Select (p, Expr.Product (e1, e2)) ->
-      (* Either factor can serve the probe: the evaluator commutes the
-         product when the indexed factor sits on the left. *)
-      select_product_probe stats p e2 <> None
-      || select_product_probe stats p e1 <> None
-  | _ -> false
 
 (* Column summary for an attribute visible at a plan node, found by
    digging down to a base relation that binds it, inverting renames on

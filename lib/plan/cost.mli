@@ -40,14 +40,15 @@ val probe_target :
   (string
   * Nullrel.Attr.Set.t
   * (Nullrel.Tuple.t -> Nullrel.Tuple.t)
-  * (Nullrel.Tuple.t -> Nullrel.Tuple.t))
+  * (Nullrel.Tuple.t -> Nullrel.Tuple.t option))
   option
 (** [probe_target stats x e] identifies a join arm that bottoms out,
-    through renames only, in a base relation equipped with an index on
-    exactly the join attributes [x]: the base name, the attributes
-    under their base names, and the tuple translations [down] (probe
-    tuple into base scope) and [up] (indexed hit back into the node's
-    scope). [None] when the arm is not that shape or nothing covers
+    through renames and selections only, in a base relation equipped
+    with an index on exactly the join attributes [x]: the base name,
+    the attributes under their base names, and the tuple translations
+    [down] (probe tuple into base scope) and [up] (indexed hit back
+    into the node's scope, [None] when a selection on the way rejects
+    it). [None] when the arm is not that shape or nothing covers
     it. *)
 
 val select_product_probe :
@@ -59,7 +60,7 @@ val select_product_probe :
   * (string
     * Nullrel.Attr.Set.t
     * (Nullrel.Tuple.t -> Nullrel.Tuple.t)
-    * (Nullrel.Tuple.t -> Nullrel.Tuple.t)))
+    * (Nullrel.Tuple.t -> Nullrel.Tuple.t option)))
   option
 (** [select_product_probe stats p e2] recognizes the join shape
     compiled queries actually take — a cross-scope equality selection
@@ -72,11 +73,6 @@ val select_product_probe :
     Serving the selection by index probes is sound because a sure
     equality is upward-closed under subsumption, so the selection
     commutes with the minimization the product bakes in. *)
-
-val equipped_join : source -> Expr.t -> bool
-(** True exactly on [Equijoin] nodes whose build (right) arm has a
-    {!probe_target}, and on [Select]-over-[Product] nodes with a
-    {!select_product_probe}. *)
 
 val column : source -> Nullrel.Attr.t -> Expr.t -> (Stats.column * int) option
 (** [column stats a e] digs to a base relation below [e] that binds

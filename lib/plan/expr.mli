@@ -4,9 +4,10 @@
     complete algebra; this module makes algebra {e expressions} a first-
     class value so they can be built by the mini-QUEL compiler
     ({!Compile}), rewritten by the optimizer ({!Rewrite}) and costed
-    ({!Cost}). Evaluation is the straightforward bottom-up application
-    of the operators of {!Nullrel.Xrel} and {!Nullrel.Algebra}, with
-    the physical joins of {!Storage.Join}. *)
+    ({!Cost}). Evaluation computes, node by node, what the operators of
+    {!Nullrel.Xrel} and {!Nullrel.Algebra} would; joins run through the
+    physical operators of {!Storage.Join}, and projections are pushed
+    into them ({!eval}). *)
 
 open Nullrel
 
@@ -32,29 +33,62 @@ val op_label : t -> string
 
 val eval :
   ?index_probe:(t -> (Tuple.t -> Tuple.t list) option) ->
-  ?observe:(t -> (unit -> Xrel.t) -> Xrel.t) ->
+  ?observe:(t -> (unit -> int) -> int) ->
+  schema:(string -> Schema.t option) ->
   env:(string -> Xrel.t option) ->
   t -> Xrel.t
-(** Bottom-up evaluation. Raises {!Unbound_relation} when a [Rel] name
-    is not in the environment. [Equijoin] and [Union_join] nodes run
-    the physical hash joins of {!Storage.Join}, which agree with the
-    logical operators extensionally (property-tested), each under its
-    default {!Nullrel.Kernel.strategy}. [index_probe] is consulted once
-    per [Equijoin] node and once per [Select]-over-[Product] node (the
-    join shape compiled queries take, since the algebra cannot merge
-    two differently-named columns into an [Equijoin]); when it answers
-    a probe — a declared secondary index covering the build side,
-    translated through the plan's renames by [Compile.index_probe_of]
-    — the node runs through {!Storage.Join.probe_equijoin} and the
-    build operand (for a select-over-product, the right factor) is
-    never evaluated. The default answers [None] everywhere.
+(** Bottom-up evaluation. [schema] and [env] give each base relation's
+    schema and value; a [Rel] name either does not know raises
+    {!Unbound_relation}. The answer is always that of the operators of
+    {!Nullrel.Algebra} and {!Nullrel.Xrel} applied node by node, and so
+    is the error, if any; three shapes run faster than that:
+
+    - A selection chain over a product of disjoint-scope factors — the
+      join shape compiled queries take, since the algebra cannot merge
+      two differently-named columns into an [Equijoin] — runs in one
+      pass ({!Storage.Join.probe_join}) and never materializes the
+      product. A cross-scope equality conjunct [a = b] is probed
+      through a declared index when [index_probe] serves it (the
+      indexed factor is then never evaluated), else through a hash of
+      one factor built for this query ({!Storage.Join.column_probe});
+      without one, every pair is tried. The governor is charged per
+      probe and per attempted pair.
+    - A projection is pushed through a rename that keeps columns apart
+      and into the factors of such a join, keeping the attributes its
+      predicates read. Each factor then flows as a plain tuple set, cut
+      down to what is still needed and to its maximal tuples, and the
+      projection minimizes the joined tuples. A non-empty factor that
+      holds nothing on the kept attributes cuts down to the null tuple,
+      the product's unit. A projection the plan states inside a join
+      is evaluated as it stands, a minimal projection.
+    - [Equijoin] and [Union_join] run the hash joins of
+      {!Storage.Join}, or the index probe when one is served.
+
+    A join path never changes an error: when the kinds of value
+    ({!Nullrel.Value.kind}) on the two sides could make a comparison of
+    the chain raise [Value.Type_error], the chain runs as a selection
+    over the materialized product, as the plan states it. For a factor
+    an index serves, the kinds are its schema's domains, which the
+    catalog enforces; every other factor's are read off its tuples.
+
+    [index_probe] is consulted on [Equijoin] nodes and on
+    [Select (c, Product (e1, e2))] for each cross-scope equality
+    conjunct [c] of a chain (and on the commuted product); when it
+    answers — a declared secondary index covering that factor,
+    translated through the plan's renames and pushed selections by
+    [Compile.index_probe_of] — the probe serves the join. The default
+    answers [None] everywhere.
 
     [observe], when given, wraps the evaluation of every node that
-    actually runs: it receives the node and the thunk computing it
-    (children included) and must return the thunk's result. It takes
-    the place of the node's {!Obs.Span.with_span} — EXPLAIN ANALYZE
-    ({!Analyze}) measures through it. Without it each node runs under
-    its span. *)
+    actually runs: it receives the node and a thunk that computes it
+    (children included) and returns its row count, and must call the
+    thunk once and return what it returns. It takes the place of the
+    node's {!Obs.Span.with_span} — EXPLAIN ANALYZE ({!Analyze})
+    measures through it. A projection pushed below its plan node is
+    shown as a [Project] node of its own, a chain that runs as one join
+    as its outermost [Select], and the rows of a node inside a pushed
+    projection are its plain tuple set. Without [observe] each node
+    runs under its span. *)
 
 val scope_bound :
   env_scope:(string -> Attr.Set.t option) -> t -> Attr.Set.t

@@ -14,7 +14,12 @@
       pushing would wrongly drop tuples — see the soundness note in the
       implementation);
     - projection cascades fuse; projections distribute over union;
-      projections onto (a superset of) the operand scope vanish;
+      projections onto (a superset of) the operand scope vanish. A
+      projection is not pushed into the factors of a product here:
+      that rewrite is not an identity of x-relations (a non-empty
+      factor that projects to nothing is the product's unit, and a
+      minimal representation cannot say so), so {!Expr.eval} pushes
+      projections into joins as it runs them;
     - empty constants propagate ([e x {} = {}], [e u {} = e], ...).
 
     With a statistics source ([?cost]) one cost-based rule joins the

@@ -129,6 +129,7 @@ let with_relation st name f =
    in [nullrel_stats_lookups_total]. *)
 type db_context = {
   schemas : string -> Attr.t list option;
+  schema : string -> Schema.t option;
   env_scope : string -> Attr.Set.t option;
   stats : Plan.Cost.source;
   env : string -> Xrel.t option;
@@ -164,6 +165,7 @@ let db_context db cat =
   in
   {
     schemas = (fun name -> Option.map (fun (s_, _) -> Schema.attrs s_) (find name));
+    schema = (fun name -> Option.map fst (find name));
     env_scope =
       (fun name -> Option.map (fun (s_, _) -> Schema.attr_set s_) (find name));
     stats;
@@ -266,8 +268,8 @@ let explain_analyze st src =
       (Plan.Compile.query ~schemas:ctx.schemas q)
   in
   let _result, node =
-    Plan.Analyze.run ~index_probe:ctx.index_probe ~stats:ctx.stats
-      ~env:ctx.env plan
+    Plan.Analyze.run ~index_probe:ctx.index_probe ~schema:ctx.schema
+      ~stats:ctx.stats ~env:ctx.env plan
   in
   Plan.Analyze.render
     ~semantics:

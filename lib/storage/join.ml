@@ -31,10 +31,11 @@ let chunk_count n =
   min n (max (4 * d) ((n + chunk_grain - 1) / chunk_grain))
 
 (* Probe-side join: each probe tuple looks up its bucket and attempts
-   the tuple joins. [tick] is charged once per probe and once per
-   attempted join — [Exec.tick] directly when sequential, a local
-   count drained by the coordinator when a worker runs the chunk. *)
-let join_chunk ~probe probes ~tick lo hi =
+   the tuple joins, keeping the joined tuples [keep] accepts. [tick] is
+   charged once per probe and once per attempted join — [Exec.tick]
+   directly when sequential, a local count drained by the coordinator
+   when a worker runs the chunk. *)
+let join_chunk ~keep ~probe probes ~tick lo hi =
   let acc = ref Relation.empty in
   for j = lo to hi - 1 do
     let t1 = probes.(j) in
@@ -43,11 +44,13 @@ let join_chunk ~probe probes ~tick lo hi =
       (fun t2 ->
         tick ();
         match Tuple.join t1 t2 with
-        | Some joined -> acc := Relation.add joined !acc
-        | None -> ())
+        | Some joined when keep joined -> acc := Relation.add joined !acc
+        | _ -> ())
       (probe t1)
   done;
   !acc
+
+let keep_all _ = true
 
 let probe_core strategy probe r1 =
   let probes = Array.of_list (Xrel.to_list r1) in
@@ -60,7 +63,7 @@ let probe_core strategy probe r1 =
     | Kernel.Sequential | Kernel.Indexed -> false
   in
   if not parallel then
-    join_chunk ~probe probes ~tick:(fun () -> Exec.tick ()) 0 n
+    join_chunk ~keep:keep_all ~probe probes ~tick:(fun () -> Exec.tick ()) 0 n
   else begin
     (* Probe-side chunks against the shared read-only bucket table;
        per-chunk partial relations are merged by set union, so chunk
@@ -74,7 +77,8 @@ let probe_core strategy probe r1 =
         let lo = c * n / chunks and hi = (c + 1) * n / chunks in
         let cost = ref 0 in
         parts.(c) <-
-          join_chunk ~probe probes ~tick:(fun () -> incr cost) lo hi;
+          join_chunk ~keep:keep_all ~probe probes ~tick:(fun () -> incr cost)
+            lo hi;
         ignore (Atomic.fetch_and_add ticks !cost));
     Exec.drain_ticks ticks;
     Array.fold_left Relation.union Relation.empty parts
@@ -121,6 +125,44 @@ let probe_equijoin ?(strategy = Kernel.Indexed) ~probe r1 =
   observed_probe "probe-equijoin" r1
     (if Atomic.get shared then Xrel.of_relation raw
      else Xrel.unsafe_of_minimal raw)
+
+(* The planner's one-pass join works on plain tuple sets, which it
+   minimizes once at the end, so nothing here minimizes. *)
+let probe_join op ~keep ~probe r1 =
+  let probes = Array.of_list (Relation.to_list r1) in
+  let out =
+    join_chunk ~keep ~probe probes
+      ~tick:(fun () -> Exec.tick ())
+      0 (Array.length probes)
+  in
+  if Obs.Metrics.is_enabled () then begin
+    Obs.Metrics.add (op_counter op "in") (Relation.cardinal r1);
+    Obs.Metrics.add (op_counter op "out") (Relation.cardinal out)
+  end;
+  out
+
+module Values = Hashtbl.Make (struct
+  type t = Value.t
+
+  let equal = Value.equal
+  let hash = Value.hash
+end)
+
+(* Two non-null values of one kind surely equal each other exactly when
+   they are [Value.equal], so a table keyed by value finds every
+   partner of a probe key; a null key surely equals nothing. *)
+let column_probe a b r2 =
+  let tbl = Values.create (max 16 (Relation.cardinal r2)) in
+  Relation.iter
+    (fun t ->
+      match Tuple.get t b with
+      | Value.Null -> ()
+      | v -> Values.add tbl v t)
+    r2;
+  fun t1 ->
+    match Tuple.get t1 a with
+    | Value.Null -> []
+    | v -> Values.find_all tbl v
 
 let hash_union_join ?strategy ?index x r1 r2 =
   observed2 "hash-union-join" r1 r2

@@ -57,3 +57,31 @@ val probe_equijoin :
     When no hit binds an attribute of [r1]'s scope the output is
     already minimal and is not minimized again. [strategy] defaults to
     [Indexed] (sequential probes on the calling domain). *)
+
+val probe_join :
+  string ->
+  keep:(Tuple.t -> bool) ->
+  probe:(Tuple.t -> Tuple.t list) ->
+  Relation.t ->
+  Relation.t
+(** [probe_join op ~keep ~probe r1] joins each tuple of [r1] with each
+    of its hits, [probe t1], and keeps the joined tuples [keep]
+    accepts. Nothing is minimized: the planner feeds it plain tuple
+    sets and minimizes once above the join. Runs on the calling domain
+    and charges the governor once per tuple of [r1] and once per
+    attempted join, as {!probe_equijoin} does. Counts the tuples in
+    and out under the operator label [op] when metrics are on.
+
+    With [probe] returning every tuple of [r2] it is the selection
+    [keep] over the product; with {!column_probe} or a declared index
+    it is that selection whenever [keep] contains the probed equality,
+    since no pair the probe skips satisfies it. *)
+
+val column_probe : Attr.t -> Attr.t -> Relation.t -> Tuple.t -> Tuple.t list
+(** [column_probe a b r2] hashes the tuples of [r2] once, by their
+    non-null value of [b], and returns the probe for a per-query join
+    on [a = b]: a tuple maps to the tuples of [r2] whose [b] equals its
+    [a], and to [[]] when its [a] is null (a null surely equals
+    nothing). Expects the two columns to hold one kind of value between
+    them: a probe key of another kind than the table's finds nothing,
+    where the comparison would raise [Value.Type_error]. *)

@@ -114,6 +114,24 @@ let test_memory_budget () =
   Alcotest.(check bool) "high-water recorded" true
     (Exec.memory_high_water g > 100_000)
 
+(* Blocks too large for the minor heap go straight to the major heap,
+   and [Gc.quick_stat] counts them only at the domain's next minor
+   collection. 250 blocks of 300 words (75,000 words) stay far below
+   the volume that brings one about, and the budget must still see
+   them. *)
+let test_memory_budget_between_collections () =
+  let g = Exec.make ~max_memory_words:50_000 ~check_every:1 () in
+  let e =
+    expect_abort "memory budget" (fun () ->
+        Exec.with_governor g (fun () ->
+            let blocks =
+              Sys.opaque_identity (List.init 250 (fun _ -> Array.make 300 0))
+            in
+            Exec.tick ();
+            ignore (Sys.opaque_identity blocks)))
+  in
+  Alcotest.(check bool) "memory words exceeded" true (memory_exceeded e)
+
 let test_ambient_restored_after_abort () =
   let g = Exec.make ~max_tuples:1 () in
   (try
@@ -316,4 +334,6 @@ let suite =
       test_retrying_exhaustion_is_storage_fault;
     Alcotest.test_case "injected crashes are never retried" `Quick
       test_retrying_passes_injected_faults;
+    Alcotest.test_case "memory budget sees blocks before a collection"
+      `Quick test_memory_budget_between_collections;
   ]

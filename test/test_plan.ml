@@ -8,6 +8,16 @@ let env_of bindings name = List.assoc_opt name bindings
 let scope_of bindings name =
   Option.map Xrel.scope (List.assoc_opt name bindings)
 
+(* The test relations hold ints only. *)
+let schema_of bindings name =
+  Option.map
+    (fun x ->
+      Schema.make name
+        (List.map
+           (fun a -> (Attr.name a, Domain.Ints))
+           (Attr.Set.elements (Xrel.scope x))))
+    (List.assoc_opt name bindings)
+
 let r_rel =
   x [ t [ ("A", i 1); ("B", i 2) ]; t [ ("A", i 3); ("B", i 1) ]; t [ ("A", i 5) ] ]
 
@@ -16,7 +26,8 @@ let s_rel = x [ t [ ("C", i 1) ]; t [ ("C", i 3) ] ]
 let bindings = [ ("R", r_rel); ("S", s_rel) ]
 let env = env_of bindings
 let env_scope = scope_of bindings
-let eval e = Plan.Expr.eval ~env e
+let schema = schema_of bindings
+let eval e = Plan.Expr.eval ~schema ~env e
 let optimize e = Plan.Rewrite.optimize ~env_scope e
 
 let test_eval_operators () =
@@ -89,14 +100,15 @@ let test_rewrite_respects_null_overlap () =
   let overlap = x [ t [ ("A", i 5); ("C", i 9) ] ] in
   let bindings = [ ("R", r_rel); ("T", overlap) ] in
   let env = env_of bindings and env_scope = scope_of bindings in
+  let schema = schema_of bindings in
   let p = Predicate.cmp_const "A" Predicate.Eq (i 5) in
   let plan = Plan.Expr.Select (p, Product (Rel "R", Rel "T")) in
   let optimized = Plan.Rewrite.optimize ~env_scope plan in
   Alcotest.(check bool) "selection stays above the product" true
     (match optimized with Plan.Expr.Select _ -> true | _ -> false);
   check_xrel "semantics preserved"
-    (Plan.Expr.eval ~env plan)
-    (Plan.Expr.eval ~env optimized)
+    (Plan.Expr.eval ~schema ~env plan)
+    (Plan.Expr.eval ~schema ~env optimized)
 
 let test_rewrite_select_through_union_diff () =
   let plan = Plan.Expr.Select (p_a, Union (Rel "R", Rel "R")) in
@@ -182,13 +194,16 @@ let test_compile_matches_eval () =
   let schemas name =
     Option.map (fun (s_, _) -> Schema.attrs s_) (List.assoc_opt name qa_db)
   in
+  let schema name = Option.map fst (List.assoc_opt name qa_db) in
   let env name = Option.map snd (List.assoc_opt name qa_db) in
   List.iter
     (fun src ->
       let q = Quel.Parser.parse src in
       let reference = Quel.Eval.run qa_db q in
       let compiled = Plan.Compile.run qa_db q in
-      let unoptimized = Plan.Expr.eval ~env (Plan.Compile.query ~schemas q) in
+      let unoptimized =
+        Plan.Expr.eval ~schema ~env (Plan.Compile.query ~schemas q)
+      in
       check_xrel "compiled = interpreter" reference.Quel.Eval.rel
         compiled.Quel.Eval.rel;
       check_xrel "unoptimized = interpreter" reference.Quel.Eval.rel
@@ -205,6 +220,34 @@ let test_compile_matches_eval () =
       "range of e is EMP range of m is EMP retrieve (e.NAME, m.NAME) \
        where e.MGR# = m.E# and m.SEX = \"M\"";
     ]
+
+(* The unit rule of the projection pushdown. A factor that is
+   non-empty but holds no value on the attributes the query keeps is the
+   product's unit: R's one tuple is null on A2, so retrieving (x.A2,
+   y.A1) keeps S's tuple. Projecting each factor first and multiplying
+   the projections would give nothing, since a minimal representation
+   drops the null tuple. *)
+let test_pushdown_unit_rule () =
+  let schema name attrs =
+    Schema.make name (List.map (fun a -> (a, Domain.Ints)) attrs)
+  in
+  let r = x [ t [ ("B", i 1) ] ] and s_ = x [ t [ ("A1", i 3) ] ] in
+  let db : Quel.Resolve.db =
+    [ ("R", (schema "R" [ "A2"; "B" ], r)); ("S", (schema "S" [ "A1" ], s_)) ]
+  in
+  let q =
+    Quel.Parser.parse "range of x is R range of y is S retrieve (x.A2, y.A1)"
+  in
+  let planned = Plan.Compile.run db q in
+  check_xrel "one tuple, y.A1 = 3" (x [ t [ ("A1", i 3) ] ])
+    planned.Quel.Eval.rel;
+  check_xrel "planner = evaluator" (Quel.Eval.run db q).Quel.Eval.rel
+    planned.Quel.Eval.rel;
+  Alcotest.(check int) "the naive pushdown loses it" 0
+    (Xrel.cardinal
+       (Algebra.product
+          (Algebra.project (aset [ "A2" ]) r)
+          (Algebra.project (aset [ "A1" ]) s_)))
 
 let test_compile_plan_shape () =
   let q =
@@ -282,5 +325,7 @@ let suite =
     Alcotest.test_case "compiled = interpreted" `Quick
       test_compile_matches_eval;
     Alcotest.test_case "compiled plan shape" `Quick test_compile_plan_shape;
+    Alcotest.test_case "pushed projection keeps the product's unit" `Quick
+      test_pushdown_unit_rule;
     Alcotest.test_case "pp and size" `Quick test_pp_and_size;
   ]

@@ -92,6 +92,38 @@ let test_errors_are_text () =
         (contains out "error" || contains out "parse error"))
     outputs
 
+(* A declared index picks the physical join, never the answer: an int
+   column compared with a string column raises with or without the
+   index on the string side. *)
+let test_index_keeps_type_errors () =
+  let csv rows =
+    let path = Filename.temp_file "nullrel_shell" ".csv" in
+    Out_channel.with_open_text path (fun oc ->
+        Out_channel.output_string oc rows);
+    path
+  in
+  let r = csv "A,C\n1,1\n2,2\n" and s_ = csv "B,D\nx,2\ny,3\n" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ r; s_ ])
+    (fun () ->
+      let q =
+        "range of x is R range of y is S retrieve (x.C, y.D) where x.A = y.B"
+      in
+      let _, outputs =
+        feed
+          [ ".load R " ^ r; ".load S " ^ s_; q; ".index S hash B"; q;
+            ".explain analyze " ^ q ]
+      in
+      match outputs with
+      | [ _; _; plain; _; indexed; explained ] ->
+          List.iter
+            (fun (label, out) ->
+              Alcotest.(check string) label
+                "type error: cannot compare int with string" out)
+            [ ("without the index", plain); ("with the index", indexed);
+              ("explain analyze with the index", explained) ]
+      | _ -> Alcotest.fail "expected six outputs")
+
 let test_save_open_roundtrip () =
   with_ps_csv (fun path ->
       let dir =
@@ -409,4 +441,6 @@ let suite =
     Alcotest.test_case "empty input" `Quick test_empty_input;
     Alcotest.test_case ".save supersedes the target's journal" `Quick
       test_save_supersedes_journal;
+    Alcotest.test_case "a declared index keeps type errors" `Quick
+      test_index_keeps_type_errors;
   ]

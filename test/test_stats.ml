@@ -305,10 +305,11 @@ let test_reorder_smallest_first () =
   let reordered = Plan.Rewrite.optimize ~cost:stats ~env_scope plan in
   Alcotest.(check bool) "small factor moved first" true
     (Plan.Expr.equal reordered (Plan.Expr.Product (Rel "SMALL", Rel "BIG")));
+  let schema name = Option.map fst (List.assoc_opt name db) in
   let env name = Option.map snd (List.assoc_opt name db) in
   check_xrel "reordering preserves the result"
-    (Plan.Expr.eval ~env plan)
-    (Plan.Expr.eval ~env reordered);
+    (Plan.Expr.eval ~schema ~env plan)
+    (Plan.Expr.eval ~schema ~env reordered);
   (* without a cost source the rule must not fire *)
   Alcotest.(check bool) "no reorder without stats" true
     (Plan.Expr.equal (Plan.Rewrite.optimize ~env_scope plan) plan)
