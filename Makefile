@@ -29,7 +29,9 @@ bench-smoke:
 	NULLREL_DOMAINS=$${NULLREL_DOMAINS:-4} timeout 600 $(DUNE) exec bench/main.exe -- --fast
 
 # Observability end to end on a sample workload: run a governed query
-# with tracing on, dump the metrics registry, and print it.
+# with tracing on, dump the metrics registry, and print it. The query
+# runs through the planner, so its trace shows plan operators and no
+# calculus-evaluator (quel.query) span.
 metrics-demo:
 	$(DUNE) build bin/nullrel_cli.exe
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
@@ -38,8 +40,15 @@ metrics-demo:
 	  --timeout 10 --max-tuples 100000 \
 	  --metrics-file "$$tmp/metrics.prom" --trace \
 	  --rel "PS=$$tmp/ps.csv" \
-	  'range of p is PS retrieve (p.S#) where p.P# = "p1"'; \
-	echo; echo "--- $$tmp/metrics.prom ---"; cat "$$tmp/metrics.prom"
+	  'range of p is PS retrieve (p.S#) where p.P# = "p1"' \
+	  2> "$$tmp/trace.txt"; \
+	cat "$$tmp/trace.txt"; \
+	echo; echo "--- $$tmp/metrics.prom ---"; cat "$$tmp/metrics.prom"; \
+	grep -Eq '^trace: *select ' "$$tmp/trace.txt" \
+	  && grep -Eq '^trace: *project ' "$$tmp/trace.txt" || { \
+	  echo "query --trace printed no plan-operator span"; exit 1; }; \
+	! grep -q 'quel\.query' "$$tmp/trace.txt" || { \
+	  echo "query answered through the calculus evaluator, not a plan"; exit 1; }
 
 # Statistics end to end on a sample database: load it into the shell,
 # run .analyze, list the stats catalog, show a plan costed with the
@@ -156,7 +165,8 @@ monitor-demo:
 # the containment lattice on generated queries (exit 1 on any oracle
 # failure), the shell switches dialects mid-session and must print a
 # MAYBE band plus the SEMANTICS column of sys_sessions, and the CLI
-# answers the same query under --semantics sql with an UNKNOWN band.
+# answers the same query under --semantics sql with an UNKNOWN band and,
+# statistics collected first, under --semantics codd with a MAYBE band.
 # Exercised by CI at 1 and 4 domains like the other demos.
 semantics-demo:
 	$(DUNE) build bin/nullrel_cli.exe
@@ -185,7 +195,13 @@ semantics-demo:
 	  'range of p is PS retrieve (p.S#) where p.P# = "p1"' \
 	  | tee "$$tmp/cli.txt"; \
 	grep -q 'UNKNOWN band' "$$tmp/cli.txt" || { \
-	  echo "--semantics sql did not print the UNKNOWN band"; exit 1; }
+	  echo "--semantics sql did not print the UNKNOWN band"; exit 1; }; \
+	$(DUNE) exec bin/nullrel_cli.exe -- query --analyze --semantics codd \
+	  --rel "PS=$$tmp/ps.csv" \
+	  'range of p is PS retrieve (p.S#) where p.P# = "p1"' \
+	  | tee "$$tmp/cli_analyze.txt"; \
+	grep -q 'MAYBE band' "$$tmp/cli_analyze.txt" || { \
+	  echo "query --analyze --semantics codd dropped the MAYBE band"; exit 1; }
 
 # Secondary indexes end to end: declare a hash index, watch an
 # equi-join get served by probes (the probe-equijoin operator in

@@ -1,8 +1,10 @@
 (* nullrel: a command-line front end for relations with null values.
 
    Relations are CSV files ("-" is the null); the first line names the
-   attributes.  Subcommands expose the generalized algebra and the
-   mini-QUEL evaluator.
+   attributes.  Subcommands expose the generalized algebra and
+   mini-QUEL, whose queries the planner answers (Plan.Compile.run_catalog,
+   as in the shell; the reporting dialects get the calculus evaluator's
+   bands).
 
      nullrel show r.csv
      nullrel minimize r.csv
@@ -13,7 +15,7 @@
      nullrel outerjoin --on ID r1.csv r2.csv
      nullrel divide --quotient S# r.csv divisor.csv
      nullrel query --rel EMP=emp.csv 'range of e is EMP retrieve (e.NAME)'
-     nullrel query --analyze --rel EMP=emp.csv '...'   (stats-costed plan)
+     nullrel query --analyze --rel EMP=emp.csv '...'   (statistics first)
      nullrel agg sum --attr e.QTY --rel SP=sp.csv '...'
 
    Exit codes: 0 success, 1 generic/quarantine, 2 bad input (parse,
@@ -406,66 +408,46 @@ let query_cmd =
   in
   let analyze_flag =
     let doc =
-      "Collect statistics over every bound relation first, then run the \
-       query through the cost-based planner (null-aware selectivities, \
-       product reordering, join dispatch hints)."
+      "Collect statistics over every bound relation first, so the planner \
+       costs the query with them (null-aware selectivities, product \
+       reordering)."
     in
     Arg.(value & flag & info [ "analyze" ] ~doc)
   in
   let run as_csv timeout tuples metrics trace tracef domains sem_d analyze rels query_src =
     governed timeout tuples metrics trace tracef domains sem_d (fun () ->
         let cat = catalog_of_rels rels in
+        let cat =
+          if not analyze then cat
+          else
+            List.fold_left
+              (fun cat (name, (schema, x)) ->
+                Storage.Catalog.set_stats cat name
+                  (Stats.collect ~attrs:(Schema.attrs schema) x))
+              cat (Storage.Catalog.to_db cat)
+        in
         let q = Quel.Parser.parse query_src in
         let db = Sysview.statement_db ~ranges:q.Quel.Ast.ranges cat in
         let sem = Semantics.current () in
-        match (sem.Semantics.dialect, analyze) with
-        | Semantics.Ni_lower, false ->
-            let result = Quel.Eval.run db q in
-            emit ~as_csv result.Quel.Eval.attrs result.Quel.Eval.rel
-        | _, true ->
-            (* The planner path: under a reporting dialect the result is
-               the sure band (re-minimized); bands need the calculus
-               evaluator, i.e. drop --analyze. *)
-            let collected =
-              List.map
-                (fun (name, (schema, x)) ->
-                  (name, Stats.collect ~attrs:(Schema.attrs schema) x))
-                (Storage.Catalog.to_db cat)
-            in
-            let stats =
-              {
-                Plan.Cost.rowcount =
-                  (fun name ->
-                    Option.map
-                      (fun (_, x) -> Xrel.cardinal x)
-                      (List.assoc_opt name db));
-                table = (fun name -> List.assoc_opt name collected);
-                equipped = (fun _ _ -> false);
-              }
-            in
-            let result = Plan.Compile.run ~stats ~semantics:sem db q in
-            emit ~as_csv result.Quel.Eval.attrs result.Quel.Eval.rel
-        | (Semantics.Codd_maybe | Semantics.Sql_3vl | Semantics.Certain), false
-          ->
-            if as_csv then
-              Exec_error.bad_input
-                "--csv emits x-relations; the reporting dialects produce \
-                 plain-set bands (drop --csv, or use --semantics ni)";
-            let b = Quel.Eval.query (Quel.Eval.ctx ~semantics:sem ()) db q in
-            Format.printf "%a@?"
-              (Pp.table_rel b.Quel.Eval.attrs)
-              b.Quel.Eval.sure;
-            Option.iter
-              (fun band ->
-                Format.printf "%a@?"
-                  (Pp.table_rel
-                     ~title:(sem.Semantics.maybe_label ^ " band")
-                     b.Quel.Eval.attrs)
-                  band)
-              b.Quel.Eval.maybe)
+        let b = Plan.Compile.run_catalog ~semantics:sem cat db q in
+        if sem.Semantics.dialect = Semantics.Ni_lower then
+          emit ~as_csv b.attrs (Xrel.unsafe_of_minimal b.sure)
+        else begin
+          if as_csv then
+            Exec_error.bad_input
+              "--csv emits x-relations; the reporting dialects produce \
+               plain-set bands (drop --csv, or use --semantics ni)";
+          Format.printf "%a@?" (Pp.table_rel b.attrs) b.sure;
+          Option.iter
+            (Format.printf "%a@?"
+               (Pp.table_rel ~title:(sem.Semantics.maybe_label ^ " band")
+                  b.attrs))
+            b.maybe
+        end)
   in
   let doc =
-    "Evaluate a mini-QUEL query (the paper's lower bound ||Q||-)."
+    "Evaluate a mini-QUEL query (the paper's lower bound ||Q||-) through the \
+     planner; the reporting dialects print their second band too."
   in
   Cmd.v (Cmd.info "query" ~doc)
     Term.(

@@ -13,7 +13,7 @@ type node = {
    it as a child of the node whose evaluation is open around it. Spans
    nest, so [ticks] and [elapsed_s] are inclusive of the children — the
    natural reading of an EXPLAIN ANALYZE tree. *)
-let run ?index_probe ~schema ~stats ~env e =
+let run ~index_probe ~schema ~stats ~env e =
   (* The finished children of every open node, innermost first. *)
   let open_nodes = ref [ [] ] in
   let observe e f =
@@ -34,7 +34,7 @@ let run ?index_probe ~schema ~stats ~env e =
     open_nodes := (node :: List.hd outer) :: List.tl outer;
     rows
   in
-  let x = Expr.eval ?index_probe ~observe ~schema ~env e in
+  let x = Expr.eval ~index_probe ~observe ~schema ~env e in
   (x, List.hd (List.hd !open_nodes))
 
 let rec rows prefix n =
@@ -49,15 +49,10 @@ let ratio n =
   if n.actual_rows = 0 then "-"
   else Printf.sprintf "%.2f" (n.est_rows /. float n.actual_rows)
 
-let render ?semantics root =
-  let heading =
-    (* Annotate the active dialect: an analyzed physical plan is
-       always the Ni_lower pipeline, so naming the dialect makes the
-       dispatch visible instead of implicit. *)
-    match semantics with
-    | None -> []
-    | Some name -> [ "semantics: " ^ name ]
-  in
+(* The heading names the dialect: an analyzed physical plan is always
+   the Ni_lower pipeline, so naming it makes the dispatch visible. *)
+let render ~semantics root =
+  let heading = [ "semantics: " ^ semantics ] in
   let body = rows "" root in
   let est n = Printf.sprintf "%g" n.est_rows in
   let ms n = Printf.sprintf "%.1f" (n.elapsed_s *. 1000.) in

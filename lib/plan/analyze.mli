@@ -17,7 +17,7 @@ type node = {
 }
 
 val run :
-  ?index_probe:(Expr.t -> (Nullrel.Tuple.t -> Nullrel.Tuple.t list) option) ->
+  index_probe:(Expr.t -> (Nullrel.Tuple.t -> Nullrel.Tuple.t list) option) ->
   schema:(string -> Nullrel.Schema.t option) ->
   stats:Cost.source ->
   env:(string -> Nullrel.Xrel.t option) ->
@@ -28,10 +28,8 @@ val run :
     aborts. [index_probe] and [schema] as in {!Expr.eval}: a join
     served by an index probe shows its probe side only, as it ran. *)
 
-val render : ?semantics:string -> node -> string
+val render : semantics:string -> node -> string
 (** Aligned text tree: one row per operator (children indented), with
     est / actual / est-over-actual / ticks / ms columns (the ratio
-    prints ["-"] on an actual-empty node). [semantics] prepends a
-    ["semantics: NAME"] line naming the dialect the plan was analyzed
-    under (physical plans always run the [Ni_lower] pipeline; the
-    annotation makes that dispatch visible). *)
+    prints ["-"] on an actual-empty node), under a ["semantics: NAME"]
+    line naming the dialect the plan was analyzed under. *)

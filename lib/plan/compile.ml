@@ -36,12 +36,12 @@ let query ~schemas (q : Quel.Ast.query) =
   in
   if needs_rename then Expr.Rename (output_mapping, projected) else projected
 
-(* The probe a declared secondary index serves for one join node, seen
-   through the plan's renames. [probe_for] supplies the raw probe over
-   a base relation (the shells wire {!Storage.Catalog.equi_probe});
-   the translations from {!Cost.probe_target} carry probe tuples down
-   to base names and indexed hits back up. *)
-let index_probe_of ~stats ~probe_for node =
+(* The probe a declared index of [cat] serves for one join node, seen
+   through the plan's renames: the translations from
+   {!Cost.probe_target} carry probe tuples down to base names and
+   indexed hits back up. *)
+let index_probe_of ~stats cat node =
+  let probe_for = Storage.Catalog.equi_probe cat in
   match node with
   | Expr.Equijoin (x, _, e2) -> (
       match Cost.probe_target stats x e2 with
@@ -74,35 +74,109 @@ let index_probe_of ~stats ~probe_for node =
 (* Physical execution serves the Ni_lower dialect only: every operator
    of the physical algebra bakes subsumption minimization in (that is
    the paper's Section 4 discipline), so the plain-set dialects would
-   lose their Codd-style row identity inside any plan node. They
-   evaluate through the calculus evaluator instead — the planner
-   dispatches on the dialect up front, and the Ni_lower path below is
-   byte-for-byte the pre-dialect pipeline. *)
-let run_bands ?semantics (db : Quel.Resolve.db) q =
-  let ctx = Quel.Eval.ctx ?semantics () in
-  Quel.Eval.query ctx db q
-
-let run ?stats ?semantics ?(index_probe = fun _ -> None)
-    (db : Quel.Resolve.db) q =
-  let sem =
-    match semantics with Some sem -> sem | None -> Semantics.current ()
-  in
-  match sem.Semantics.dialect with
-  | Semantics.Codd_maybe | Semantics.Sql_3vl | Semantics.Certain ->
-      let b = run_bands ~semantics:sem db q in
-      { Quel.Eval.attrs = b.Quel.Eval.attrs;
-        rel = Xrel.of_relation b.Quel.Eval.sure }
-  | Semantics.Ni_lower ->
+   lose their Codd-style row identity inside any plan node. A plan may
+   also order and skip the comparisons the evaluator makes (a pushed
+   selection empties a factor first), so a qualification that could
+   raise, judged by the domains the catalog holds every column to, gets
+   the evaluator's answer or error. *)
+let evaluator_answers sem db q =
   Quel.Resolve.check db q;
-  let schemas name =
-    Option.map (fun (schema, _) -> Schema.attrs schema) (List.assoc_opt name db)
+  sem.Semantics.dialect <> Semantics.Ni_lower
+  ||
+  match q.Quel.Ast.where with
+  | None -> false
+  | Some c ->
+      let domain = Quel.Eval.domains_for db q in
+      Predicate.may_raise
+        (fun a -> Domain.kind (domain a))
+        (Quel.Eval.predicate_of_cond c)
+
+let find db name = List.assoc_opt name db
+let schema_of db name = Option.map fst (find db name)
+let env_of db name = Option.map snd (find db name)
+
+let optimize ?cost db q =
+  let raw =
+    query ~schemas:(fun name -> Option.map Schema.attrs (schema_of db name)) q
   in
-  let plan = query ~schemas q in
-  let schema name = Option.map fst (List.assoc_opt name db) in
-  let env_scope name = Option.map Schema.attr_set (schema name) in
-  let plan = Rewrite.optimize ?cost:stats ~env_scope plan in
-  let env name = Option.map snd (List.assoc_opt name db) in
-  let attrs =
-    List.map (Quel.Eval.target_attr q.Quel.Ast.targets) q.Quel.Ast.targets
+  let env_scope name = Option.map Schema.attr_set (schema_of db name) in
+  (raw, Rewrite.optimize ?cost ~env_scope raw)
+
+(* The evaluator's bands when it answers, else the plan's answer
+   [plan ()] as the one band of [Ni_lower]. *)
+let answer sem db q plan =
+  if evaluator_answers sem db q then
+    Quel.Eval.query (Quel.Eval.ctx ~semantics:sem ()) db q
+  else
+    {
+      Quel.Eval.attrs =
+        List.map (Quel.Eval.target_attr q.Quel.Ast.targets) q.Quel.Ast.targets;
+      sure = Xrel.rep (plan ());
+      maybe = None;
+    }
+
+(* What a catalog tells the planner about one statement's relations:
+   the entries' live row counts (the statement db's for names the
+   catalog lacks: [sys_*] relations, materialized views), their fresh
+   [.analyze] statistics, each lookup counted as a hit, a miss or
+   stale in [nullrel_stats_lookups_total], and the declared indexes. *)
+let catalog_source cat db =
+  {
+    Cost.rowcount =
+      (fun name ->
+        match Storage.Catalog.cardinal cat name with
+        | Some n -> Some n
+        | None -> Option.map Xrel.cardinal (env_of db name));
+    table =
+      (fun name ->
+        if not (Storage.Catalog.mem cat name) then None
+        else
+          match Storage.Catalog.stats_status cat name with
+          | Storage.Catalog.Fresh t ->
+              Stats.count_hit ();
+              Some t
+          | Storage.Catalog.Stale _ ->
+              Stats.count_stale ();
+              None
+          | Storage.Catalog.Missing ->
+              Stats.count_miss ();
+              None);
+    equipped = Storage.Catalog.has_equi cat;
+  }
+
+type planned = { raw : Expr.t; optimized : Expr.t; stats : Cost.source }
+
+let plan_catalog cat db q =
+  Quel.Resolve.check db q;
+  let stats = catalog_source cat db in
+  let raw, optimized = optimize ~cost:stats db q in
+  { raw; optimized; stats }
+
+let current = function Some sem -> sem | None -> Semantics.current ()
+
+let run_catalog ?semantics cat db q =
+  answer (current semantics) db q (fun () ->
+      let p = plan_catalog cat db q in
+      Expr.eval
+        ~index_probe:(index_probe_of ~stats:p.stats cat)
+        ~schema:(schema_of db) ~env:(env_of db) p.optimized)
+
+let analyze_catalog cat db q =
+  let p = plan_catalog cat db q in
+  snd
+    (Analyze.run
+       ~index_probe:(index_probe_of ~stats:p.stats cat)
+       ~schema:(schema_of db) ~stats:p.stats ~env:(env_of db) p.optimized)
+
+let run ?semantics db q =
+  let sem = current semantics in
+  let b =
+    answer sem db q (fun () ->
+        Expr.eval ~schema:(schema_of db) ~env:(env_of db) (snd (optimize db q)))
   in
-  { Quel.Eval.attrs; rel = Expr.eval ~index_probe ~schema ~env plan }
+  {
+    Quel.Eval.attrs = b.Quel.Eval.attrs;
+    rel =
+      (if sem.Semantics.minimize then Xrel.unsafe_of_minimal b.Quel.Eval.sure
+       else Xrel.of_relation b.Quel.Eval.sure);
+  }

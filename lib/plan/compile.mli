@@ -5,7 +5,8 @@
     algebra is optimized by {!Rewrite}, and evaluation happens
     operator-by-operator. The compiled-and-optimized pipeline computes
     exactly the lower bound [||Q||-] of {!Quel.Eval.run} (property
-    [test/props_plan.ml]). *)
+    [test/props_plan.ml]), so {!run_catalog} answers retrieves on every
+    surface but sessions, with the evaluator kept as the spec. *)
 
 open Nullrel
 
@@ -18,46 +19,55 @@ val query :
     {!Quel.Eval.target_attr}. Raises {!Quel.Resolve.Error} on unknown
     relations (schema lookup failures). *)
 
-val index_probe_of :
-  stats:Cost.source ->
-  probe_for:(string -> Attr.Set.t -> (Tuple.t -> Tuple.t list) option) ->
-  Expr.t ->
-  (Tuple.t -> Tuple.t list) option
-(** The probe a declared secondary index serves for one join node:
-    {!Cost.probe_target} on an [Equijoin]'s build arm, or
-    {!Cost.select_product_probe} on a [Select]-over-[Product] node —
-    the join shape every compiled query takes. The raw base-relation
-    probe comes from [probe_for] (the shells wire
-    [Storage.Catalog.equi_probe]); inputs and hits are translated
-    through the plan's renames, and hits a selection pushed onto the
-    indexed factor rejects are dropped. The shape [eval]'s [index_probe]
-    parameter expects, partially applied to the stats source and
-    catalog. *)
+val evaluator_answers :
+  Semantics.t -> Quel.Resolve.db -> Quel.Ast.query -> bool
+(** Whether {!run} and {!run_catalog} answer [q] with the calculus
+    evaluator {!Quel.Eval.query} instead of a plan: under a reporting
+    dialect (the physical algebra minimizes at every operator, the set
+    discipline those dialects reject), and under [Ni_lower] when a
+    comparison of the qualification could meet two kinds of value,
+    judged by the ranges' schema domains ({!Nullrel.Predicate.may_raise}).
+    A plan may order and skip the comparisons the evaluator makes, so
+    only the evaluator gives such a query its answer or its error.
+    Raises {!Quel.Resolve.Error} like {!Quel.Resolve.check}. *)
 
-val run_bands :
-  ?semantics:Semantics.t -> Quel.Resolve.db -> Quel.Ast.query ->
+type planned = {
+  raw : Expr.t;  (** {!query}'s plan. *)
+  optimized : Expr.t;  (** The plan {!run_catalog} runs. *)
+  stats : Cost.source;
+      (** The catalog's row counts ({!Storage.Catalog.cardinal}; the
+          statement db's for names it lacks), fresh statistics (each
+          lookup counted as a hit, a miss or stale) and declared
+          indexes. *)
+}
+
+val plan_catalog :
+  Storage.Catalog.t -> Quel.Resolve.db -> Quel.Ast.query -> planned
+(** Compile [q] and optimize it with what the catalog knows. [db] is the
+    statement's database: the catalog's relations as they stand plus
+    any it lacks ([sys_*] relations), as [Sysview.statement_db] or
+    {!Storage.Catalog.to_db} build it. *)
+
+val run_catalog :
+  ?semantics:Semantics.t ->
+  Storage.Catalog.t -> Quel.Resolve.db -> Quel.Ast.query ->
   Quel.Eval.bands
-(** Evaluate under a dialect ({!Nullrel.Semantics.current} by
-    default) and return its bands — the planner-side entry the shells
-    use for the reporting dialects. Physical plans serve [Ni_lower]
-    only (the physical algebra minimizes at every operator, which is
-    precisely the set discipline the other dialects reject), so this
-    routes through the calculus evaluator {!Quel.Eval.query}. *)
+(** The retrieve entry of the shell, the CLI and views, under a dialect
+    ({!Nullrel.Semantics.current} by default): {!Quel.Eval.query}'s
+    bands when {!evaluator_answers}, else {!plan_catalog}'s plan, its
+    joins probing the catalog's declared indexes
+    ({!Storage.Catalog.equi_probe}), as the one band. Either way the
+    answer, or the error, is {!Quel.Eval.query}'s. *)
+
+val analyze_catalog :
+  Storage.Catalog.t -> Quel.Resolve.db -> Quel.Ast.query -> Analyze.node
+(** {!Analyze.run} of the plan {!run_catalog} runs, probes included;
+    meaningful when not {!evaluator_answers}. *)
 
 val run :
-  ?stats:Cost.source -> ?semantics:Semantics.t ->
-  ?index_probe:(Expr.t -> (Tuple.t -> Tuple.t list) option) ->
-  Quel.Resolve.db -> Quel.Ast.query ->
+  ?semantics:Semantics.t -> Quel.Resolve.db -> Quel.Ast.query ->
   Quel.Eval.result
-(** Compile, optimize with {!Rewrite.optimize}, then evaluate against
-    the database. Agrees with {!Quel.Eval.run}. A statistics source
-    turns on the cost-based reorder: product chains run smallest-first
-    ({!Rewrite.optimize}'s [?cost]). [index_probe] goes to
-    {!Expr.eval}: a join node that a declared index serves is probed
-    instead of materializing the product. To run the plan unoptimized,
-    apply {!Expr.eval} to {!query}'s plan. Under a non-[Ni_lower]
-    dialect (explicit [semantics], or the ambient default) the
-    physical pipeline is bypassed for {!run_bands} and the result is
-    the sure band, re-minimized to fit the [Xrel.t]-shaped result —
-    callers wanting the dialect's plain-set bands use {!run_bands}
-    directly. *)
+(** {!run_catalog} without a catalog: the plan is optimized without
+    statistics and probes no index. Under a reporting dialect the
+    result is the sure band, re-minimized. To run the plan unoptimized,
+    apply {!Expr.eval} to {!query}'s plan. *)

@@ -23,8 +23,8 @@ type source = {
       (** Collected statistics, when fresh ones exist. *)
   equipped : string -> Nullrel.Attr.Set.t -> bool;
       (** Whether a declared secondary index covers exactly these
-          attributes of the named base relation (the shells wire
-          [Storage.Catalog.has_equi]). An equipped equijoin build side
+          attributes of the named base relation ({!Compile.run_catalog}
+          wires [Storage.Catalog.has_equi]). An equipped equijoin build side
           is costed as a probe pass — the build side is never
           materialized — and dispatched [Indexed]. *)
 }
@@ -73,18 +73,6 @@ val select_product_probe :
     Serving the selection by index probes is sound because a sure
     equality is upward-closed under subsumption, so the selection
     commutes with the minimization the product bakes in. *)
-
-val column : source -> Nullrel.Attr.t -> Expr.t -> (Stats.column * int) option
-(** [column stats a e] digs to a base relation below [e] that binds
-    [a] (inverting renames) and returns its summary plus the base row
-    count. Exposed for the benchmark harness. *)
-
-val selectivity : float
-(** Fallback fraction of tuples surviving a comparison with no
-    statistics (1/3). *)
-
-val join_selectivity : float
-(** Fallback equijoin selectivity with no statistics (0.1). *)
 
 val default_cardinality : float
 (** Estimate for a base relation the source knows nothing about. *)

@@ -76,7 +76,7 @@ val eval :
     conjunct [c] of a chain (and on the commuted product); when it
     answers — a declared secondary index covering that factor,
     translated through the plan's renames and pushed selections by
-    [Compile.index_probe_of] — the probe serves the join. The default
+    {!Compile.run_catalog} — the probe serves the join. The default
     answers [None] everywhere.
 
     [observe], when given, wraps the evaluation of every node that

@@ -36,11 +36,8 @@
 
 open Nullrel
 
-val rewrite_once :
-  ?cost:Cost.source -> env_scope:(string -> Attr.Set.t option) -> Expr.t -> Expr.t
-(** One bottom-up pass applying the first matching rule at each node. *)
-
 val optimize :
   ?cost:Cost.source -> env_scope:(string -> Attr.Set.t option) -> Expr.t -> Expr.t
-(** Fixpoint of {!rewrite_once} (bounded at 64 passes). Cost-based
+(** Fixpoint of one bottom-up pass that applies the first matching
+    rule at each node (bounded at 64 passes). Cost-based
     reordering only happens when [cost] is supplied. *)

@@ -119,18 +119,22 @@ let view_schema db ~views name =
       in
       Schema.make name columns
 
-let materialize db ~views name =
+let materialize cat ~views name =
   match List.assoc_opt name views with
   | None -> errorf "no view named %s" name
   | Some view ->
-      let body = expand ~views view in
-      let result = Quel.Eval.run db body in
-      (view_schema db ~views name, result.Quel.Eval.rel)
+      let db = Storage.Catalog.to_db cat in
+      let b =
+        Compile.run_catalog
+          ~semantics:(Semantics.of_dialect Semantics.Ni_lower)
+          cat db (expand ~views view)
+      in
+      (view_schema db ~views name, Xrel.unsafe_of_minimal b.Quel.Eval.sure)
 
-let db_with_views db ~views =
+let db_with_views cat ~views =
   List.fold_left
     (fun acc (name, _) ->
       if List.mem_assoc name acc then
         errorf "view %s shadows an existing relation" name
-      else (name, materialize db ~views name) :: acc)
-    db views
+      else (name, materialize cat ~views name) :: acc)
+    (Storage.Catalog.to_db cat) views

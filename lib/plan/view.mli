@@ -35,9 +35,12 @@ val view_schema : Quel.Resolve.db -> views:env -> string -> Schema.t
     domain taken from the underlying base attribute. *)
 
 val materialize :
-  Quel.Resolve.db -> views:env -> string -> Schema.t * Xrel.t
-(** Evaluates the (expanded) view body against the database. *)
+  Storage.Catalog.t -> views:env -> string -> Schema.t * Xrel.t
+(** Evaluates the (expanded) view body against the catalog's relations
+    through {!Compile.run_catalog} under [Ni_lower]: the catalog's row
+    counts, fresh statistics and declared indexes plan it. *)
 
-val db_with_views : Quel.Resolve.db -> views:env -> Quel.Resolve.db
-(** The database extended with every view materialized — the heavyweight
-    alternative to {!expand}; used in tests to validate unfolding. *)
+val db_with_views : Storage.Catalog.t -> views:env -> Quel.Resolve.db
+(** The catalog's relations plus every view materialized — the
+    heavyweight alternative to {!expand}; used in tests to validate
+    unfolding. *)

@@ -118,63 +118,6 @@ let with_relation st name f =
   | None -> Printf.sprintf "error: no relation %s (try .list)" name
   | Some (schema, x) -> f schema x
 
-(* One source of truth for the planner's catalog callbacks: attribute
-   lists and scopes for compilation, a {!Plan.Cost.source} for costing
-   — {e live} cardinalities (so estimates track the loaded data rather
-   than [Cost.default_cardinality]) plus whatever fresh [.analyze]
-   statistics the catalog holds — and the evaluation environment. Used
-   by admission control, [.plan], [.explain analyze] and plain
-   retrieves alike so their estimates can never drift apart. Every
-   per-relation statistics lookup is counted as a hit, miss or stale
-   in [nullrel_stats_lookups_total]. *)
-type db_context = {
-  schemas : string -> Attr.t list option;
-  schema : string -> Schema.t option;
-  env_scope : string -> Attr.Set.t option;
-  stats : Plan.Cost.source;
-  env : string -> Xrel.t option;
-  index_probe : Plan.Expr.t -> (Tuple.t -> Tuple.t list) option;
-      (* Per-join-node probes served by declared secondary indexes,
-         rename-translated — [Plan.Compile.run]'s [index_probe]. *)
-}
-
-let db_context db cat =
-  let find name = List.assoc_opt name db in
-  let stats =
-    {
-      Plan.Cost.rowcount =
-        (fun name -> Option.map (fun (_, x) -> Xrel.cardinal x) (find name));
-      table =
-        (fun name ->
-          (* Virtual relations have live cardinalities but no stored
-             statistics; keep them out of the hit/miss accounting. *)
-          if Sysview.is_sys name then None
-          else
-            match Storage.Catalog.stats_status cat name with
-            | Storage.Catalog.Fresh t ->
-                Stats.count_hit ();
-                Some t
-            | Storage.Catalog.Stale _ ->
-                Stats.count_stale ();
-                None
-            | Storage.Catalog.Missing ->
-                Stats.count_miss ();
-                None);
-      equipped = Storage.Catalog.has_equi cat;
-    }
-  in
-  {
-    schemas = (fun name -> Option.map (fun (s_, _) -> Schema.attrs s_) (find name));
-    schema = (fun name -> Option.map fst (find name));
-    env_scope =
-      (fun name -> Option.map (fun (s_, _) -> Schema.attr_set s_) (find name));
-    stats;
-    env = (fun name -> Option.map snd (find name));
-    index_probe =
-      Plan.Compile.index_probe_of ~stats
-        ~probe_for:(Storage.Catalog.equi_probe cat);
-  }
-
 (* Admission control: before a governed retrieve runs at all, compare
    the optimizer's cost estimate for the chosen plan against the tuple
    budget and reject queries that cannot plausibly fit. *)
@@ -182,25 +125,22 @@ let admission st db q =
   match st.limits.max_tuples with
   | None -> None
   | Some budget ->
-      Quel.Resolve.check db q;
-      let ctx = db_context db st.cat in
-      let plan =
-        Plan.Rewrite.optimize ~cost:ctx.stats ~env_scope:ctx.env_scope
-          (Plan.Compile.query ~schemas:ctx.schemas q)
-      in
-      let est = Plan.Cost.cost ~stats:ctx.stats plan in
+      let p = Plan.Compile.plan_catalog st.cat db q in
+      let est = Plan.Cost.cost ~stats:p.Plan.Compile.stats p.optimized in
       if est > float_of_int budget then Some (est, budget) else None
 
-(* Statements: retrieves go through the optimizing planner; updates go
-   through the Section 7 semantics of [Dml]. *)
+let statement_db st q =
+  Sysview.statement_db ?dir:st.dir ~ranges:q.Quel.Ast.ranges st.cat
+
+(* Statements: retrieves go through the planner's catalog entry (the
+   reporting dialects print their second band under its own title);
+   updates go through the Section 7 semantics of [Dml]. *)
 let run_statement st src =
   match Quel.Parser.parse_statement src with
   | Quel.Ast.Retrieve q -> (
       (* Built once per statement, shared between admission, planning
          and evaluation. *)
-      let db =
-        Sysview.statement_db ?dir:st.dir ~ranges:q.Quel.Ast.ranges st.cat
-      in
+      let db = statement_db st q in
       match admission st db q with
       | Some (est, budget) ->
           ( st,
@@ -208,73 +148,50 @@ let run_statement st src =
               "rejected: estimated cost %.0f exceeds the tuple budget %d \
                (raise .limit tuples, or refine the query)"
               est budget )
-      | None -> (
+      | None ->
           let sem = effective_semantics st in
-          match sem.Semantics.dialect with
-          | Semantics.Ni_lower ->
-              let ctx = db_context db st.cat in
-              let result =
-                Plan.Compile.run ~stats:ctx.stats ~semantics:sem
-                  ~index_probe:ctx.index_probe db q
-              in
-              ( st,
-                Pp.to_string (Pp.table result.Quel.Eval.attrs)
-                  result.Quel.Eval.rel )
-          | Semantics.Codd_maybe | Semantics.Sql_3vl | Semantics.Certain ->
-              let b = Plan.Compile.run_bands ~semantics:sem db q in
-              let sure =
-                Pp.to_string (Pp.table_rel b.Quel.Eval.attrs) b.Quel.Eval.sure
-              in
-              ( st,
-                match b.Quel.Eval.maybe with
-                | None -> sure
-                | Some band ->
-                    sure ^ "\n"
-                    ^ Pp.to_string
-                        (Pp.table_rel
-                           ~title:(sem.Semantics.maybe_label ^ " band")
-                           b.Quel.Eval.attrs)
-                        band )))
+          let b = Plan.Compile.run_catalog ~semantics:sem st.cat db q in
+          let table ?title = Pp.to_string (Pp.table_rel ?title b.attrs) in
+          ( st,
+            match b.maybe with
+            | None -> table b.sure
+            | Some band ->
+                table b.sure ^ "\n"
+                ^ table ~title:(sem.Semantics.maybe_label ^ " band") band ))
   | statement ->
       let outcome = Dml.exec ?semantics:st.semantics st.cat statement in
       ({ st with cat = outcome.Dml.catalog }, outcome.Dml.message)
 
 let show_plan st src =
   let q = Quel.Parser.parse src in
-  let db =
-    Sysview.statement_db ?dir:st.dir ~ranges:q.Quel.Ast.ranges st.cat
-  in
-  Quel.Resolve.check db q;
-  let ctx = db_context db st.cat in
-  let raw = Plan.Compile.query ~schemas:ctx.schemas q in
-  let optimized =
-    Plan.Rewrite.optimize ~cost:ctx.stats ~env_scope:ctx.env_scope raw
-  in
+  let p = Plan.Compile.plan_catalog st.cat (statement_db st q) q in
+  let cost = Plan.Cost.cost ~stats:p.stats in
   Printf.sprintf "raw:       %s\noptimized: %s\nest. cost: %.0f -> %.0f"
-    (Pp.to_string Plan.Expr.pp raw)
-    (Pp.to_string Plan.Expr.pp optimized)
-    (Plan.Cost.cost ~stats:ctx.stats raw)
-    (Plan.Cost.cost ~stats:ctx.stats optimized)
+    (Pp.to_string Plan.Expr.pp p.raw)
+    (Pp.to_string Plan.Expr.pp p.optimized)
+    (cost p.raw) (cost p.optimized)
 
+(* EXPLAIN ANALYZE measures what the retrieve runs: the plan, or the
+   calculus evaluator when the entry answers with it. *)
 let explain_analyze st src =
   let q = Quel.Parser.parse src in
-  let db =
-    Sysview.statement_db ?dir:st.dir ~ranges:q.Quel.Ast.ranges st.cat
-  in
-  Quel.Resolve.check db q;
-  let ctx = db_context db st.cat in
-  let plan =
-    Plan.Rewrite.optimize ~cost:ctx.stats ~env_scope:ctx.env_scope
-      (Plan.Compile.query ~schemas:ctx.schemas q)
-  in
-  let _result, node =
-    Plan.Analyze.run ~index_probe:ctx.index_probe ~schema:ctx.schema
-      ~stats:ctx.stats ~env:ctx.env plan
-  in
-  Plan.Analyze.render
-    ~semantics:
-      (Semantics.to_string (effective_semantics st).Semantics.dialect)
-    node
+  let db = statement_db st q in
+  let sem = effective_semantics st in
+  let dialect = Semantics.to_string sem.Semantics.dialect in
+  if Plan.Compile.evaluator_answers sem db q then
+    let b, m =
+      Obs.Span.timed "evaluator" (fun () ->
+          Plan.Compile.run_catalog ~semantics:sem st.cat db q)
+    in
+    Printf.sprintf
+      "semantics: %s\nno plan ran: the calculus evaluator answered (a \
+       reporting dialect, or a comparison of two kinds of value)\n\
+       evaluator  actual %d  ticks %d  ms %.1f"
+      dialect (Relation.cardinal b.sure) m.Obs.Span.ticks
+      (m.Obs.Span.duration_s *. 1000.)
+  else
+    Plan.Analyze.render ~semantics:dialect
+      (Plan.Compile.analyze_catalog st.cat db q)
 
 (* .analyze [NAME ...]: one governed statistics scan per relation,
    results stamped into the catalog (fresh until the next mutation). *)
@@ -415,10 +332,7 @@ let run_aggregate st words =
     | _ -> Exec_error.bad_input ".agg count|sum|min|max [v.ATTR] QUERY"
   in
   let q = Quel.Parser.parse (String.concat " " rest) in
-  let db =
-    Sysview.statement_db ?dir:st.dir ~ranges:q.Quel.Ast.ranges st.cat
-  in
-  let b = Quel.Aggregate.bounds db q kind in
+  let b = Quel.Aggregate.bounds (statement_db st q) q kind in
   Printf.sprintf "bounds: %d .. %d%s" b.Quel.Aggregate.lower
     b.Quel.Aggregate.upper
     (if b.Quel.Aggregate.may_be_empty then "   (the answer may be empty)"
@@ -493,23 +407,25 @@ let parse_index_attrs s =
   if names = [] || List.exists (String.equal "") names then None
   else Some (Attr.set_of_list names)
 
+(* "REL KIND(ATTRS) -- N tuples indexed" for one declaration. *)
+let describe_index cat rel kind attrs =
+  let card =
+    List.find_map
+      (fun (k, a, n) ->
+        if String.equal k kind && Attr.Set.equal a attrs then Some n else None)
+      (Storage.Catalog.indexes cat rel)
+  in
+  Printf.sprintf "%s %s(%s) -- %d tuples indexed" rel kind
+    (pp_attr_list attrs)
+    (Option.value ~default:0 card)
+
 let indexes_listing st =
   match Storage.Catalog.all_indexes st.cat with
   | [] -> "(no indexes declared -- .index REL KIND ATTRS declares one)"
   | decls ->
       String.concat "\n"
         (List.map
-           (fun (rel, kind, attrs) ->
-             let card =
-               List.find_map
-                 (fun (k, a, n) ->
-                   if String.equal k kind && Attr.Set.equal a attrs then Some n
-                   else None)
-                 (Storage.Catalog.indexes st.cat rel)
-             in
-             Printf.sprintf "%s %s(%s) -- %d tuples indexed" rel kind
-               (pp_attr_list attrs)
-               (Option.value ~default:0 card))
+           (fun (rel, kind, attrs) -> describe_index st.cat rel kind attrs)
            decls)
 
 let split_words line =
@@ -704,16 +620,7 @@ let exec st line =
           | None -> (st, "error: usage: .index [drop] REL KIND ATTR[,ATTR...]")
           | Some attrs ->
               let cat = Storage.Catalog.create_index st.cat rel ~kind attrs in
-              ( { st with cat },
-                Printf.sprintf "index %s %s(%s) -- %d tuples indexed" rel kind
-                  (pp_attr_list attrs)
-                  (Option.value ~default:0
-                     (List.find_map
-                        (fun (k, a, n) ->
-                          if String.equal k kind && Attr.Set.equal a attrs then
-                            Some n
-                          else None)
-                        (Storage.Catalog.indexes cat rel))) ))
+              ({ st with cat }, "index " ^ describe_index cat rel kind attrs))
       | ".index" :: _ ->
           (st, "error: usage: .index [drop] REL KIND ATTR[,ATTR...]")
       | [ ".domains" ] ->

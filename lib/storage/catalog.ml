@@ -27,6 +27,7 @@ type sec = { s_kind : string; s_attrs : Attr.Set.t; s_idx : packed }
 type entry = {
   e_schema : Schema.t;
   e_x : Xrel.t;
+  e_count : int;  (** [Xrel.cardinal e_x], kept so a lookup is O(1). *)
   e_version : int;
   e_stats : (int * Stats.table) option;  (** (version stamp, summary) *)
   e_index : Subsume_index.t Once.t;
@@ -108,6 +109,7 @@ let add_entry cat schema x =
           e with
           e_schema = schema;
           e_x = x;
+          e_count = Xrel.cardinal x;
           e_version = e.e_version + 1;
           e_index = index_of x;
           e_sec = rebuild_secs schema x e.e_sec;
@@ -116,6 +118,7 @@ let add_entry cat schema x =
         {
           e_schema = schema;
           e_x = x;
+          e_count = Xrel.cardinal x;
           e_version = 0;
           e_stats = None;
           e_index = index_of x;
@@ -139,6 +142,7 @@ let add_unchecked cat schema x =
           {
             e_schema = schema;
             e_x = x;
+            e_count = Xrel.cardinal x;
             e_version = 0;
             e_stats = None;
             e_index = index_of x;
@@ -156,6 +160,9 @@ let find cat name =
 let get cat name =
   let e = String_map.find name cat.c_rels in
   (e.e_schema, e.e_x)
+
+let cardinal cat name =
+  Option.map (fun e -> e.e_count) (String_map.find_opt name cat.c_rels)
 
 let relation cat name = snd (get cat name)
 let schema cat name = fst (get cat name)
@@ -183,13 +190,14 @@ let set_relation cat name x =
    the persistent set moves by the delta — O(|delta| log n) — instead of
    being rebuilt, which would put an O(n) term back into every
    statement, and every declared secondary index advances by the same
-   delta. [x] is the entry's relation with the delta applied, and
-   [index] gives the new subsumption-index memo. *)
-let patch cat name e ~x ~index ~added ~removed =
+   delta. [x] is the entry's relation with the delta applied, [count]
+   its cardinality, and [index] gives the new subsumption-index memo. *)
+let patch cat name e ~x ~count ~index ~added ~removed =
   let entry =
     {
       e with
       e_x = x;
+      e_count = count;
       e_version = e.e_version + 1;
       e_index = index x;
       e_sec =
@@ -251,7 +259,10 @@ let apply_delta cat name ~added ~removed =
     let x =
       Xrel.unsafe_of_minimal (Relation.of_tuples (Subsume_index.tuples idx2))
     in
-    ( patch cat name e ~x ~index:(fun _ -> Once.of_val idx2)
+    let count =
+      e.e_count + Tuple.Set.cardinal net_added - Tuple.Set.cardinal net_removed
+    in
+    ( patch cat name e ~x ~count ~index:(fun _ -> Once.of_val idx2)
         ~added:(Tuple.Set.elements net_added)
         ~removed:(Tuple.Set.elements net_removed),
       (net_added, net_removed) )
@@ -266,16 +277,20 @@ let replay_delta cat name ~added ~removed =
   | [], [] -> cat
   | _ ->
       let e = String_map.find name cat.c_rels in
-      let x =
-        List.fold_left
-          (fun r t -> Relation.add t r)
-          (List.fold_left
-             (fun r t -> Relation.remove t r)
-             (Xrel.rep e.e_x) removed)
+      (* A set operation that changes nothing returns its argument, so
+         the count moves only by what really moved. *)
+      let step f d (r, n) t =
+        let r' = f t r in
+        (r', if r' == r then n else n + d)
+      in
+      let x, count =
+        List.fold_left (step Relation.add 1)
+          (List.fold_left (step Relation.remove (-1))
+             (Xrel.rep e.e_x, e.e_count) removed)
           added
       in
-      patch cat name e ~x:(Xrel.unsafe_of_minimal x) ~index:index_of ~added
-        ~removed
+      patch cat name e ~x:(Xrel.unsafe_of_minimal x) ~count ~index:index_of
+        ~added ~removed
 
 let to_db cat =
   List.map

@@ -22,6 +22,10 @@ val find : t -> string -> (Schema.t * Xrel.t) option
 val get : t -> string -> Schema.t * Xrel.t
 (** Like {!find} but raises [Not_found]. *)
 
+val cardinal : t -> string -> int option
+(** The named relation's live row count, [Xrel.cardinal] of it, in
+    O(1): every write keeps it. [None] on an unknown name. *)
+
 val relation : t -> string -> Xrel.t
 val schema : t -> string -> Schema.t
 val names : t -> string list

@@ -66,6 +66,26 @@ expect 2 "type error with --trace-file" \
 grep -q '"type":"abort".*"kind":"type"' "$tmp/type_trace.jsonl" \
     || fail "the trace file does not note the type-error abort"
 
+# every query gets the calculus evaluator's answer or error, with or
+# without --analyze: R's columns are both int; pushed down, r.A = 5
+# would empty R before r.B < "x" raised, and pushed into R, r.B < "x"
+# would raise although the product with the empty S compares nothing
+printf 'A,B\n1,2\n3,4\n' > "$tmp/ints.csv"
+printf 'C,D\n' > "$tmp/empty.csv"
+skipped='range of r is R retrieve (r.A) where r.B < "x" and r.A = 5'
+reached='range of r is R range of s is S retrieve (r.A) where r.B < "x"'
+for analyze in "" --analyze; do
+    expect 2 "query $analyze: a comparison a pushed selection skips" \
+        "$CLI" query $analyze --rel "R=$tmp/ints.csv" "$skipped"
+    expect 0 "query $analyze: a comparison no pair reaches" \
+        "$CLI" query $analyze --rel "R=$tmp/ints.csv" \
+        --rel "S=$tmp/empty.csv" "$reached"
+done
+"$CLI" query --analyze --semantics codd --rel "R=$tmp/r.csv" \
+    'range of r is R retrieve (r.A) where r.B = 10' 2>/dev/null \
+    | grep -q 'MAYBE band' \
+    || fail "query --analyze --semantics codd dropped the MAYBE band"
+
 # --- 3: storage faults -----------------------------------------
 expect 3 "corrupt binary relation" \
     "$CLI" convert "$tmp/garbage.nrx" "$tmp/out.csv"

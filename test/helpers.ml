@@ -33,3 +33,18 @@ let ps'' = Paperdata.Fixtures.ps''
 
 let a_ name = Attr.make name
 let aset names = Attr.set_of_list names
+
+(* [f ()] with span recording on, and whether the calculus evaluator
+   answered inside it: {!Quel.Eval.query} runs under a span labelled
+   [quel.query.DIALECT]. Leaves recording off and the ring empty. *)
+let evaluator_ran f =
+  Obs.Span.clear_events ();
+  Obs.Span.set_enabled true;
+  let x = Fun.protect ~finally:(fun () -> Obs.Span.set_enabled false) f in
+  let ran =
+    List.exists
+      (fun e -> String.starts_with ~prefix:"quel.query" e.Obs.Span.label)
+      (Obs.Span.events ())
+  in
+  Obs.Span.clear_events ();
+  (x, ran)

@@ -640,6 +640,91 @@ let torn_replay_matches_oracle =
               agrees_with_oracle ~base ~base_lsn ~ddl_lsn dir)
             (List.init (String.length data + 1) Fun.id)))
 
+(* ------------- live row counts against the relations ------------- *)
+
+type count_op =
+  | Delta of string * Tuple.t list * int list
+  | Replay of string * Tuple.t list * int list
+  | Add of string * Xrel.t
+  | Set of string * Xrel.t
+  | Remove of string
+
+let count_op_gen =
+  let open QCheck.Gen in
+  let name = oneofl [ "R"; "S" ] in
+  let added = list_size (int_range 0 4) tuple_gen in
+  let picks = list_size (int_range 0 3) nat in
+  frequency
+    [
+      (4, map3 (fun n a r -> Delta (n, a, r)) name added picks);
+      (2, map3 (fun n a r -> Replay (n, a, r)) name added picks);
+      (1, map2 (fun n x -> Add (n, x)) name xrel_gen);
+      (1, map2 (fun n x -> Set (n, x)) name xrel_gen);
+      (1, map (fun n -> Remove n) name);
+    ]
+
+let count_op_print = function
+  | Delta (n, a, r) | Replay (n, a, r) ->
+      Printf.sprintf "delta %s +%s -#%s" n
+        (String.concat " " (List.map tuple_print a))
+        (String.concat "," (List.map string_of_int r))
+  | Add (n, x) -> Printf.sprintf "add %s %s" n (xrel_print x)
+  | Set (n, x) -> Printf.sprintf "set %s %s" n (xrel_print x)
+  | Remove n -> "remove " ^ n
+
+(* Every write keeps [Catalog.cardinal] equal to the relation's
+   [Xrel.cardinal]. A replayed delta is the net delta an [apply_delta]
+   reported, as recovery replays it; removals pick among the stored
+   tuples and the added ones, so some are absent and some re-added. *)
+let catalog_counts_agree =
+  test "catalog row counts = Xrel.cardinal over write schedules"
+    (QCheck.make
+       ~print:(fun ops -> String.concat "\n" (List.map count_op_print ops))
+       QCheck.Gen.(list_size (int_range 1 12) count_op_gen))
+    (fun ops ->
+      let schema name =
+        Schema.make name
+          (List.map (fun a -> (a, Domain.Int_range (0, 3))) universe_attrs)
+      in
+      let delta cat name added picks =
+        let pool = Xrel.to_list (Storage.Catalog.relation cat name) @ added in
+        let removed =
+          if pool = [] then []
+          else List.map (fun i -> List.nth pool (i mod List.length pool)) picks
+        in
+        Storage.Catalog.apply_delta cat name ~added ~removed
+      in
+      let step cat = function
+        | (Delta (n, _, _) | Replay (n, _, _) | Set (n, _))
+          when not (Storage.Catalog.mem cat n) ->
+            Storage.Catalog.add cat (schema n) (Xrel.of_list [])
+        | Delta (n, a, r) -> fst (delta cat n a r)
+        | Replay (n, a, r) ->
+            let _, (added, removed) = delta cat n a r in
+            Storage.Catalog.replay_delta cat n
+              ~added:(Tuple.Set.elements added)
+              ~removed:(Tuple.Set.elements removed)
+        | Add (n, x) -> Storage.Catalog.add cat (schema n) x
+        | Set (n, x) -> Storage.Catalog.set_relation cat n x
+        | Remove n -> Storage.Catalog.remove cat n
+      in
+      let agree cat =
+        List.for_all
+          (fun n ->
+            Storage.Catalog.cardinal cat n
+            = Option.map
+                (fun (_, x) -> Xrel.cardinal x)
+                (Storage.Catalog.find cat n))
+          [ "R"; "S" ]
+      in
+      let rec go cat = function
+        | [] -> true
+        | op :: ops ->
+            let cat = step cat op in
+            agree cat && go cat ops
+      in
+      go Storage.Catalog.empty ops)
+
 let suite =
   List.map to_alcotest
     [
@@ -658,4 +743,5 @@ let suite =
       torn_cascade_replay_idempotent;
       composed_replay_matches_oracle;
       torn_replay_matches_oracle;
+      catalog_counts_agree;
     ]

@@ -26,6 +26,12 @@ let with_ps_csv f =
         Paperdata.Fixtures.ps;
       f path)
 
+(* A temporary CSV file holding [rows]; the caller removes it. *)
+let temp_csv rows =
+  let path = Filename.temp_file "nullrel_shell" ".csv" in
+  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc rows);
+  path
+
 let test_help_and_quit () =
   let st, outputs = feed [ ".help"; ".quit" ] in
   Alcotest.(check bool) "finished after quit" true (Shell.finished st);
@@ -96,13 +102,7 @@ let test_errors_are_text () =
    column compared with a string column raises with or without the
    index on the string side. *)
 let test_index_keeps_type_errors () =
-  let csv rows =
-    let path = Filename.temp_file "nullrel_shell" ".csv" in
-    Out_channel.with_open_text path (fun oc ->
-        Out_channel.output_string oc rows);
-    path
-  in
-  let r = csv "A,C\n1,1\n2,2\n" and s_ = csv "B,D\nx,2\ny,3\n" in
+  let r = temp_csv "A,C\n1,1\n2,2\n" and s_ = temp_csv "B,D\nx,2\ny,3\n" in
   Fun.protect
     ~finally:(fun () -> List.iter Sys.remove [ r; s_ ])
     (fun () ->
@@ -123,6 +123,61 @@ let test_index_keeps_type_errors () =
             [ ("without the index", plain); ("with the index", indexed);
               ("explain analyze with the index", explained) ]
       | _ -> Alcotest.fail "expected six outputs")
+
+(* A retrieve gets the calculus evaluator's answer or error, whatever
+   order the plan runs its comparisons in. R's columns are both int and
+   S is empty; [run inputs] feeds the shell [.load R], [.load S] and
+   then [inputs], and returns their outputs with the text the evaluator
+   gives each retrieve. *)
+let with_int_r_empty_s run =
+  let r = temp_csv "A,B\n1,2\n3,4\n" and s_ = temp_csv "C,D\n" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ r; s_ ])
+    (fun () ->
+      run (fun inputs ->
+          let st, outputs =
+            feed ([ ".load R " ^ r; ".load S " ^ s_ ] @ inputs)
+          in
+          let evaluated src =
+            let db = Storage.Catalog.to_db (Shell.catalog st) in
+            match Quel.Eval.run db (Quel.Parser.parse src) with
+            | res ->
+                Nullrel.Pp.to_string
+                  (Nullrel.Pp.table res.Quel.Eval.attrs)
+                  res.Quel.Eval.rel
+            | exception Nullrel.Value.Type_error msg -> "type error: " ^ msg
+          in
+          (List.tl (List.tl outputs), evaluated)))
+
+(* Pushed down, [r.A = 5] empties R before [r.B < "x"] can raise; the
+   evaluator makes both comparisons on every tuple. *)
+let test_retrieve_raises_where_the_evaluator_does () =
+  with_int_r_empty_s (fun feed ->
+      let q = "range of r is R retrieve (r.A) where r.B < \"x\" and r.A = 5" in
+      match feed [ q; ".explain analyze " ^ q ] with
+      | [ out; explained ], evaluated ->
+          Alcotest.(check string) "the evaluator's type error" (evaluated q)
+            out;
+          Alcotest.(check string) "explain analyze raises it too" out explained;
+          Alcotest.(check string) "which is a type error"
+            "type error: cannot compare int with string" out
+      | _ -> Alcotest.fail "expected two outputs")
+
+(* Pushed into R, [r.B < "x"] would raise, but the product with the
+   empty S gives the evaluator no pair to compare. *)
+let test_retrieve_answers_where_the_evaluator_does () =
+  with_int_r_empty_s (fun feed ->
+      let q =
+        "range of r is R range of s is S retrieve (r.A) where r.B < \"x\""
+      in
+      match feed [ q; ".explain analyze " ^ q ] with
+      | [ out; explained ], evaluated ->
+          Alcotest.(check string) "the evaluator's empty answer" (evaluated q)
+            out;
+          Alcotest.(check bool) "explain analyze names the evaluator" true
+            (contains explained "evaluator answered"
+            && not (contains explained "est/act"))
+      | _ -> Alcotest.fail "expected two outputs")
 
 let test_save_open_roundtrip () =
   with_ps_csv (fun path ->
@@ -443,4 +498,8 @@ let suite =
       test_save_supersedes_journal;
     Alcotest.test_case "a declared index keeps type errors" `Quick
       test_index_keeps_type_errors;
+    Alcotest.test_case "a retrieve raises where the evaluator does" `Quick
+      test_retrieve_raises_where_the_evaluator_does;
+    Alcotest.test_case "a retrieve answers where the evaluator does" `Quick
+      test_retrieve_answers_where_the_evaluator_does;
   ]

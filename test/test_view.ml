@@ -31,7 +31,12 @@ let shipments =
       t [ ("S#", s "s3"); ("P#", s "p1"); ("QTY", i 50) ];
     ]
 
-let db : Quel.Resolve.db = [ ("S", (s_schema, suppliers)); ("SP", (sp_schema, shipments)) ]
+let cat =
+  Storage.Catalog.add
+    (Storage.Catalog.add Storage.Catalog.empty s_schema suppliers)
+    sp_schema shipments
+
+let db : Quel.Resolve.db = Storage.Catalog.to_db cat
 
 let views : Plan.View.env =
   [
@@ -78,7 +83,7 @@ let test_queries_without_views_untouched () =
   Alcotest.(check bool) "no-op expansion" true (Plan.View.expand ~views q == q)
 
 let test_expand_matches_materialize () =
-  let db' = Plan.View.db_with_views db ~views in
+  let db' = Plan.View.db_with_views cat ~views in
   List.iter
     (fun src ->
       let unfolded = run_with_views src in
@@ -156,7 +161,7 @@ let test_unknown_lookups_classified () =
         (contains msg "NOPE")
   | None -> Alcotest.fail "view_schema on unknown view did not raise");
   Alcotest.(check bool) "materialize on unknown view" true
-    (error_of (fun () -> Plan.View.materialize db ~views "NOPE") <> None);
+    (error_of (fun () -> Plan.View.materialize cat ~views "NOPE") <> None);
   match
     error_of (fun () ->
         run_with_views "range of l is LONDONERS retrieve (l.NO_SUCH)")
