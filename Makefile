@@ -75,13 +75,42 @@ analyze-demo:
 
 # The session layer end to end: two sessions race a write-write
 # hotspot on overlapping snapshots — one group batch, a conflict, a
-# retry — then a contended load drive over real domains. Exercised by
-# CI at 1 and 4 domains so the commit path runs both inline and truly
-# concurrent.
+# retry — then a contended load drive over real domains into a kept
+# directory. The shell opens it twice: a shut-down engine leaves its
+# journal tail, which replays, so neither open may report a problem,
+# and both must count the events the drive committed. Garbage appended
+# to the journal must then be reported, fsck must repair it, and the
+# next open is clean again. Exercised by CI at 1 and 4 domains so the
+# commit path runs both inline and truly concurrent.
 session-demo:
 	$(DUNE) build bin/nullrel_cli.exe
 	$(DUNE) exec bin/nullrel_cli.exe -- sessions --demo
-	$(DUNE) exec bin/nullrel_cli.exe -- sessions --sessions 2 --txns 25 --conflict-every 3
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(DUNE) exec bin/nullrel_cli.exe -- sessions --dir "$$tmp/db" \
+	  --sessions 2 --txns 25 --conflict-every 3 | tee "$$tmp/drive.txt" || exit 1; \
+	events=$$(sed -n 's/.* events \([0-9][0-9]*\)$$/\1/p' "$$tmp/drive.txt"); \
+	[ -n "$$events" ] || { echo "the drive printed no events count"; exit 1; }; \
+	open_db() { \
+	  printf '.open %s/db\n.agg count range of e is EVENTS retrieve (e.SID, e.SEQ)\n.quit\n' "$$tmp" | \
+	  $(DUNE) exec bin/nullrel_cli.exe -- repl | tee "$$tmp/$$1.txt"; \
+	  grep -q "bounds: $$events \.\. $$events" "$$tmp/$$1.txt" || { \
+	    echo "$$1: EVENTS does not hold the $$events events the drive committed"; exit 1; }; \
+	}; \
+	for n in 1 2; do \
+	  open_db "open$$n" || exit 1; \
+	  ! grep -q 'problems found' "$$tmp/open$$n.txt" || { \
+	    echo "open $$n reported a problem in a clean directory"; exit 1; }; \
+	done; \
+	printf 'garbage tail bytes' >> "$$tmp/db/wal"; \
+	open_db torn || exit 1; \
+	grep -q 'problems found' "$$tmp/torn.txt" || { \
+	  echo "the torn journal tail went unreported"; exit 1; }; \
+	$(DUNE) exec bin/nullrel_cli.exe -- fsck "$$tmp/db" || { \
+	  echo "fsck could not repair the torn tail"; exit 1; }; \
+	open_db repaired || exit 1; \
+	! grep -q 'problems found' "$$tmp/repaired.txt" || { \
+	  echo "the repaired directory still reports a problem"; exit 1; }; \
+	echo "session demo ok: the kept directory reopens clean, and damage is reported and repaired"
 
 # Constraints end to end: two relations under a foreign key, a
 # cascading delete chains through both, then the same cascade through

@@ -130,8 +130,15 @@ let open_engine ?(io = Storage.Io.retrying Storage.Io.real)
     ?(config = default_config) ~dir () =
   if config.max_queue < 1 then
     Exec_error.bad_input "Session.open_engine: max_queue must be >= 1";
+  (* Only a damaged directory is rewritten. A clean one keeps its
+     checkpoint and journal tail, and the engine appends after it. *)
   let report =
-    if io.Storage.Io.file_exists dir then Storage.Persist.recover ~io ~dir ()
+    if io.Storage.Io.file_exists dir then begin
+      let report = Storage.Persist.load_report ~io ~dir () in
+      if report.Storage.Persist.needs_repair then
+        Storage.Persist.repair ~io ~dir report;
+      report
+    end
     else begin
       Storage.Persist.save ~io ~dir Storage.Catalog.empty;
       Storage.Persist.load_report ~io ~dir ()
@@ -154,7 +161,11 @@ let open_engine ?(io = Storage.Io.retrying Storage.Io.real)
       flushing = false;
       dead = false;
       history = Hashtbl.create 16;
-      dirty = 0;
+      (* The kept tail counts towards the next checkpoint, so
+         [checkpoint_every] bounds the journal across reopens. *)
+      dirty =
+        (if report.Storage.Persist.needs_repair then 0
+         else report.Storage.Persist.journal_records);
       next_sid = 1;
       n_committed = 0;
       n_conflicts = 0;

@@ -36,8 +36,9 @@
     a real filesystem error) leaves durable state unknowable, so it
     {e poisons} the engine: every queued transaction fails with
     {!Session_error.Shutdown}, the exception propagates to the leader's
-    caller, and a fresh {!open_engine} runs recovery — exactly the
-    crash-restart cycle the drills in {!Drive.crash_matrix} exercise. *)
+    caller, and a fresh {!open_engine} recovers: it replays the journal
+    and repairs whatever the crash damaged — exactly the crash-restart
+    cycle the drills in {!Drive.crash_matrix} exercise. *)
 
 module Session_error = Session_error
 (** Re-exported: the library is wrapped under this module. *)
@@ -58,7 +59,8 @@ type config = {
           transactions fail with {!Session_error.Queue_full}. *)
   checkpoint_every : int;
       (** Cut a checkpoint ({!Storage.Persist.save} + journal reset)
-          after this many journal records; [0] never checkpoints. *)
+          once the journal holds this many records, counting the tail
+          {!open_engine} kept; [0] never checkpoints. *)
   group : bool;
       (** [false] degrades the committer to one fsync per transaction
           (same queue, same validation) — the baseline the group-commit
@@ -79,11 +81,17 @@ val open_engine :
   dir:string ->
   unit ->
   engine * Storage.Persist.report
-(** Opens the directory with full recovery first
-    ({!Storage.Persist.recover}; an empty durable catalog if the
-    directory does not exist). The engine is the only journal writer:
-    every durable update, the CLI's [dml] included, commits through
-    it. The default [io] is [Storage.Io.retrying Storage.Io.real]. *)
+(** Opens the directory: {!Storage.Persist.load_report} (an empty
+    durable catalog if the directory does not exist), then
+    {!Storage.Persist.repair} only if the report's [needs_repair]
+    verdict is set. A clean directory is not written to: the engine
+    keeps the checkpoint and the journal tail and appends after it,
+    and the tail's [journal_records] count towards [checkpoint_every],
+    so the journal stays bounded across reopens and crashes. The
+    report returned is the one loaded, before any repair. The engine
+    is the only journal writer: every durable update, the CLI's [dml]
+    included, commits through it. The default [io] is
+    [Storage.Io.retrying Storage.Io.real]. *)
 
 val engine_snapshot : engine -> snapshot
 (** The latest committed snapshot — a lock-free atomic load. *)

@@ -462,18 +462,13 @@ let exec st line =
       | [ ".open"; dir ] ->
           let report = Storage.Persist.load_report ~dir () in
           let cat = report.Storage.Persist.catalog in
-          let clean =
-            List.for_all
-              (fun (_, s_) -> s_ = Storage.Persist.Ok)
-              report.Storage.Persist.statuses
-            && report.Storage.Persist.journal_note = None
-          in
           let headline =
             Printf.sprintf "opened %s (%d relations)" dir
               (List.length (Storage.Catalog.names cat))
           in
+          (* The engine's rule: a replayed journal tail is no problem. *)
           ( { st with cat; dir = Some dir },
-            if clean then headline
+            if not report.Storage.Persist.needs_repair then headline
             else
               String.concat "\n"
                 ((headline ^ " -- problems found, run .fsck to repair:")

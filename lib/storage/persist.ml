@@ -133,13 +133,15 @@ let manifest_crcs ?(io = Io.real) ~dir () =
    their stamps in the [table] lines. *)
 let stats_name = "STATS"
 
+(* [None] when the file is there but damaged. *)
 let read_stats io dir =
   match Sidecar.read io (Filename.concat dir stats_name) Option.some with
   | `Loaded (_, lines) -> (
       match Stats.tables_of_lines lines with
-      | entries -> entries
-      | exception Stats.Corrupt _ -> [])
-  | `Absent | `Damaged -> []
+      | entries -> Some entries
+      | exception Stats.Corrupt _ -> None)
+  | `Absent -> Some []
+  | `Damaged -> None
 
 (* CONSTRAINTS persists declared definitions. A definition counts as
    verified only while every relation it involves still carries the
@@ -325,6 +327,9 @@ type report = {
   statuses : (string * status) list;
   lsn : int;
   journal_note : string option;
+  checkpoint_note : string option;
+  journal_records : int;
+  needs_repair : bool;
 }
 
 let pp_status ppf = function
@@ -342,6 +347,9 @@ let report_lines report =
   @ (match report.journal_note with
     | None -> []
     | Some note -> [ "journal: " ^ note ])
+  @ (match report.checkpoint_note with
+    | None -> []
+    | Some note -> [ "checkpoint: " ^ note ])
   @
   match Catalog.unverified_constraints report.catalog with
   | [] -> []
@@ -400,12 +408,13 @@ let load_relation io dir name expected =
 
 let load_report ?(io = Io.real) ~dir () =
   if not (io.Io.file_exists dir) then errorf "no such directory %s" dir;
-  let primary = read_manifest io dir manifest_name in
+  let entries = Array.to_list (io.Io.readdir dir) in
+  let on_disk = read_manifest io dir manifest_name in
   let pending = read_manifest io dir pending_name in
   (* A directory whose first-ever checkpoint crashed after staging has a
      valid MANIFEST.next and no MANIFEST: promote the pending one. *)
   let primary, pending =
-    match (primary, pending) with
+    match (on_disk, pending) with
     | None, Some p -> (Some p, None)
     | pair -> pair
   in
@@ -423,7 +432,6 @@ let load_report ?(io = Io.real) ~dir () =
         List.map fst (m.m_entries @ pending_only)
     | None ->
         (* legacy directory: every *.schema file names a relation *)
-        let entries = Array.to_list (io.Io.readdir dir) in
         List.filter_map
           (fun entry ->
             if Filename.check_suffix entry ".schema" then
@@ -472,6 +480,19 @@ let load_report ?(io = Io.real) ~dir () =
       loaded
   in
   let fresh = Sidecar.fresh ~loaded:loaded_crc in
+  (* A stamp naming another data file than the one loaded means the
+     sidecar was cut against another checkpoint: its entry degrades,
+     and the directory wants a repair. *)
+  let stale_stamps = ref [] in
+  let check_stamps =
+    List.iter (fun (rel, stamp) ->
+        if loaded_crc rel <> Some stamp then
+          stale_stamps := rel :: !stale_stamps)
+  in
+  let stats = read_stats io dir in
+  let stats_entries = Option.value ~default:[] stats in
+  check_stamps
+    (List.map (fun (name, stamp, _) -> (name, stamp)) stats_entries);
   (* Any replayed record bumps the relation's version afterwards,
      leaving the attached stats observably stale, never silently
      wrong. *)
@@ -480,7 +501,7 @@ let load_report ?(io = Io.real) ~dir () =
       (fun cat (name, stamp, t) ->
         if fresh [ (name, stamp) ] name then Catalog.set_stats cat name t
         else cat)
-      catalog (read_stats io dir)
+      catalog stats_entries
   in
   let manifest_lsn = match primary with Some m -> m.m_lsn | None -> 0 in
   (* Replayed DDL (gated by the CONSTRAINTS checkpoint lsn) lands on top
@@ -497,6 +518,7 @@ let load_report ?(io = Io.real) ~dir () =
             "CONSTRAINTS file damaged; declarations lost — re-declare or \
              restore from backup" )
     | `Loaded (file, entries) ->
+        check_stamps file.Sidecar.stamps;
         let defs, stale = List.partition_map Fun.id entries in
         let verified def =
           (not (List.mem (Constr.name def) stale))
@@ -523,6 +545,7 @@ let load_report ?(io = Io.real) ~dir () =
             "INDEX file damaged; secondary indexes dropped — re-declare \
              with .index" )
     | `Loaded (file, entries) ->
+        check_stamps file.Sidecar.stamps;
         let decls, dumps = List.partition_map Fun.id entries in
         let restore cat (rel, kind, attrs_field) =
           match attrs_of_field attrs_field with
@@ -672,7 +695,40 @@ let load_report ?(io = Io.real) ~dir () =
     | [] -> None
     | all -> Some (String.concat "; " all)
   in
-  { catalog; statuses; lsn = top_lsn; journal_note }
+  (* What a clean checkpoint would not leave behind, although every
+     relation loaded. *)
+  let checkpoint_note =
+    let stale = List.sort_uniq String.compare !stale_stamps
+    and staging = List.filter (fun e -> Filename.check_suffix e ".tmp") entries
+    and finding cond what = if cond then [ what ] else [] in
+    match
+      finding (on_disk = None) "MANIFEST missing or damaged"
+      @ finding
+          (List.mem pending_name entries)
+          "MANIFEST.next left by an interrupted checkpoint"
+      @ finding (stats = None) "STATS damaged"
+      @ finding (stale <> [])
+          ("sidecar stamps do not match the data file of "
+          ^ String.concat ", " stale)
+      @ finding (staging <> [])
+          ("staging files left: " ^ String.concat ", " staging)
+    with
+    | [] -> None
+    | all -> Some (String.concat "; " all)
+  in
+  let needs_repair =
+    List.exists (function _, Corrupt _ -> true | _ -> false) statuses
+    || journal_note <> None || checkpoint_note <> None
+  in
+  {
+    catalog;
+    statuses;
+    lsn = top_lsn;
+    journal_note;
+    checkpoint_note;
+    journal_records = List.length records;
+    needs_repair;
+  }
 
 let load ?(io = Io.real) ~dir () =
   let report = load_report ~io ~dir () in
@@ -684,13 +740,16 @@ let load ?(io = Io.real) ~dir () =
     report.statuses;
   report.catalog
 
-let recover ?(io = Io.real) ~dir () =
-  let report = load_report ~io ~dir () in
+let repair ?(io = Io.real) ~dir report =
   save ~io ~lsn:report.lsn ~dir report.catalog;
   Wal.reset ~io ~dir;
   Array.iter
     (fun entry ->
       if Filename.check_suffix entry ".tmp" then
         try io.Io.remove (Filename.concat dir entry) with Sys_error _ -> ())
-    (io.Io.readdir dir);
+    (io.Io.readdir dir)
+
+let recover ?(io = Io.real) ~dir () =
+  let report = load_report ~io ~dir () in
+  repair ~io ~dir report;
   report

@@ -87,9 +87,13 @@
     {!load_report} degrades gracefully: a corrupt, truncated or
     checksum-mismatched relation is quarantined with a reason instead of
     aborting the whole catalog, and committed journal records
-    ({!Wal}) past the checkpoint are replayed. {!recover} additionally
-    repairs the directory: it rewrites a clean checkpoint and empties
-    the journal.
+    ({!Wal}) past the checkpoint are replayed. It also says whether the
+    directory needs a repair ([needs_repair]). A checkpoint plus a
+    clean journal tail does not: by Section 7's insert discipline the
+    replayed catalog already is the unique minimal representation of
+    both, and a writer may go on appending after that tail. {!repair}
+    rewrites a clean checkpoint and empties the journal; {!recover}
+    always does, whatever the verdict.
 
     Loading re-validates every relation against its schema
     ({!Catalog.add}); cross-relation references are {e not} checked at
@@ -117,7 +121,22 @@ type report = {
   lsn : int;  (** The journal position the catalog reflects. *)
   journal_note : string option;
       (** Set when the journal had a torn or corrupt tail, or records
-          that could not be replayed. *)
+          that could not be replayed, or when a damaged [CONSTRAINTS]
+          or [INDEX] lost its declarations. *)
+  checkpoint_note : string option;
+      (** Set when the checkpoint files need rewriting although every
+          relation loaded: a missing or damaged [MANIFEST], a pending
+          [MANIFEST.next], a damaged [STATS], a sidecar stamp that
+          names another data file than the one loaded, or leftover
+          [*.tmp] staging files. *)
+  journal_records : int;
+      (** Journal records read, replayed or not (records the checkpoint
+          already reflects count too): how long the journal is. *)
+  needs_repair : bool;
+      (** The repair verdict: a relation was quarantined, or
+          [journal_note] or [checkpoint_note] is set. Without it the
+          directory is the checkpoint plus a clean journal tail, and
+          loading it again gives this report's catalog and LSN. *)
 }
 
 val save : ?io:Io.t -> ?lsn:int -> dir:string -> Catalog.t -> unit
@@ -136,12 +155,16 @@ val load : ?io:Io.t -> dir:string -> unit -> Catalog.t
 (** {!load_report}, raising {!Error} if any relation was quarantined.
     Replayed journal records ([Recovered]) are not an error. *)
 
+val repair : ?io:Io.t -> dir:string -> report -> unit
+(** Repairs the directory a report was loaded from: writes a fresh
+    checkpoint of the report's catalog at its LSN, empties the journal
+    and removes stale [*.tmp] staging files. Quarantined relations keep
+    their on-disk files (for post-mortems) but are no longer listed in
+    the manifest. *)
+
 val recover : ?io:Io.t -> dir:string -> unit -> report
-(** {!load_report}, then repairs the directory: writes a fresh
-    checkpoint of the surviving catalog at the recovered LSN, empties
-    the journal and removes stale [*.tmp] staging files. Quarantined
-    relations keep their on-disk files (for post-mortems) but are no
-    longer listed in the manifest. *)
+(** {!load_report}, then {!repair}, whatever the verdict: the directory
+    is left a fresh checkpoint and an empty journal. *)
 
 val manifest_crcs :
   ?io:Io.t -> dir:string -> unit -> (string * (string * string)) list
@@ -152,8 +175,8 @@ val manifest_crcs :
 val pp_status : Format.formatter -> status -> unit
 val report_lines : report -> string list
 (** Human-readable per-relation lines ("EMP: ok", "SP: quarantined —
-    ..."), plus the journal note — what the shell prints for [.open]
-    and [.fsck]. *)
+    ..."), plus the journal and checkpoint notes — what the shell
+    prints for [.open] and [.fsck]. *)
 
 val schema_to_string : Nullrel.Schema.t -> string
 val schema_of_string : string -> Nullrel.Schema.t

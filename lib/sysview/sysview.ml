@@ -217,7 +217,6 @@ let sys_relations ?dir ?io cat =
   let tuples =
     List.map
       (fun name ->
-        let _, x = Storage.Catalog.get cat name in
         let status, stats_rows =
           match Storage.Catalog.stats_status cat name with
           | Storage.Catalog.Fresh t -> ("fresh", Some t.Stats.rows)
@@ -243,7 +242,7 @@ let sys_relations ?dir ?io cat =
         row
           [
             ("NAME", Value.Str name);
-            ("ROWS", Value.Int (Xrel.cardinal x));
+            ("ROWS", opt_int (Storage.Catalog.cardinal cat name));
             ("STATS", Value.Str status);
             ("STATS_ROWS", opt_int stats_rows);
             ("CONSTRAINTS", Value.Int (List.length involving));

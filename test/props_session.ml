@@ -381,6 +381,104 @@ let composed_records_equal_diff =
       in
       !ok && String.equal (bytes dir) (bytes ref_dir))
 
+(* ------------- checkpoint cadence across reopens ------------- *)
+
+(* A schedule at [checkpoint_every = c]: group batches of 1-3 appends,
+   and reopens that drop the engine without [shutdown], as a crash at a
+   quiet moment does. A clean reopen keeps the journal tail, which
+   counts towards the next checkpoint, so the journal never holds more
+   than c - 1 records plus the largest batch, however often it reopens;
+   and every acknowledged commit is back after each reopen. *)
+type cadence_step = Commit of int | Reopen
+
+let cadence_gen =
+  QCheck.Gen.(
+    pair (int_range 1 6)
+      (list_size (int_range 1 30)
+         (frequency
+            [
+              (3, map (fun k -> Commit k) (int_range 1 3)); (1, return Reopen);
+            ])))
+
+let print_cadence (c, steps) =
+  Printf.sprintf "c=%d %s" c
+    (String.concat ";"
+       (List.map
+          (function Commit k -> Printf.sprintf "C%d" k | Reopen -> "R")
+          steps))
+
+let cadence_survives_reopen =
+  QCheck.Test.make ~count:40 ~name:"checkpoint cadence survives reopen"
+    (QCheck.make ~print:print_cadence cadence_gen)
+    (fun (c, steps) ->
+      let dir = temp_dir "nullrel_props_cadence" in
+      let opened = ref [] in
+      Fun.protect
+        ~finally:(fun () ->
+          List.iter Session.shutdown !opened;
+          rm_rf dir)
+      @@ fun () ->
+      Session.Drive.seed ~dir ();
+      let config =
+        { Session.default_config with Session.checkpoint_every = c }
+      in
+      let reopen () =
+        let eng, report = Session.open_engine ~config ~dir () in
+        opened := eng :: !opened;
+        (eng, report.Storage.Persist.needs_repair)
+      in
+      let largest =
+        List.fold_left
+          (fun m -> function Commit k -> max m k | Reopen -> m)
+          1 steps
+      in
+      let acked = ref [] in
+      let back eng =
+        let cat = (Session.engine_snapshot eng).Session.catalog in
+        Session.Drive.events_cardinal cat = List.length !acked
+        && List.for_all
+             (fun seq -> Session.Drive.has_event cat ~sid:1 ~seq)
+             !acked
+      in
+      let bounded () =
+        List.length (fst (Storage.Wal.read ~io:Storage.Io.real ~dir))
+        <= c - 1 + largest
+      in
+      let eng = ref (fst (reopen ())) in
+      List.for_all
+        (fun step ->
+          (match step with
+          | Commit k ->
+              let batch =
+                List.init k (fun i ->
+                    let seq = List.length !acked + i + 1 in
+                    let s = Session.attach !eng in
+                    ignore
+                      (Session.exec_string s
+                         (Printf.sprintf "append to EVENTS (SID = 1, SEQ = %d)"
+                            seq));
+                    Session.submit s;
+                    (s, seq))
+              in
+              Session.flush !eng;
+              List.iter
+                (fun (s, seq) ->
+                  ignore (Session.await s);
+                  acked := seq :: !acked)
+                batch
+          | Reopen ->
+              let e, repaired = reopen () in
+              if repaired then
+                QCheck.Test.fail_report "a clean reopen repaired";
+              eng := e);
+          back !eng && bounded ())
+        steps)
+
 let suite =
   List.map to_alcotest
-    [ isolation_and_durability; torn_everywhere; composed_records_equal_diff ]
+    [
+      isolation_and_durability;
+      torn_everywhere;
+      composed_records_equal_diff;
+      cadence_survives_reopen;
+    ]

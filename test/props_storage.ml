@@ -255,7 +255,8 @@ let save_fault_recover_roundtrips =
                 commit_all sess stmts);
             ops ())
       in
-      let after = Workload.Prng.int g total in
+      (* A schedule with no effective write performs no operation. *)
+      let after = if total = 0 then 0 else Workload.Prng.int g total in
       with_temp_dir (fun dir ->
           Storage.Persist.save ~dir cat;
           let io = Storage.Io.faulty ~fault ~after Storage.Io.real in

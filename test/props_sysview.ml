@@ -10,7 +10,10 @@
    - [sys_relations] freshness is not its own bookkeeping: under a
      random schedule of loads, appends, analyzes and stat-drops, the
      STATS / STATS_ROWS / ROWS columns agree exactly with
-     {!Storage.Catalog.stats_status} and the live cardinality. *)
+     {!Storage.Catalog.stats_status} and the live cardinality — also
+     once the schedule's catalog is checkpointed, more appends are
+     journaled, and the directory is reopened without repair, so that
+     the counts come from a replayed tail. *)
 
 open Nullrel
 open Qgen
@@ -142,6 +145,67 @@ let apply cat step op =
       if Storage.Catalog.mem cat name then Storage.Catalog.clear_stats cat name
       else cat
 
+let agrees cat =
+  let _, (_, sys) = Sysview.sys_relations cat in
+  let rows = Xrel.to_list sys in
+  List.length rows = List.length (Storage.Catalog.names cat)
+  && List.for_all
+       (fun name ->
+         match
+           List.find_opt
+             (fun t -> Tuple.get t (a_ "NAME") = Value.Str name)
+             rows
+         with
+         | None -> false
+         | Some t ->
+             let expect_status, expect_srows =
+               match Storage.Catalog.stats_status cat name with
+               | Storage.Catalog.Fresh tab ->
+                   ("fresh", Value.Int tab.Stats.rows)
+               | Storage.Catalog.Stale tab ->
+                   ("stale", Value.Int tab.Stats.rows)
+               | Storage.Catalog.Missing -> ("missing", Value.Null)
+             in
+             Tuple.get t (a_ "STATS") = Value.Str expect_status
+             && Tuple.get t (a_ "STATS_ROWS") = expect_srows
+             && Tuple.get t (a_ "ROWS")
+                = Value.Int (Xrel.cardinal (Storage.Catalog.relation cat name)))
+       (Storage.Catalog.names cat)
+
+(* Checkpoints [cat], journals one append per [Append] of the schedule
+   through a session engine (shutting it down does not checkpoint), and
+   reopens the directory: the catalog the reopened engine serves, its
+   counts replayed from the journal, provided the open needed no repair
+   and counts what the writer had. *)
+let reopened cat ops =
+  Test_durability.with_temp_dir (fun dir ->
+      Storage.Persist.save ~dir cat;
+      let live =
+        Test_durability.with_writer ~checkpoint_every:0 ~dir (fun eng sess ->
+            List.iteri
+              (fun step op ->
+                match op with
+                | Append k when Storage.Catalog.mem cat (rel_name k) ->
+                    Test_durability.commit_stmt sess
+                      (Printf.sprintf "append to %s (A = %d)" (rel_name k)
+                         (1000 + step))
+                | _ -> ())
+              ops;
+            Test_durability.committed eng)
+      in
+      let eng, report = Session.open_engine ~dir () in
+      Session.shutdown eng;
+      let cat = Test_durability.committed eng in
+      if
+        report.Storage.Persist.needs_repair
+        || List.exists
+             (fun name ->
+               Storage.Catalog.cardinal cat name
+               <> Storage.Catalog.cardinal live name)
+             (Storage.Catalog.names live)
+      then None
+      else Some cat)
+
 let freshness_agrees =
   QCheck.Test.make ~count:100
     ~name:"sys_relations freshness agrees with catalog stamps"
@@ -153,31 +217,7 @@ let freshness_agrees =
           (Storage.Catalog.empty, 0)
           ops
       in
-      let _, (_, sys) = Sysview.sys_relations cat in
-      let rows = Xrel.to_list sys in
-      List.length rows = List.length (Storage.Catalog.names cat)
-      && List.for_all
-           (fun name ->
-             match
-               List.find_opt
-                 (fun t -> Tuple.get t (a_ "NAME") = Value.Str name)
-                 rows
-             with
-             | None -> false
-             | Some t ->
-                 let expect_status, expect_srows =
-                   match Storage.Catalog.stats_status cat name with
-                   | Storage.Catalog.Fresh tab ->
-                       ("fresh", Value.Int tab.Stats.rows)
-                   | Storage.Catalog.Stale tab ->
-                       ("stale", Value.Int tab.Stats.rows)
-                   | Storage.Catalog.Missing -> ("missing", Value.Null)
-                 in
-                 Tuple.get t (a_ "STATS") = Value.Str expect_status
-                 && Tuple.get t (a_ "STATS_ROWS") = expect_srows
-                 && Tuple.get t (a_ "ROWS")
-                    = Value.Int
-                        (Xrel.cardinal (Storage.Catalog.relation cat name)))
-           (Storage.Catalog.names cat))
+      agrees cat
+      && match reopened cat ops with Some cat -> agrees cat | None -> false)
 
 let suite = List.map to_alcotest [ monotone_counters; freshness_agrees ]

@@ -234,15 +234,17 @@ let test_missing_csv_quarantined () =
       | Storage.Persist.Corrupt _ -> ()
       | _ -> Alcotest.fail "S should be quarantined")
 
+let append_garbage dir =
+  let oc =
+    open_out_gen [ Open_append; Open_binary ] 0o644 (Filename.concat dir "wal")
+  in
+  output_string oc "garbage tail bytes";
+  close_out oc
+
 let test_garbage_journal_tail () =
   with_temp_dir (fun dir ->
       populated_dir dir;
-      let oc =
-        open_out_gen [ Open_append; Open_binary ] 0o644
-          (Filename.concat dir "wal")
-      in
-      output_string oc "garbage tail bytes";
-      close_out oc;
+      append_garbage dir;
       let report = Storage.Persist.load_report ~dir () in
       (match report.Storage.Persist.journal_note with
       | Some _ -> ()
@@ -366,6 +368,146 @@ let test_merged_eviction_not_resurrected () =
       Alcotest.(check bool) "every record replayed" true
         (report.Storage.Persist.statuses = [ ("T", Storage.Persist.Recovered 3) ]))
 
+(* --------------------- open without rewriting ------------------ *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path data =
+  Out_channel.with_open_bin path (fun oc -> output_string oc data)
+
+(* A clean directory, a fresh checkpoint or one with the journal tail a
+   shut-down writer leaves, opens without a single mutating operation,
+   and the engine serves exactly what [load_report] reads. *)
+let test_clean_open_writes_nothing () =
+  let open_counted dir =
+    let loaded = Storage.Persist.load_report ~dir () in
+    Alcotest.(check bool) "load_report: no repair" false
+      loaded.Storage.Persist.needs_repair;
+    let io, ops = Storage.Io.counting Storage.Io.real in
+    let eng, report = Session.open_engine ~io ~dir () in
+    Session.shutdown eng;
+    Alcotest.(check int) "mutating filesystem operations" 0 (ops ());
+    Alcotest.(check bool) "open: no repair" false
+      report.Storage.Persist.needs_repair;
+    Alcotest.(check int) "the LSN load_report gives" loaded.Storage.Persist.lsn
+      (Session.engine_snapshot eng).Session.lsn;
+    Alcotest.(check bool) "the catalog load_report gives" true
+      (catalogs_equal loaded.Storage.Persist.catalog (committed eng));
+    loaded
+  in
+  with_temp_dir (fun dir ->
+      Storage.Persist.save ~dir (seed_catalog ());
+      let r = open_counted dir in
+      Alcotest.(check int) "no journal" 0 r.Storage.Persist.journal_records);
+  with_temp_dir (fun dir ->
+      populated_dir dir;
+      let r = open_counted dir in
+      Alcotest.(check int) "the whole workload is the tail"
+        (List.length workload) r.Storage.Persist.journal_records;
+      let states = committed_states () in
+      Alcotest.(check bool) "the tail replays to the last commit" true
+        (catalogs_equal r.Storage.Persist.catalog
+           states.(Array.length states - 1)))
+
+(* Each way a directory can need repair, applied to a populated one. *)
+let damages =
+  let checkpointed dir =
+    populated_dir dir;
+    ignore (Storage.Persist.recover ~dir ())
+  in
+  [
+    ("torn journal tail", fun dir -> populated_dir dir; append_garbage dir);
+    ( "pending MANIFEST.next",
+      fun dir ->
+        (* A checkpoint of the tail, cut off at its commit point: every
+           file renamed into place but the manifest. *)
+        populated_dir dir;
+        let r = Storage.Persist.load_report ~dir () in
+        let ops =
+          with_temp_dir (fun other ->
+              Sys.mkdir other 0o755;
+              let io, ops = Storage.Io.counting Storage.Io.real in
+              Storage.Persist.save ~io ~dir:other r.Storage.Persist.catalog;
+              ops ())
+        in
+        (* The last two operations: the rename to MANIFEST, the fsync. *)
+        let io =
+          Storage.Io.faulty ~fault:Storage.Io.Fail ~after:(ops - 2)
+            Storage.Io.real
+        in
+        match
+          Storage.Persist.save ~io ~lsn:r.Storage.Persist.lsn ~dir
+            r.Storage.Persist.catalog
+        with
+        | () -> Alcotest.fail "the save was to be cut off"
+        | exception Storage.Io.Injected_fault _ -> () );
+    ( "stray *.tmp",
+      fun dir ->
+        checkpointed dir;
+        write_file (Filename.concat dir "R.csv.tmp") "A,B\n1,");
+    ( "quarantined relation",
+      fun dir ->
+        checkpointed dir;
+        clobber (Filename.concat dir "R.csv") flip_last_byte );
+    ( "damaged INDEX",
+      fun dir ->
+        checkpointed dir;
+        clobber (Filename.concat dir "INDEX") (fun d ->
+            String.sub d 0 (String.length d / 2)) );
+    ( "damaged CONSTRAINTS",
+      fun dir ->
+        checkpointed dir;
+        clobber (Filename.concat dir "CONSTRAINTS") (fun d ->
+            String.sub d 0 (String.length d / 2)) );
+    ( "no MANIFEST",
+      fun dir ->
+        checkpointed dir;
+        Sys.remove (Filename.concat dir "MANIFEST") );
+    ( "a sidecar stamped against other data",
+      fun dir ->
+        (* The INDEX of an older checkpoint, put back beside newer
+           data: its stamp names the older R.csv. *)
+        Storage.Persist.save ~dir
+          (Storage.Catalog.create_index (seed_catalog ()) "R" ~kind:"hash"
+             (Attr.Set.singleton (Attr.make "A")));
+        let old_index = read_file (Filename.concat dir "INDEX") in
+        with_writer ~dir (fun _ sess ->
+            commit_stmt sess "append to R (A = 1, B = 10)");
+        ignore (Storage.Persist.recover ~dir ());
+        write_file (Filename.concat dir "INDEX") old_index );
+  ]
+
+(* Opening a damaged directory repairs it in the same pass: afterwards
+   [load_report] finds nothing to note and an empty journal, and serves
+   the catalog the open recovered. *)
+let test_open_repairs_damage () =
+  List.iter
+    (fun (what, damage) ->
+      with_temp_dir (fun dir ->
+          damage dir;
+          let loaded = Storage.Persist.load_report ~dir () in
+          Alcotest.(check bool) (what ^ ": repair verdict") true
+            loaded.Storage.Persist.needs_repair;
+          let eng, report = Session.open_engine ~dir () in
+          let cat = committed eng in
+          Session.shutdown eng;
+          Alcotest.(check bool) (what ^ ": the open saw it") true
+            report.Storage.Persist.needs_repair;
+          Alcotest.(check bool) (what ^ ": the open recovered what loaded") true
+            (catalogs_equal loaded.Storage.Persist.catalog cat);
+          let after = Storage.Persist.load_report ~dir () in
+          Alcotest.(check (option string)) (what ^ ": no journal note") None
+            after.Storage.Persist.journal_note;
+          Alcotest.(check (option string)) (what ^ ": no checkpoint note") None
+            after.Storage.Persist.checkpoint_note;
+          Alcotest.(check bool) (what ^ ": repaired") false
+            after.Storage.Persist.needs_repair;
+          Alcotest.(check int) (what ^ ": empty journal") 0
+            after.Storage.Persist.journal_records;
+          Alcotest.(check bool) (what ^ ": reloads the same catalog") true
+            (catalogs_equal after.Storage.Persist.catalog cat)))
+    damages
+
 (* [test/journal_golden/] is a directory the statement-per-record
    journal writer that preceded the session engine left mid-run, with
    p.csv = {(1, 10), (2, 20), (3, 30)}, c.csv = {(1, 5), (2, 6), (3, 7)}
@@ -483,4 +625,8 @@ let suite =
       test_merged_eviction_not_resurrected;
     Alcotest.test_case "journals of the statement-per-record writer recover"
       `Quick test_golden_journal_recovers;
+    Alcotest.test_case "opening a clean directory writes nothing" `Quick
+      test_clean_open_writes_nothing;
+    Alcotest.test_case "open repairs what is damaged" `Quick
+      test_open_repairs_damage;
   ]

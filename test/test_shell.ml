@@ -253,6 +253,36 @@ let test_save_supersedes_journal () =
             (contains rows "10")
       | _ -> Alcotest.fail "expected five outputs")
 
+(* [.open] judges a directory by the engine's repair verdict: the
+   journal tail a shut-down session engine leaves (it never checkpoints
+   on shutdown) is normal, and replays; a torn tail is damage. *)
+let test_open_replayed_tail_is_clean () =
+  Test_durability.with_temp_dir (fun dir ->
+      Test_durability.populated_dir dir;
+      let _, outputs =
+        feed
+          [
+            Printf.sprintf ".open %s" dir;
+            ".agg count range of r is R retrieve (r.A)";
+          ]
+      in
+      (match outputs with
+      | [ opened; counted ] ->
+          Alcotest.(check string) "a replayed tail is no problem"
+            (Printf.sprintf "opened %s (2 relations)" dir)
+            opened;
+          Alcotest.(check bool) "the tail replayed" true
+            (contains counted "bounds: 3 .. 3")
+      | _ -> Alcotest.fail "expected two outputs");
+      Test_durability.append_garbage dir;
+      match feed [ Printf.sprintf ".open %s" dir ] with
+      | _, [ opened ] ->
+          Alcotest.(check bool) "a torn tail is a problem" true
+            (contains opened "problems found");
+          Alcotest.(check bool) "and the report says where" true
+            (contains opened "journal: journal tail dropped")
+      | _ -> Alcotest.fail "expected one output")
+
 let test_agg_command () =
   with_ps_csv (fun path ->
       let _, outputs =
@@ -496,6 +526,8 @@ let suite =
     Alcotest.test_case "empty input" `Quick test_empty_input;
     Alcotest.test_case ".save supersedes the target's journal" `Quick
       test_save_supersedes_journal;
+    Alcotest.test_case ".open calls a replayed tail clean, a torn one not"
+      `Quick test_open_replayed_tail_is_clean;
     Alcotest.test_case "a declared index keeps type errors" `Quick
       test_index_keeps_type_errors;
     Alcotest.test_case "a retrieve raises where the evaluator does" `Quick

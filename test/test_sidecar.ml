@@ -91,10 +91,11 @@ let test_golden () =
 (* --------------------------- damage sweep ------------------------ *)
 
 (* What a load brought back besides the data: the journal position,
-   the note, and what each sidecar attached. *)
+   the note, the repair verdict, and what each sidecar attached. *)
 type view = {
   lsn : int;
   note : string option;
+  repair : bool;
   stats : string list;  (** relations with fresh statistics *)
   constraints : string list;  (** definition lines, stale ones marked *)
   indexes : string list;  (** declarations with their cardinality *)
@@ -107,6 +108,7 @@ let view (r : Storage.Persist.report) =
   {
     lsn = r.Storage.Persist.lsn;
     note = r.Storage.Persist.journal_note;
+    repair = r.Storage.Persist.needs_repair;
     stats =
       List.filter (fun n -> Option.is_some (Storage.Catalog.stats cat n)) names;
     constraints =
@@ -131,14 +133,16 @@ let view (r : Storage.Persist.report) =
 (* Each file's documented damage path, as it differs from a clean
    load: a damaged MANIFEST falls back to the legacy checksum-free
    load (which knows no checkpoint LSN); a damaged STATS costs the
-   statistics silently; a damaged CONSTRAINTS or INDEX drops its
-   declarations and says so in the journal note. *)
+   statistics without a note; a damaged CONSTRAINTS or INDEX drops its
+   declarations and says so in the journal note. Every one of them
+   sets the repair verdict. *)
 let damaged clean = function
-  | "MANIFEST" -> { clean with lsn = 0 }
-  | "STATS" -> { clean with stats = [] }
+  | "MANIFEST" -> { clean with lsn = 0; repair = true }
+  | "STATS" -> { clean with stats = []; repair = true }
   | "CONSTRAINTS" ->
       {
         clean with
+        repair = true;
         constraints = [];
         note =
           Some
@@ -148,6 +152,7 @@ let damaged clean = function
   | "INDEX" ->
       {
         clean with
+        repair = true;
         indexes = [];
         note =
           Some
