@@ -904,9 +904,11 @@ let e17 ~with_timings () =
       end
     in
     printf "  checkpoint = atomic save, journal = a one-statement session commit,@.";
-    printf "  recover = load + replay of the journal the appends built:@.";
-    printf "  %8s | %12s | %14s | %12s@." "rows" "checkpoint" "journal/stmt"
-      "recover";
+    printf "  recover = load + replay of the journal the appends built (its@.";
+    printf "  length follows the timing quota), and the minor-heap words one@.";
+    printf "  recovery allocates:@.";
+    printf "  %8s | %12s | %14s | %12s | %8s | %14s@." "rows" "checkpoint"
+      "journal/stmt" "recover" "records" "words/recover";
     List.iter
       (fun n ->
         let g = Workload.Prng.create (900 + n) in
@@ -952,9 +954,13 @@ let e17 ~with_timings () =
           Timing.ns_per_run (fun () ->
               ignore (Storage.Persist.load_report ~dir:tmp_dir ()))
         in
+        let w0 = Gc.minor_words () in
+        let report = Storage.Persist.load_report ~dir:tmp_dir () in
+        let words = Gc.minor_words () -. w0 in
         cleanup ();
-        printf "  %8d | %12s | %14s | %12s@." n (Timing.pp_ns t_save)
-          (Timing.pp_ns t_append) (Timing.pp_ns t_recover))
+        printf "  %8d | %12s | %14s | %12s | %8d | %14.0f@." n
+          (Timing.pp_ns t_save) (Timing.pp_ns t_append) (Timing.pp_ns t_recover)
+          report.Storage.Persist.journal_records words)
       [ 100; 1000; 4000 ]
   end
 

@@ -739,9 +739,13 @@ let dml_cmd =
            engine runs charge about one tick per stored row, and stay
            outside them like the exit checkpoint below. *)
         let eng, report = Session.open_engine ~dir () in
-        List.iter
-          (fun l -> Printf.eprintf "recovery: %s\n" l)
-          (Storage.Persist.report_lines report);
+        (* Only a directory that needed repair is reported, as by the
+           shell's [.open]: a clean one, its journal tail included, is
+           opened silently. *)
+        if report.Storage.Persist.needs_repair then
+          List.iter
+            (fun l -> Printf.eprintf "recovery: %s\n" l)
+            (Storage.Persist.report_lines report);
         let sess = Session.attach eng in
         limited timeout tuples (fun () ->
             List.iter

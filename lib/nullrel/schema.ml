@@ -77,22 +77,30 @@ let pp_violation ppf = function
   | Null_in_key a -> Format.fprintf ppf "null in key attribute %a" Attr.pp a
   | Duplicate_key k -> Format.fprintf ppf "duplicate key %a" Tuple.pp k
 
+(* [a]'s domain violation at value [v], looked up without a closure or
+   an option per binding: loads check every stored cell. *)
+let rec binding_violation columns a v acc =
+  match columns with
+  | [] -> Unknown_attribute a :: acc
+  | (a', d) :: rest ->
+      if Attr.equal a a' then
+        if Domain.mem v d then acc else Domain_mismatch (a, v) :: acc
+      else binding_violation rest a v acc
+
 let check_tuple s r =
-  let domain_violations =
-    Tuple.fold
-      (fun a v acc ->
-        match domain s a with
-        | None -> Unknown_attribute a :: acc
-        | Some d -> if Domain.mem v d then acc else Domain_mismatch (a, v) :: acc)
-      r []
-  in
+  let domain_violations = Tuple.fold (binding_violation s.columns) r [] in
   let key_violations =
-    Attr.Set.fold
-      (fun a acc ->
-        if Value.is_null (Tuple.get r a) then Null_in_key a :: acc else acc)
-      s.key []
+    if Tuple.is_total_on s.key r then []
+    else
+      Attr.Set.fold
+        (fun a acc ->
+          if Value.is_null (Tuple.get r a) then Null_in_key a :: acc else acc)
+        s.key []
   in
   List.rev_append domain_violations key_violations
+
+(* Key restrictions seen so far, hashed as tuples. *)
+module Key_table = Hashtbl.Make (Tuple)
 
 let check s x =
   let per_tuple =
@@ -101,14 +109,14 @@ let check s x =
   let duplicates =
     if Attr.Set.is_empty s.key then []
     else
-      let seen = Hashtbl.create 16 in
+      let seen = Key_table.create (Xrel.cardinal x) in
+      let key = Tuple.signature_of_attrs s.key in
       List.filter_map
         (fun r ->
-          let k = Tuple.restrict r s.key in
-          let repr = Tuple.to_list k in
-          if Hashtbl.mem seen repr then Some (Duplicate_key k)
+          let k = Tuple.restrict_signature r key in
+          if Key_table.mem seen k then Some (Duplicate_key k)
           else (
-            Hashtbl.add seen repr ();
+            Key_table.add seen k ();
             None))
         (Xrel.to_list x)
   in

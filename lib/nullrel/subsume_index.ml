@@ -65,13 +65,18 @@ let m_compactions =
     ~help:"Subsumption-index overlay compactions (overlay folded into base)"
     "nullrel_subsume_index_compactions_total"
 
+(* Counted in place, then frozen: a persistent update per tuple would
+   copy a map path for each. *)
 let sigs_of set =
-  Tuple.Set.fold
-    (fun t m ->
-      Sigmap.update (Tuple.signature t)
-        (function None -> Some 1 | Some c -> Some (c + 1))
-        m)
-    set Sigmap.empty
+  let counts = ref Sigmap.empty in
+  Tuple.Set.iter
+    (fun t ->
+      let s = Tuple.signature t in
+      match Sigmap.find s !counts with
+      | c -> incr c
+      | exception Not_found -> counts := Sigmap.add s (ref 1) !counts)
+    set;
+  Sigmap.map ( ! ) !counts
 
 let of_base base =
   {
@@ -196,12 +201,16 @@ let advance idx ~added ~removed =
   let live = idx.live in
   let sigs = Once.get idx.sigs in
   let size = Once.get idx.size in
+  (* A count keeps the key array it was first stored under, the one
+     {!share_signature} hands out: [Sigmap.update] would store [pi]
+     instead, and a tuple a journal decoded carries its own array. *)
   let bump delta pi m =
-    Sigmap.update pi
-      (function
-        | None -> if delta > 0 then Some delta else None
-        | Some c -> if c + delta <= 0 then None else Some (c + delta))
-      m
+    match
+      Sigmap.find_first_opt (fun k -> Tuple.compare_signature k pi >= 0) m
+    with
+    | Some (k, c) when Tuple.compare_signature k pi = 0 ->
+        if c + delta <= 0 then Sigmap.remove k m else Sigmap.add k (c + delta) m
+    | Some _ | None -> if delta > 0 then Sigmap.add pi delta m else m
   in
   (* Removals first, then additions, each gated on the live set, keep
      the invariants: [added] disjoint from base, [removed] inside it. *)

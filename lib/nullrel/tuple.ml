@@ -208,10 +208,20 @@ let rec compare_from r t i =
       let c = compare_value r.vals.(i) t.vals.(i) in
       if c <> 0 then c else compare_from r t (i + 1)
 
+(* Two tuples sharing a key array differ only in their values. *)
+let rec compare_vals r t i =
+  if i = length r then 0
+  else
+    let c = compare_value r.vals.(i) t.vals.(i) in
+    if c <> 0 then c else compare_vals r t (i + 1)
+
 (* Lexicographic over the (attribute, value) pairs, a proper prefix
    first: the order [Attr.Map.compare Value.compare] gave the map
    layout, so containers iterate exactly as they did. *)
-let compare r t = if r == t then 0 else compare_from r t 0
+let compare r t =
+  if r == t then 0
+  else if r.keys == t.keys then compare_vals r t 0
+  else compare_from r t 0
 
 (* Equal tuples have equal keys, so hashing the values alone is
    consistent with [equal]; it spreads the tuples of one signature,
@@ -377,7 +387,10 @@ let rec compare_signature_from s1 s2 i =
     let c = compare_attr s1.(i) s2.(i) in
     if c <> 0 then c else compare_signature_from s1 s2 (i + 1)
 
-let compare_signature s1 s2 = compare_signature_from s1 s2 0
+let compare_signature s1 s2 =
+  if s1 == s2 then 0 else compare_signature_from s1 s2 0
+
+let signature_of_attrs x = Array.of_list (Attr.Set.elements x)
 
 (* Every attribute of [s1] from [i] on is in [s2] from [j] on. *)
 let rec subset_from s1 s2 i j =
@@ -426,6 +439,99 @@ let restrict_signature r s =
       end;
       if c <= 0 then incr i;
       if c >= 0 then incr j
+    done;
+    { keys; vals }
+  end
+
+(* ------------------------ bulk construction ------------------------ *)
+
+(* A trie over a builder's columns in attribute order, one level per
+   column, branching on whether the row binds it: the leaf a null
+   pattern reaches holds the key array its tuples share ([[||]] until
+   the first such tuple). [absent] stands for a child not made yet. *)
+type pattern = {
+  mutable shared : signature;
+  mutable unbound : pattern;
+  mutable bound : pattern;
+}
+
+let rec absent = { shared = [||]; unbound = absent; bound = absent }
+
+type builder = {
+  cols : Attr.t array;  (** Distinct, strictly increasing. *)
+  slot : int array;  (** A position's column in [cols]. *)
+  row : Value.t array;  (** Per column, [Value.Null] when unbound. *)
+  patterns : pattern;
+}
+
+let pattern () = { shared = [||]; unbound = absent; bound = absent }
+
+let rec sorted_from a i =
+  i + 1 >= Array.length a
+  || (compare_attr a.(i) a.(i + 1) < 0 && sorted_from a (i + 1))
+
+let builder positions =
+  let cols =
+    if sorted_from positions 0 then Array.copy positions
+    else
+      Array.of_list (List.sort_uniq compare_attr (Array.to_list positions))
+  in
+  let m = Array.length positions in
+  let slot = Array.make m 0 in
+  for i = 0 to m - 1 do
+    slot.(i) <- find cols positions.(i)
+  done;
+  {
+    cols;
+    slot;
+    row = Array.make (Array.length cols) Value.Null;
+    patterns = pattern ();
+  }
+
+let bind b i v = b.row.(b.slot.(i)) <- v
+
+(* Only nodes a builder made are ever written, never [absent]. *)
+let child p bound =
+  let c = if bound then p.bound else p.unbound in
+  if c != absent then c
+  else begin
+    let c = pattern () in
+    if bound then p.bound <- c else p.unbound <- c;
+    c
+  end
+
+let build b =
+  let m = Array.length b.cols in
+  let p = ref b.patterns and n = ref 0 in
+  for i = 0 to m - 1 do
+    let bound = not (Value.is_null b.row.(i)) in
+    if bound then incr n;
+    p := child !p bound
+  done;
+  if !n = 0 then empty
+  else begin
+    let keys =
+      if Array.length !p.shared > 0 then !p.shared
+      else begin
+        let keys = Array.make !n b.cols.(0) and k = ref 0 in
+        for i = 0 to m - 1 do
+          if not (Value.is_null b.row.(i)) then begin
+            keys.(!k) <- b.cols.(i);
+            incr k
+          end
+        done;
+        !p.shared <- keys;
+        keys
+      end
+    in
+    let vals = Array.make !n Value.Null and k = ref 0 in
+    for i = 0 to m - 1 do
+      let v = b.row.(i) in
+      if not (Value.is_null v) then begin
+        vals.(!k) <- v;
+        incr k;
+        b.row.(i) <- Value.Null
+      end
     done;
     { keys; vals }
   end

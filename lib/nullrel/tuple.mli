@@ -70,7 +70,8 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 (** Container order (no semantic meaning): lexicographic over the
     (attribute, value) pairs in attribute order, a proper prefix
-    first. *)
+    first. Two tuples that share a key array compare by their values
+    alone. *)
 
 val hash : t -> int
 (** Consistent with {!equal}; allocates nothing. *)
@@ -126,6 +127,11 @@ val compare_signature : signature -> signature -> int
 (** Lexicographic in attribute order, a proper prefix first: the order
     [Attr.Set.compare] gives the same attribute sets. *)
 
+val signature_of_attrs : Attr.Set.t -> signature
+(** The signature of the tuples whose non-null attributes are exactly
+    [x]: what {!restrict_signature} and {!is_total_on_signature} take
+    for a fixed attribute set, such as a key. *)
+
 val subset_signature : signature -> signature -> bool
 (** [subset_signature s1 s2] iff every attribute of [s1] is in [s2]. *)
 
@@ -139,6 +145,29 @@ val with_signature : signature -> t -> t
 (** [with_signature s r] is [r] holding [s] as its attribute array when
     [s] is [r]'s signature, and [r] otherwise: an equal tuple that
     shares its attributes with the tuple [s] came from. *)
+
+(** {1 Bulk construction}
+
+    A loader builds many tuples over one list of columns (a CSV header,
+    a binary dictionary). A builder writes each tuple's two arrays once
+    and gives the tuples of one null pattern one shared key array. It
+    is mutable: one loader owns it, and no other domain sees it. *)
+
+type builder
+
+val builder : Attr.t array -> builder
+(** [builder cols]: position [i] binds [cols.(i)]. Columns may come in
+    any order, and one attribute may sit at several positions. *)
+
+val bind : builder -> int -> Value.t -> unit
+(** [bind b i v] binds position [i]'s attribute to [v], replacing what
+    an earlier [bind] gave that attribute; [Value.Null] unbinds it. *)
+
+val build : builder -> t
+(** The tuple of the [bind]s since the last [build], after which every
+    attribute is unbound again. It equals folding {!set} over the same
+    bindings from {!empty}, and the tuples of one null pattern that
+    one builder builds share one key array. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints as [(A=1, B=-)]-style binding list (only non-null bindings). *)

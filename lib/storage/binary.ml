@@ -94,83 +94,165 @@ let encode x =
 
 (* ------------------------- decoding --------------------------- *)
 
-type cursor = { data : string; mutable pos : int }
+(* A cursor reads [data] up to [stop] in place: a journal frame's
+   blocks decode without being copied out first. *)
+type cursor = { data : string; mutable pos : int; stop : int }
 
 let byte cur =
-  if cur.pos >= String.length cur.data then corrupt "truncated input";
+  if cur.pos >= cur.stop then corrupt "truncated input";
   let c = Char.code cur.data.[cur.pos] in
   cur.pos <- cur.pos + 1;
   c
 
-let read_varint cur =
-  let rec go shift acc =
-    if shift > 62 then corrupt "varint too long";
-    let b = byte cur in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 then acc else go (shift + 7) acc
-  in
-  go 0 0
+(* Top-level, not a local closure over [cur]: a varint is read per
+   count, index and integer, and a closure would be allocated for
+   each. *)
+let rec varint_from cur shift acc =
+  if shift > 62 then corrupt "varint too long";
+  let b = byte cur in
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b land 0x80 = 0 then acc else varint_from cur (shift + 7) acc
 
-let read_bytes cur n =
-  if cur.pos + n > String.length cur.data then corrupt "truncated input";
-  let s = String.sub cur.data cur.pos n in
+let read_varint cur = varint_from cur 0 0
+
+(* Moves past [n] bytes and returns where they start. *)
+let skip cur n =
+  if n < 0 || n > cur.stop - cur.pos then corrupt "truncated input";
+  let at = cur.pos in
   cur.pos <- cur.pos + n;
-  s
+  at
 
-let read_string_pfx cur = read_bytes cur (read_varint cur)
+let read_string_pfx cur =
+  let n = read_varint cur in
+  String.sub cur.data (skip cur n) n
 
 let read_value cur =
   match byte cur with
   | 0x00 -> Value.int (unzigzag (read_varint cur))
   | 0x01 ->
-      let bits = read_bytes cur 8 in
-      let n = ref 0L in
-      for k = 7 downto 0 do
-        n := Int64.logor (Int64.shift_left !n 8) (Int64.of_int (Char.code bits.[k]))
-      done;
-      Value.Float (Int64.float_of_bits !n)
+      Value.Float
+        (Int64.float_of_bits (String.get_int64_le cur.data (skip cur 8)))
   | 0x02 -> Value.Str (read_string_pfx cur)
   | 0x03 -> Value.Bool (byte cur <> 0)
   | tag -> corrupt (Printf.sprintf "unknown value tag 0x%02x" tag)
 
-let decode data =
-  let cur = { data; pos = 0 } in
-  if read_bytes cur 4 <> magic then corrupt "bad magic";
+let rec read_bindings cur b dict_len k =
+  if k <> 0 then begin
+    let idx = read_varint cur in
+    if idx < 0 || idx >= dict_len then corrupt "attribute index out of range";
+    Tuple.bind b idx (read_value cur);
+    read_bindings cur b dict_len (k - 1)
+  end
+
+(* A dictionary as read, kept with the builder its tuples use. *)
+type dictionary = {
+  raw : string;
+  attrs : Attr.t array;
+  builder : Tuple.builder;
+}
+
+type context = { mutable dicts : dictionary list }
+
+let context () = { dicts = [] }
+
+(* A journal names the same few attribute lists over and over; past
+   this many distinct ones a context stops remembering new ones. *)
+let max_dicts = 16
+
+let rec same_from raw data pos k =
+  k = String.length raw
+  || (raw.[k] = data.[pos + k] && same_from raw data pos (k + 1))
+
+let rec find_dict data pos len = function
+  | [] -> None
+  | d :: rest ->
+      if String.length d.raw = len && same_from d.raw data pos 0 then Some d
+      else find_dict data pos len rest
+
+(* The [n] entries at the cursor: skipped first, raising what reading
+   them would, then read only when the context has not seen these
+   bytes. *)
+let read_dict ctx cur n =
+  let start = cur.pos in
+  for _ = 1 to n do
+    let len = read_varint cur in
+    if len = 0 then corrupt "empty attribute name";
+    ignore (skip cur len)
+  done;
+  let len = cur.pos - start in
+  match find_dict cur.data start len ctx.dicts with
+  | Some d -> d
+  | None ->
+      cur.pos <- start;
+      let attrs =
+        if n = 0 then [||]
+        else begin
+          let attrs = Array.make n (Attr.make (read_string_pfx cur)) in
+          for i = 1 to n - 1 do
+            attrs.(i) <- Attr.make (read_string_pfx cur)
+          done;
+          attrs
+        end
+      in
+      let d =
+        {
+          raw = String.sub cur.data start len;
+          attrs;
+          builder = Tuple.builder attrs;
+        }
+      in
+      if List.length ctx.dicts < max_dicts then ctx.dicts <- d :: ctx.dicts;
+      d
+
+let forget ctx d = ctx.dicts <- List.filter (fun d' -> d' != d) ctx.dicts
+
+let decode_sub ?(context = context ()) data pos len =
+  if pos < 0 || len < 0 || pos > String.length data - len then
+    invalid_arg "Binary.decode_sub";
+  let cur = { data; pos; stop = pos + len } in
+  let m = skip cur (String.length magic) in
+  for k = 0 to String.length magic - 1 do
+    if data.[m + k] <> magic.[k] then corrupt "bad magic"
+  done;
   let dict_len = read_varint cur in
   (* Every dictionary entry and tuple costs at least one byte, so a
      count exceeding the input length is corruption — reject it before
-     [Array.init]/[List.init] turn it into an allocation failure. *)
-  if dict_len > String.length data then corrupt "implausible dictionary length";
-  let dict = Array.init dict_len (fun _ -> Attr.make (read_string_pfx cur)) in
+     [Array.make]/[List.init] turn it into an allocation failure. *)
+  if dict_len < 0 || dict_len > len then
+    corrupt "implausible dictionary length";
+  let d = read_dict context cur dict_len in
   let tuple_count = read_varint cur in
-  if tuple_count > String.length data then corrupt "implausible tuple count";
-  let read_tuple () =
-    let bindings = read_varint cur in
-    let rec go k acc =
-      if k = 0 then acc
-      else
-        let idx = read_varint cur in
-        if idx >= dict_len then corrupt "attribute index out of range";
-        let v = read_value cur in
-        go (k - 1) (Tuple.set acc dict.(idx) v)
-    in
-    go bindings Tuple.empty
+  if tuple_count < 0 || tuple_count > len then
+    corrupt "implausible tuple count";
+  let tuples =
+    match
+      List.init tuple_count (fun _ ->
+          read_bindings cur d.builder dict_len (read_varint cur);
+          Tuple.build d.builder)
+    with
+    | tuples -> tuples
+    | exception e ->
+        (* Cut off between two bindings, the builder holds half a
+           tuple: no later input may use it. *)
+        forget context d;
+        raise e
   in
-  let tuples = List.init tuple_count (fun _ -> read_tuple ()) in
-  if String.length data - cur.pos < 4 then corrupt "missing checksum trailer";
-  let payload_len = cur.pos in
-  let trailer = read_bytes cur 4 in
-  if cur.pos <> String.length data then corrupt "trailing bytes";
+  if cur.stop - cur.pos < 4 then corrupt "missing checksum trailer";
+  let payload_len = cur.pos - pos in
+  let trailer = skip cur 4 in
+  if cur.pos <> cur.stop then corrupt "trailing bytes";
   let stored = ref 0 in
   for k = 3 downto 0 do
-    stored := (!stored lsl 8) lor Char.code trailer.[k]
+    stored := (!stored lsl 8) lor Char.code data.[trailer + k]
   done;
-  let computed = Crc32.digest (String.sub data 0 payload_len) in
+  let computed = Crc32.digest_sub data pos payload_len in
   if !stored <> computed then
     corrupt
       (Printf.sprintf "checksum mismatch (stored %s, computed %s)"
          (Crc32.to_hex !stored) (Crc32.to_hex computed));
   Xrel.of_list tuples
+
+let decode data = decode_sub data 0 (String.length data)
 
 let write_file path x =
   let oc = open_out_bin path in

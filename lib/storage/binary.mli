@@ -27,13 +27,30 @@
 open Nullrel
 
 exception Corrupt of string
-(** Bad magic, truncated input, unknown tags, out-of-range dictionary
-    references, checksum mismatches. *)
+(** Bad magic, truncated input, unknown tags, an empty or out-of-range
+    dictionary entry, checksum mismatches. [decode] raises nothing else
+    on any input. *)
 
 val encode : Xrel.t -> string
 val decode : string -> Xrel.t
 (** [decode (encode x) = x]; decoding re-canonicalizes, so hand-made
-    inputs with redundant tuples still produce a valid x-relation. *)
+    inputs with redundant tuples still produce a valid x-relation. The
+    decoded tuples of one null pattern share one key array
+    ({!Tuple.builder}). *)
+
+type context
+(** What a run of {!decode_sub} calls shares: each distinct attribute
+    dictionary is read once, and over one dictionary the tuples of one
+    null pattern share one key array across the inputs. A journal's
+    blocks name the same few dictionaries over and over. One reader
+    owns a context; no other domain sees it. *)
+
+val context : unit -> context
+
+val decode_sub : ?context:context -> string -> int -> int -> Xrel.t
+(** [decode_sub s pos len] is [decode (String.sub s pos len)], read in
+    place. Raises [Invalid_argument] when the range is not inside
+    [s]. *)
 
 val write_file : string -> Xrel.t -> unit
 val read_file : string -> Xrel.t

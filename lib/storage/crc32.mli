@@ -7,7 +7,14 @@
 
 val digest : ?init:int -> string -> int
 (** [digest s] is the CRC-32 of [s]. [?init] feeds a previous digest
-    back in, so [digest ~init:(digest a) b = digest (a ^ b)]. *)
+    back in, so [digest ~init:(digest a) b = digest (a ^ b)]. Safe to
+    call from any domain: the table is built when the module is
+    initialized. *)
+
+val digest_sub : ?init:int -> string -> int -> int -> int
+(** [digest_sub s pos len] is [digest (String.sub s pos len)], read in
+    place. Raises [Invalid_argument] when the range is not inside
+    [s]. *)
 
 val to_hex : int -> string
 (** Fixed-width lowercase ["%08x"] rendering. *)

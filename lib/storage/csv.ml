@@ -2,22 +2,23 @@ open Nullrel
 
 exception Error of string
 
-type cell = Quoted of string | Raw of string
-
-let parse_cells src =
+(* The dialect's state machine over [src]: [cell quoted buf] for each
+   cell in order, with the cell's text in [buf], and [row ()] after each
+   row's last cell. Raises {!Error} at the first syntax error. *)
+let scan src ~cell ~row =
   let n = String.length src in
-  let rows = ref [] and row = ref [] and buf = Buffer.create 32 in
-  let quoted = ref false in
+  let buf = Buffer.create 32 in
+  let quoted = ref false and cells = ref 0 in
   let flush_cell () =
-    let c = if !quoted then Quoted (Buffer.contents buf) else Raw (Buffer.contents buf) in
-    row := c :: !row;
+    cell !quoted buf;
     Buffer.clear buf;
-    quoted := false
+    quoted := false;
+    incr cells
   in
   let flush_row () =
     flush_cell ();
-    rows := List.rev !row :: !rows;
-    row := []
+    row ();
+    cells := 0
   in
   let rec plain i =
     if i >= n then ()
@@ -67,46 +68,63 @@ let parse_cells src =
       | c -> raise (Error (Printf.sprintf "unexpected %C after closing quote" c))
   in
   plain 0;
-  if Buffer.length buf > 0 || !row <> [] || !quoted then flush_row ();
-  List.rev !rows
+  if Buffer.length buf > 0 || !cells > 0 || !quoted then flush_row ()
 
 let parse src =
-  List.map
-    (List.map (function Quoted s | Raw s -> s))
-    (parse_cells src)
+  let rows = ref [] and cells = ref [] in
+  scan src
+    ~cell:(fun _ buf -> cells := Buffer.contents buf :: !cells)
+    ~row:(fun () ->
+      rows := List.rev !cells :: !rows;
+      cells := []);
+  List.rev !rows
 
-let value_of_cell ?domain cell =
-  match (cell, domain) with
-  | Quoted s, _ -> Value.Str s
-  | Raw "-", _ -> Value.Null
-  | Raw s, None -> Value.of_string_guess s
-  | Raw s, Some d -> (
-      match d with
-      | Domain.Int_range _ | Domain.Ints -> (
-          match int_of_string_opt s with
-          | Some i -> Value.int i
-          | None -> raise (Error (Printf.sprintf "expected an integer, got %S" s)))
-      | Domain.Floats -> (
-          match float_of_string_opt s with
-          | Some f -> Value.Float f
-          | None -> raise (Error (Printf.sprintf "expected a float, got %S" s)))
-      | Domain.Bools -> (
-          match bool_of_string_opt s with
-          | Some b -> Value.Bool b
-          | None -> raise (Error (Printf.sprintf "expected a bool, got %S" s)))
-      | Domain.Enum _ | Domain.Strings -> Value.Str s)
+let value_of_cell ?domain quoted s =
+  if quoted then Value.Str s
+  else if String.equal s "-" then Value.Null
+  else
+    match domain with
+    | None -> Value.of_string_guess s
+    | Some d -> (
+        match d with
+        | Domain.Int_range _ | Domain.Ints -> (
+            match int_of_string s with
+            | i -> Value.int i
+            | exception Failure _ ->
+                raise (Error (Printf.sprintf "expected an integer, got %S" s)))
+        | Domain.Floats -> (
+            match float_of_string_opt s with
+            | Some f -> Value.Float f
+            | None ->
+                raise (Error (Printf.sprintf "expected a float, got %S" s)))
+        | Domain.Bools -> (
+            match bool_of_string_opt s with
+            | Some b -> Value.Bool b
+            | None ->
+                raise (Error (Printf.sprintf "expected a bool, got %S" s)))
+        | Domain.Enum _ | Domain.Strings -> Value.Str s)
 
+(* Two scans. The first raises any syntax error and keeps the header,
+   so a malformed file fails the same way wherever its first bad value
+   sits. The second binds each row's cells straight into a tuple
+   builder, holding one row's cells at a time: its cell count is
+   checked before any of its values is read. *)
 let read_string ?schema src =
-  match parse_cells src with
-  | [] -> raise (Error "empty CSV: missing header")
-  | header :: body ->
+  let header = ref None and first = ref [] in
+  scan src
+    ~cell:(fun quoted buf ->
+      if Option.is_none !header then
+        first := (quoted, Buffer.contents buf) :: !first)
+    ~row:(fun () ->
+      if Option.is_none !header then header := Some (List.rev !first));
+  match !header with
+  | None -> raise (Error "empty CSV: missing header")
+  | Some header ->
       let attrs =
         List.map
-          (fun cell ->
-            match cell with
-            | Quoted s | Raw s ->
-                if String.equal s "" then raise (Error "empty column name")
-                else Attr.make s)
+          (fun (_, s) ->
+            if String.equal s "" then raise (Error "empty column name")
+            else Attr.make s)
           header
       in
       let domain_of a =
@@ -121,22 +139,35 @@ let read_string ?schema src =
                      (Printf.sprintf "column %s not in schema %s" (Attr.name a)
                         (Schema.name sc))))
       in
-      let domains = List.map domain_of attrs in
-      let tuple_of_row cells =
-        if List.length cells <> List.length attrs then
-          raise
-            (Error
-               (Printf.sprintf "row has %d cells, header has %d"
-                  (List.length cells) (List.length attrs)));
-        List.fold_left2
-          (fun (t, doms) a cell ->
-            match doms with
-            | d :: rest -> (Tuple.set t a (value_of_cell ?domain:d cell), rest)
-            | [] -> assert false)
-          (Tuple.empty, domains) attrs cells
-        |> fst
-      in
-      (attrs, Xrel.of_list (List.map tuple_of_row body))
+      let domains = Array.of_list (List.map domain_of attrs) in
+      let width = Array.length domains in
+      (* One builder for the file: the rows of one null pattern share
+         their key array. *)
+      let b = Tuple.builder (Array.of_list attrs) in
+      let quoted = Array.make width false and texts = Array.make width "" in
+      let in_header = ref true and k = ref 0 and tuples = ref [] in
+      scan src
+        ~cell:(fun q buf ->
+          if (not !in_header) && !k < width then begin
+            quoted.(!k) <- q;
+            texts.(!k) <- Buffer.contents buf
+          end;
+          incr k)
+        ~row:(fun () ->
+          if !in_header then in_header := false
+          else begin
+            if !k <> width then
+              raise
+                (Error
+                   (Printf.sprintf "row has %d cells, header has %d" !k width));
+            for i = 0 to width - 1 do
+              Tuple.bind b i
+                (value_of_cell ?domain:domains.(i) quoted.(i) texts.(i))
+            done;
+            tuples := Tuple.build b :: !tuples
+          end;
+          k := 0);
+      (attrs, Xrel.of_list (List.rev !tuples))
 
 let read_file ?schema path =
   let ic = open_in_bin path in

@@ -18,7 +18,10 @@ val parse : string -> string list list
 val read_string : ?schema:Schema.t -> string -> Attr.t list * Xrel.t
 (** Parses a relation: first row is the header. With [schema], cells are
     coerced to the declared column domains (ints for integer domains,
-    strings for enums, ...) and unknown headers are an {!Error}. *)
+    strings for enums, ...) and unknown headers are an {!Error}. A
+    syntax error anywhere is raised before any cell is read; a row's
+    cell count is checked before its values. The rows of one null
+    pattern share one key array ({!Tuple.builder}). *)
 
 val read_file : ?schema:Schema.t -> string -> Attr.t list * Xrel.t
 

@@ -6,7 +6,8 @@ open Nullrel
    [advance] extends, compacted once it outgrows ~sqrt(n). *)
 module Equi : Index_intf.S = struct
   type base = {
-    x : Attr.Set.t;
+    xs : Tuple.signature;
+        (** The key attributes as a signature: restrictions are merges. *)
     table : ((Attr.t * Value.t) list, Tuple.t list) Hashtbl.t;
     bn : int;  (* X-total tuples in [table] *)
   }
@@ -19,31 +20,32 @@ module Equi : Index_intf.S = struct
   }
 
   let kind = "hash"
-  let key_of x r = Tuple.to_list (Tuple.restrict r x)
+  let key_of xs r = Tuple.to_list (Tuple.restrict_signature r xs)
   let of_base b = { b; added = []; removed = Tuple.Set.empty; n = b.bn }
 
-  let base_of x tuples =
+  let base_of xs tuples =
     let table = Hashtbl.create (max 16 (List.length tuples)) in
     let bn = ref 0 in
     List.iter
       (fun r ->
-        if Tuple.is_total_on x r then begin
+        if Tuple.is_total_on_signature xs r then begin
           incr bn;
-          let key = key_of x r in
+          let key = key_of xs r in
           Hashtbl.replace table key
             (r :: Option.value (Hashtbl.find_opt table key) ~default:[])
         end)
       tuples;
-    { x; table; bn = !bn }
+    { xs; table; bn = !bn }
 
-  let build x rel = of_base (base_of x (Xrel.to_list rel))
+  let build x rel =
+    of_base (base_of (Tuple.signature_of_attrs x) (Xrel.to_list rel))
   let cardinal t = t.n
 
   let base_probe b r =
-    Option.value (Hashtbl.find_opt b.table (key_of b.x r)) ~default:[]
+    Option.value (Hashtbl.find_opt b.table (key_of b.xs r)) ~default:[]
 
   let probe t r =
-    if not (Tuple.is_total_on t.b.x r) then []
+    if not (Tuple.is_total_on_signature t.b.xs r) then []
     else begin
       let hits = base_probe t.b r in
       let hits =
@@ -53,9 +55,9 @@ module Equi : Index_intf.S = struct
       match t.added with
       | [] -> hits
       | added ->
-          let k = key_of t.b.x r in
+          let k = key_of t.b.xs r in
           List.fold_left
-            (fun acc u -> if key_of t.b.x u = k then u :: acc else acc)
+            (fun acc u -> if key_of t.b.xs u = k then u :: acc else acc)
             hits added
     end
 
@@ -67,7 +69,7 @@ module Equi : Index_intf.S = struct
           acc bucket)
       t.b.table t.added
 
-  let compact t = of_base (base_of t.b.x (live_tuples t))
+  let compact t = of_base (base_of t.b.xs (live_tuples t))
   let compaction_slack = 16
 
   let is_live t u =
@@ -76,11 +78,11 @@ module Equi : Index_intf.S = struct
        || List.exists (Tuple.equal u) (base_probe t.b u))
 
   let advance t ~added ~removed =
-    let x = t.b.x in
+    let x = t.b.xs in
     let t =
       List.fold_left
         (fun t u ->
-          if (not (Tuple.is_total_on x u)) || not (is_live t u) then t
+          if (not (Tuple.is_total_on_signature x u)) || not (is_live t u) then t
           else if List.exists (Tuple.equal u) t.added then
             {
               t with
@@ -93,7 +95,7 @@ module Equi : Index_intf.S = struct
     let t =
       List.fold_left
         (fun t u ->
-          if (not (Tuple.is_total_on x u)) || is_live t u then t
+          if (not (Tuple.is_total_on_signature x u)) || is_live t u then t
           else if Tuple.Set.mem u t.removed then
             { t with removed = Tuple.Set.remove u t.removed; n = t.n + 1 }
           else { t with added = u :: t.added; n = t.n + 1 })
@@ -129,6 +131,7 @@ module Equi : Index_intf.S = struct
     with Missing -> None
 
   let restore x arr lines =
+    let xs = Tuple.signature_of_attrs x in
     let table = Hashtbl.create (max 16 (List.length lines)) in
     let n = ref 0 in
     try
@@ -148,14 +151,14 @@ module Equi : Index_intf.S = struct
                 else arr.(p)
               in
               let first = tuple p0 in
-              if not (Tuple.is_total_on x first) then
+              if not (Tuple.is_total_on_signature xs first) then
                 failwith "bucket head not total on the key";
-              let key = key_of x first in
+              let key = key_of xs first in
               if Hashtbl.mem table key then failwith "duplicate bucket";
               let bucket = List.map tuple ps in
               Hashtbl.replace table key bucket;
               n := !n + List.length bucket)
         lines;
-      Some (of_base { x; table; bn = !n })
+      Some (of_base { xs; table; bn = !n })
     with Failure _ -> None
 end

@@ -446,9 +446,9 @@ let load_report ?(io = Io.real) ~dir () =
       (fun name ->
         match load_relation io dir name expected with
         | schema, x, base_lsn, dcrc -> (
-            match Catalog.add Catalog.empty schema x with
-            | _ -> (name, `Loaded (schema, x, base_lsn, dcrc))
-            | exception Catalog.Violation violations ->
+            match Schema.check schema x with
+            | [] -> (name, `Loaded (schema, x, base_lsn, dcrc))
+            | violations ->
                 ( name,
                   `Corrupt
                     (Printf.sprintf "schema violations: %s"
@@ -667,7 +667,11 @@ let load_report ?(io = Io.real) ~dir () =
           top_lsn,
           rel_notes @ notes ))
       (catalog, [], top_lsn, notes)
-      (List.sort_uniq String.compare (List.map fst pending))
+      (* Each relation with a pending change once, in name order. *)
+      (List.sort String.compare
+         (List.fold_left
+            (fun rels (r, _) -> if List.mem r rels then rels else r :: rels)
+            [] pending))
   in
   (* Newest first, as the sidecar notes below are prepended. *)
   let notes =

@@ -96,10 +96,10 @@
     always does, whatever the verdict.
 
     Loading re-validates every relation against its schema
-    ({!Catalog.add}); cross-relation references are {e not} checked at
-    load time — call {!Catalog.check_references} afterwards. Legacy
-    directories without a [MANIFEST] still load (without checksum
-    verification). *)
+    ({!Nullrel.Schema.check}); cross-relation references are {e not}
+    checked at load time — call {!Catalog.check_references} afterwards.
+    Legacy directories without a [MANIFEST] still load (without
+    checksum verification). *)
 
 exception Error of string
 (** A missing directory, a sidecar that claims an unsupported version

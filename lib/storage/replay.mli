@@ -20,7 +20,8 @@
     schema-valid, incomparable with every present tuple, and unique on
     the key. The checkpoint side is answered by a subsumption index over
     the checkpoint state, built once and never advanced, the tail side
-    by small counts over the tuples the tail touched. *)
+    by counts over the tuples the tail touched, kept in hash tables
+    that last one call. *)
 
 open Nullrel
 
@@ -30,4 +31,7 @@ val compose :
     [changes] onto [x] in order, or [None] as soon as one change is not
     an exact net delta of the state before it (then only op-by-op
     replay reproduces the journal).
-    [added] is disjoint from [x]; [removed] is a subset of it. *)
+    [added] is disjoint from [x]; [removed] is a subset of it. Both
+    are in {!Tuple.compare} order. An added tuple holds the key array
+    the checkpoint's tuples of its signature share, or else the one
+    the other added tuples of its signature hold. *)

@@ -112,9 +112,12 @@ let encode_frame r =
   add_u32 buf (Crc32.digest payload);
   Buffer.contents buf
 
-type cursor = { data : string; mutable pos : int }
+(* A cursor reads [data] up to [stop] in place: frames, their blocks and
+   the relations in them are checked and decoded without being copied
+   out. *)
+type cursor = { data : string; mutable pos : int; stop : int }
 
-let remaining cur = String.length cur.data - cur.pos
+let remaining cur = cur.stop - cur.pos
 
 let read_u n cur =
   let v = ref 0 in
@@ -124,27 +127,34 @@ let read_u n cur =
   cur.pos <- cur.pos + n;
   !v
 
-let read_block cur =
+(* Moves past a block and returns where its bytes start and how many
+   there are. *)
+let skip_block cur =
   if remaining cur < 4 then errorf "truncated block length";
   let len = read_u 4 cur in
   if len < 0 || remaining cur < len then errorf "truncated block";
-  let s = String.sub cur.data cur.pos len in
+  let at = cur.pos in
   cur.pos <- cur.pos + len;
-  s
+  (at, len)
 
-let decode_op cur =
+let read_block cur =
+  let at, len = skip_block cur in
+  String.sub cur.data at len
+
+let decode_op ctx cur =
   if remaining cur < 1 then errorf "truncated op tag";
   let tag = cur.data.[cur.pos] in
   cur.pos <- cur.pos + 1;
   match tag with
   | 'C' ->
       let rel = read_block cur in
-      let decode what s =
-        try Binary.decode s
+      let decode what =
+        let at, len = skip_block cur in
+        try Binary.decode_sub ~context:ctx cur.data at len
         with Binary.Corrupt msg -> errorf "bad %s delta: %s" what msg
       in
-      let added = decode "added" (read_block cur) in
-      let removed = decode "removed" (read_block cur) in
+      let added = decode "added" in
+      let removed = decode "removed" in
       Change { rel; added; removed }
   | 'A' -> (
       let line = read_block cur in
@@ -154,13 +164,14 @@ let decode_op cur =
   | 'D' -> Drop_constraint (read_block cur)
   | c -> errorf "unknown op tag %C" c
 
-let decode_payload payload =
-  let cur = { data = payload; pos = 0 } in
+(* The payload [data.[pos] .. data.[pos + len - 1]]. *)
+let decode_payload ctx data pos len =
+  let cur = { data; pos; stop = pos + len } in
   if remaining cur < 12 then errorf "truncated header";
   let lsn = read_u 8 cur in
   let n_ops = read_u 4 cur in
   if n_ops < 0 then errorf "negative op count";
-  let ops = List.init n_ops (fun _ -> decode_op cur) in
+  let ops = List.init n_ops (fun _ -> decode_op ctx cur) in
   if remaining cur <> 0 then errorf "trailing payload bytes";
   { lsn; ops }
 
@@ -206,7 +217,10 @@ let read ~io ~dir =
   if not (io.Io.file_exists path) then ([], None)
   else begin
     let data = io.Io.read_file path in
-    let cur = { data; pos = 0 } in
+    let cur = { data; pos = 0; stop = String.length data } in
+    (* One decoding context for the journal: its blocks share their
+       dictionaries and key arrays. *)
+    let ctx = Binary.context () in
     let torn lsn msg =
       Some
         (Printf.sprintf "journal tail dropped after lsn %d: %s" lsn msg)
@@ -220,13 +234,13 @@ let read ~io ~dir =
         if len < 0 || remaining cur < len + 4 then
           (List.rev acc, torn last_lsn "torn frame")
         else begin
-          let payload = String.sub cur.data cur.pos len in
+          let payload = cur.pos in
           cur.pos <- cur.pos + len;
           let crc = read_u 4 cur in
-          if crc <> Crc32.digest payload then
+          if crc <> Crc32.digest_sub data payload len then
             (List.rev acc, torn last_lsn "frame checksum mismatch")
           else
-            match decode_payload payload with
+            match decode_payload ctx data payload len with
             | r -> go (r :: acc) r.lsn
             | exception Error msg ->
                 (* A frame whose checksum matches but whose body does not

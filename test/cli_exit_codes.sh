@@ -242,6 +242,22 @@ grep -q '70' "$tmp/reload.txt" || fail "the reloaded row is missing"
 grep -q '30' "$tmp/reload.txt" && fail "--load replayed a journaled row"
 [ -s "$tmp/reloaddb/wal" ] && fail "the journal is not empty after a clean exit"
 
+# --- recovery is reported only when the directory needed repair --
+# A clean exit leaves a clean directory: the next run opens it
+# silently. A torn journal tail is reported, with its journal note.
+"$CLI" dml --dir "$tmp/quietdb" --load "R=$tmp/r.csv" \
+    'append to R (A = 5, B = 6)' >/dev/null 2>&1 \
+    || fail "seeding the quiet directory failed"
+"$CLI" dml --dir "$tmp/quietdb" 'append to R (A = 7, B = 8)' \
+    >/dev/null 2> "$tmp/quiet.err" || fail "dml on a clean directory failed"
+grep -q 'recovery:' "$tmp/quiet.err" \
+    && fail "dml reported recovery on a clean directory"
+printf 'garbage' >> "$tmp/quietdb/wal"
+"$CLI" dml --dir "$tmp/quietdb" 'append to R (A = 9, B = 10)' \
+    >/dev/null 2> "$tmp/torn.err" || fail "dml after a torn journal failed"
+grep -q '^recovery: journal: ' "$tmp/torn.err" \
+    || fail "dml did not report the torn journal"
+
 # --- statistics-driven planning --------------------------------
 expect 0 "query with --analyze" \
     "$CLI" query --analyze --rel "R=$tmp/r.csv" \

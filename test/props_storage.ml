@@ -616,14 +616,95 @@ let durable_schedule g dir =
   in
   (base_lsn, ddl_lsn)
 
+(* The relations whose tail folded into one net delta and those that
+   fell back to op-by-op replay, counted over one run of the test
+   below: it must see both. Computed as {!Storage.Persist.load_report}
+   decides it, from the checkpoint and the changes past each relation's
+   gate. *)
+let composed = ref 0
+let fell_back = ref 0
+
+let count_replay_paths ~(base : Storage.Persist.report) ~base_lsn dir =
+  let records, _ = Storage.Wal.read ~io:Storage.Io.real ~dir in
+  List.iter
+    (fun rel ->
+      let changes =
+        List.concat_map
+          (fun (r : Storage.Wal.record) ->
+            List.filter_map
+              (function
+                | Storage.Wal.Change c
+                  when String.equal c.Storage.Wal.rel rel
+                       && r.Storage.Wal.lsn > base_lsn rel ->
+                    Some c
+                | _ -> None)
+              r.Storage.Wal.ops)
+          records
+      in
+      if changes <> [] then begin
+        let schema, x = Storage.Catalog.get base.Storage.Persist.catalog rel in
+        match Storage.Replay.compose schema x changes with
+        | Some _ -> incr composed
+        | None -> incr fell_back
+      end)
+    (Storage.Catalog.names base.Storage.Persist.catalog)
+
+(* Session commits only journal exact net deltas, so on its own a
+   schedule never reaches the op-by-op fallback. Half the time this
+   appends one record that is not one: it removes an [S] row that was
+   never stored and adds another. {!Storage.Replay.compose} must refuse
+   the whole of [S]'s tail, and op-by-op replay apply what it can. *)
+let maybe_append_inexact g dir ~base_lsn =
+  if Workload.Prng.bool g 0.5 then begin
+    let records, _ = Storage.Wal.read ~io:Storage.Io.real ~dir in
+    let last =
+      List.fold_left
+        (fun m (r : Storage.Wal.record) -> max m r.Storage.Wal.lsn)
+        (List.fold_left (fun m rel -> max m (base_lsn rel)) 0 [ "T"; "R"; "S" ])
+        records
+    in
+    let s g x = Tuple.of_strings [ ("G", Value.Int g); ("X", Value.Int x) ] in
+    let one t = Xrel.of_list [ t ] in
+    Storage.Wal.append ~io:Storage.Io.real ~dir
+      {
+        Storage.Wal.lsn = last + 1;
+        ops =
+          [
+            Storage.Wal.Change
+              {
+                rel = "S";
+                added = one (s (Workload.Prng.int g 4) (Workload.Prng.int g 3));
+                removed = one (s 9 9);
+              };
+          ];
+      }
+  end
+
 let composed_replay_matches_oracle =
-  QCheck.Test.make ~count:60 ~name:"composed replay = per-record replay"
-    QCheck.(int_bound 1_000_000)
-    (fun seed ->
-      let g = Workload.Prng.create seed in
-      with_temp_dir (fun dir ->
-          let base_lsn, ddl_lsn = durable_schedule g dir in
-          agrees_with_oracle ~base:(checkpoint_of dir) ~base_lsn ~ddl_lsn dir))
+  let name, speed, run =
+    to_alcotest
+      (QCheck.Test.make ~count:60 ~name:"composed replay = per-record replay"
+         QCheck.(int_bound 1_000_000)
+         (fun seed ->
+           let g = Workload.Prng.create seed in
+           with_temp_dir (fun dir ->
+               let base_lsn, ddl_lsn = durable_schedule g dir in
+               maybe_append_inexact g dir ~base_lsn;
+               let base = checkpoint_of dir in
+               count_replay_paths ~base ~base_lsn dir;
+               agrees_with_oracle ~base ~base_lsn ~ddl_lsn dir)))
+  in
+  ( name,
+    speed,
+    fun () ->
+      composed := 0;
+      fell_back := 0;
+      run ();
+      if !composed = 0 || !fell_back = 0 then
+        Alcotest.failf
+          "a run must exercise both replay paths: %d relations composed, %d \
+           replayed op by op"
+          !composed !fell_back )
 
 let torn_replay_matches_oracle =
   QCheck.Test.make ~count:4 ~name:"composed replay = per-record replay, torn at every byte"
@@ -640,6 +721,55 @@ let torn_replay_matches_oracle =
               write_file wal (String.sub data 0 n);
               agrees_with_oracle ~base ~base_lsn ~ddl_lsn dir)
             (List.init (String.length data + 1) Fun.id)))
+
+(* Loading shares one key array per null pattern within a relation,
+   between the checkpoint's rows and the rows its journal tail replayed
+   alike, whether the tail composed or replayed op by op. The run must
+   replay some rows. *)
+let one_key_array_per_signature cat =
+  List.for_all
+    (fun name ->
+      let first = ref Tuple.Signature_map.empty in
+      List.for_all
+        (fun t ->
+          let s = Tuple.signature t in
+          match Tuple.Signature_map.find_opt s !first with
+          | Some s' -> s' == s
+          | None ->
+              first := Tuple.Signature_map.add s s !first;
+              true)
+        (Xrel.to_list (Storage.Catalog.relation cat name)))
+    (Storage.Catalog.names cat)
+
+let replayed_records = ref 0
+
+let load_shares_key_arrays =
+  let name, speed, run =
+    to_alcotest
+      (QCheck.Test.make ~count:15
+         ~name:"a load shares one key array per signature"
+         QCheck.(int_bound 1_000_000)
+         (fun seed ->
+           let g = Workload.Prng.create seed in
+           with_temp_dir (fun dir ->
+               let base_lsn, _ = durable_schedule g dir in
+               maybe_append_inexact g dir ~base_lsn;
+               let report = Storage.Persist.load_report ~dir () in
+               List.iter
+                 (function
+                   | _, Storage.Persist.Recovered n ->
+                       replayed_records := !replayed_records + n
+                   | _ -> ())
+                 report.Storage.Persist.statuses;
+               one_key_array_per_signature report.Storage.Persist.catalog)))
+  in
+  ( name,
+    speed,
+    fun () ->
+      replayed_records := 0;
+      run ();
+      if !replayed_records = 0 then
+        Alcotest.fail "no run replayed a journal record" )
 
 (* ------------- live row counts against the relations ------------- *)
 
@@ -742,7 +872,6 @@ let suite =
       save_fault_recover_roundtrips;
       wal_delta_apply_exact;
       torn_cascade_replay_idempotent;
-      composed_replay_matches_oracle;
-      torn_replay_matches_oracle;
-      catalog_counts_agree;
     ]
+  @ [ composed_replay_matches_oracle; load_shares_key_arrays ]
+  @ List.map to_alcotest [ torn_replay_matches_oracle; catalog_counts_agree ]

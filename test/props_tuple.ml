@@ -290,11 +290,92 @@ let signatures_agree =
       && Tuple.is_total_on_signature s1 t2 = Tuple.is_total_on x1 t2
       && Tuple.equal (Tuple.restrict_signature t2 s1) (Tuple.restrict t2 x1))
 
+(* A builder's positions may come in any order and repeat an
+   attribute; its tuple equals a [set] per binding, in binding order. *)
+let builder_is_set_per_binding =
+  QCheck.Test.make ~count:1000
+    ~name:"a builder's tuple = a Tuple.set per binding"
+    (QCheck.make
+       ~print:(fun (cols, binds) ->
+         Printf.sprintf "columns [%s], bind [%s]"
+           (String.concat "; " (List.map Attr.name cols))
+           (String.concat "; "
+              (List.map
+                 (fun (i, v) -> Printf.sprintf "%d=%s" i (Value.to_string v))
+                 binds)))
+       QCheck.Gen.(
+         list_size (int_range 1 6) attr_gen >>= fun cols ->
+         list_size (int_bound 8)
+           (pair (int_bound (List.length cols - 1)) model_value_gen)
+         >|= fun binds -> (cols, binds)))
+    (fun (cols, binds) ->
+      let b = Tuple.builder (Array.of_list cols) in
+      let expected =
+        List.fold_left
+          (fun t (i, v) -> Tuple.set t (List.nth cols i) v)
+          Tuple.empty binds
+      in
+      (* Twice: a build leaves every attribute unbound again. *)
+      List.for_all
+        (fun () ->
+          List.iter (fun (i, v) -> Tuple.bind b i v) binds;
+          let t = Tuple.build b in
+          Tuple.equal t expected && Tuple.compare t expected = 0)
+        [ (); () ])
+
+(* Rows of one null pattern that one builder builds share their key
+   array, and [compare] then reads their values alone: it must still
+   order them as the model does. Half the second row's values repeat
+   the first's, so equal and near-equal pairs are common. *)
+let shared_keys_compare =
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 1 5) attr_gen >>= fun cols ->
+      let cols = List.sort_uniq Attr.compare cols in
+      list_repeat (List.length cols) bool >>= fun bound ->
+      let value =
+        model_value_gen >|= fun v ->
+        if Value.is_null v then Value.Int 0 else v
+      in
+      list_repeat (List.length cols) value >>= fun row1 ->
+      list_repeat (List.length cols) (pair bool value) >|= fun picks ->
+      let row2 =
+        List.map2 (fun v (same, w) -> if same then v else w) row1 picks
+      in
+      let mask row =
+        List.map2 (fun on v -> if on then v else Value.Null) bound row
+      in
+      (cols, mask row1, mask row2))
+  in
+  QCheck.Test.make ~count:2000
+    ~name:"compare on a shared key array agrees with the model"
+    (QCheck.make
+       ~print:(fun (cols, r1, r2) ->
+         let row r = print_bindings (List.combine cols r) in
+         Printf.sprintf "r1: %s\nr2: %s" (row r1) (row r2))
+       gen)
+    (fun (cols, row1, row2) ->
+      let b = Tuple.builder (Array.of_list cols) in
+      let build row =
+        List.iteri (Tuple.bind b) row;
+        Tuple.build b
+      in
+      let t1 = build row1 and t2 = build row2 in
+      let m1 = M.of_list (List.combine cols row1)
+      and m2 = M.of_list (List.combine cols row2) in
+      Tuple.signature t1 == Tuple.signature t2
+      && agrees t1 m1 && agrees t2 m2
+      && sign (Tuple.compare t1 t2) = sign (M.compare m1 m2)
+      && sign (Tuple.compare t2 t1) = sign (M.compare m2 m1)
+      && Tuple.equal t1 t2 = M.equal m1 m2)
+
 let suite =
   List.map to_alcotest
     [
       agrees_with_model;
       signatures_agree;
+      builder_is_set_per_binding;
+      shared_keys_compare;
       reflexive;
       antisymmetric;
       transitive;

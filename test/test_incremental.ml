@@ -75,6 +75,433 @@ let test_binary_byteflip_fuzz () =
     | _ -> Alcotest.failf "flip at byte %d went undetected" i
   done
 
+(* ------------- decoders against a Tuple.set per cell -------------- *)
+
+(* The two decoders as they read before the tuple builder, one
+   [Tuple.set] per cell: the reference the builder must equal, on
+   every input, accepted or rejected. *)
+module Reference = struct
+  open Storage
+
+  let corrupt msg = raise (Binary.Corrupt msg)
+
+  type cursor = { data : string; mutable pos : int }
+
+  let byte cur =
+    if cur.pos >= String.length cur.data then corrupt "truncated input";
+    let c = Char.code cur.data.[cur.pos] in
+    cur.pos <- cur.pos + 1;
+    c
+
+  let read_varint cur =
+    let rec go shift acc =
+      if shift > 62 then corrupt "varint too long";
+      let b = byte cur in
+      let acc = acc lor ((b land 0x7f) lsl shift) in
+      if b land 0x80 = 0 then acc else go (shift + 7) acc
+    in
+    go 0 0
+
+  let read_bytes cur n =
+    if cur.pos + n > String.length cur.data then corrupt "truncated input";
+    let s = String.sub cur.data cur.pos n in
+    cur.pos <- cur.pos + n;
+    s
+
+  let read_string_pfx cur = read_bytes cur (read_varint cur)
+  let unzigzag z = (z lsr 1) lxor -(z land 1)
+
+  let read_value cur =
+    match byte cur with
+    | 0x00 -> Value.int (unzigzag (read_varint cur))
+    | 0x01 ->
+        let bits = read_bytes cur 8 in
+        let n = ref 0L in
+        for k = 7 downto 0 do
+          n :=
+            Int64.logor (Int64.shift_left !n 8)
+              (Int64.of_int (Char.code bits.[k]))
+        done;
+        Value.Float (Int64.float_of_bits !n)
+    | 0x02 -> Value.Str (read_string_pfx cur)
+    | 0x03 -> Value.Bool (byte cur <> 0)
+    | tag -> corrupt (Printf.sprintf "unknown value tag 0x%02x" tag)
+
+  let binary_decode data =
+    let cur = { data; pos = 0 } in
+    if read_bytes cur 4 <> "NRX2" then corrupt "bad magic";
+    let dict_len = read_varint cur in
+    if dict_len > String.length data then
+      corrupt "implausible dictionary length";
+    let dict = Array.init dict_len (fun _ -> Attr.make (read_string_pfx cur)) in
+    let tuple_count = read_varint cur in
+    if tuple_count > String.length data then corrupt "implausible tuple count";
+    let read_tuple () =
+      let bindings = read_varint cur in
+      let rec go k acc =
+        if k = 0 then acc
+        else
+          let idx = read_varint cur in
+          if idx >= dict_len then corrupt "attribute index out of range";
+          let v = read_value cur in
+          go (k - 1) (Tuple.set acc dict.(idx) v)
+      in
+      go bindings Tuple.empty
+    in
+    let tuples = List.init tuple_count (fun _ -> read_tuple ()) in
+    if String.length data - cur.pos < 4 then corrupt "missing checksum trailer";
+    let payload_len = cur.pos in
+    let trailer = read_bytes cur 4 in
+    if cur.pos <> String.length data then corrupt "trailing bytes";
+    let stored = ref 0 in
+    for k = 3 downto 0 do
+      stored := (!stored lsl 8) lor Char.code trailer.[k]
+    done;
+    let computed = Crc32.digest (String.sub data 0 payload_len) in
+    if !stored <> computed then
+      corrupt
+        (Printf.sprintf "checksum mismatch (stored %s, computed %s)"
+           (Crc32.to_hex !stored) (Crc32.to_hex computed));
+    Xrel.of_list tuples
+
+  type cell = Quoted of string | Raw of string
+
+  let error msg = raise (Csv.Error msg)
+
+  let parse_cells src =
+    let n = String.length src in
+    let rows = ref [] and row = ref [] and buf = Buffer.create 32 in
+    let quoted = ref false in
+    let flush_cell () =
+      let c =
+        if !quoted then Quoted (Buffer.contents buf)
+        else Raw (Buffer.contents buf)
+      in
+      row := c :: !row;
+      Buffer.clear buf;
+      quoted := false
+    in
+    let flush_row () =
+      flush_cell ();
+      rows := List.rev !row :: !rows;
+      row := []
+    in
+    let rec plain i =
+      if i >= n then ()
+      else
+        match src.[i] with
+        | ',' ->
+            flush_cell ();
+            plain (i + 1)
+        | '\n' ->
+            flush_row ();
+            plain (i + 1)
+        | '\r' ->
+            flush_row ();
+            plain (if i + 1 < n && src.[i + 1] = '\n' then i + 2 else i + 1)
+        | '"' when Buffer.length buf = 0 && not !quoted ->
+            quoted := true;
+            in_quotes (i + 1)
+        | c ->
+            Buffer.add_char buf c;
+            plain (i + 1)
+    and in_quotes i =
+      if i >= n then error "unterminated quoted cell"
+      else
+        match src.[i] with
+        | '"' when i + 1 < n && src.[i + 1] = '"' ->
+            Buffer.add_char buf '"';
+            in_quotes (i + 2)
+        | '"' -> after_quotes (i + 1)
+        | c ->
+            Buffer.add_char buf c;
+            in_quotes (i + 1)
+    and after_quotes i =
+      if i >= n then ()
+      else
+        match src.[i] with
+        | ',' ->
+            flush_cell ();
+            plain (i + 1)
+        | '\n' ->
+            flush_row ();
+            plain (i + 1)
+        | '\r' ->
+            flush_row ();
+            plain (if i + 1 < n && src.[i + 1] = '\n' then i + 2 else i + 1)
+        | c -> error (Printf.sprintf "unexpected %C after closing quote" c)
+    in
+    plain 0;
+    if Buffer.length buf > 0 || !row <> [] || !quoted then flush_row ();
+    List.rev !rows
+
+  let value_of_cell ?domain cell =
+    match (cell, domain) with
+    | Quoted s, _ -> Value.Str s
+    | Raw "-", _ -> Value.Null
+    | Raw s, None -> Value.of_string_guess s
+    | Raw s, Some d -> (
+        match d with
+        | Domain.Int_range _ | Domain.Ints -> (
+            match int_of_string_opt s with
+            | Some i -> Value.int i
+            | None -> error (Printf.sprintf "expected an integer, got %S" s))
+        | Domain.Floats -> (
+            match float_of_string_opt s with
+            | Some f -> Value.Float f
+            | None -> error (Printf.sprintf "expected a float, got %S" s))
+        | Domain.Bools -> (
+            match bool_of_string_opt s with
+            | Some b -> Value.Bool b
+            | None -> error (Printf.sprintf "expected a bool, got %S" s))
+        | Domain.Enum _ | Domain.Strings -> Value.Str s)
+
+  let csv_read ?schema src =
+    match parse_cells src with
+    | [] -> error "empty CSV: missing header"
+    | header :: body ->
+        let attrs =
+          List.map
+            (function
+              | Quoted s | Raw s ->
+                  if String.equal s "" then error "empty column name"
+                  else Attr.make s)
+            header
+        in
+        let domain_of a =
+          match schema with
+          | None -> None
+          | Some sc -> (
+              match Schema.domain sc a with
+              | Some d -> Some d
+              | None ->
+                  error
+                    (Printf.sprintf "column %s not in schema %s" (Attr.name a)
+                       (Schema.name sc)))
+        in
+        let domains = List.map domain_of attrs in
+        let tuple_of_row cells =
+          if List.length cells <> List.length attrs then
+            error
+              (Printf.sprintf "row has %d cells, header has %d"
+                 (List.length cells) (List.length attrs));
+          List.fold_left2
+            (fun (t, doms) a cell ->
+              match doms with
+              | d :: rest ->
+                  (Tuple.set t a (value_of_cell ?domain:d cell), rest)
+              | [] -> assert false)
+            (Tuple.empty, domains) attrs cells
+          |> fst
+        in
+        (attrs, Xrel.of_list (List.map tuple_of_row body))
+end
+
+let outcome f = match f () with v -> Ok v | exception e -> Error e
+
+let same_tuples x y = List.equal Tuple.equal (Xrel.to_list x) (Xrel.to_list y)
+
+(* The same relation, or the same exception with the same message. One
+   exception to the rule: where the reference let a bare exception out
+   of a damaged binary input, the decoder calls the input corrupt. Seen
+   on replaced bytes: a length varint past [max_int] reached its
+   [String.sub] ([Invalid_argument]), an empty dictionary name its
+   [Attr.make] ([Exec_error]). *)
+let agree what reference actual =
+  match (outcome reference, outcome actual) with
+  | Ok x, Ok y ->
+      if not (same_tuples x y) then
+        Alcotest.failf "%s: decoded %s, the reference %s" what
+          (Pp.to_string Xrel.pp y) (Pp.to_string Xrel.pp x)
+  | ( Error (Invalid_argument _ | Exec_error.Error _),
+      Error (Storage.Binary.Corrupt _) ) ->
+      ()
+  | Error e, Error e' ->
+      if Printexc.to_string e <> Printexc.to_string e' then
+        Alcotest.failf "%s: raised %s, the reference %s" what
+          (Printexc.to_string e') (Printexc.to_string e)
+  | Ok _, Error e ->
+      Alcotest.failf "%s: raised %s, the reference decoded" what
+        (Printexc.to_string e)
+  | Error e, Ok _ ->
+      Alcotest.failf "%s: decoded, the reference raised %s" what
+        (Printexc.to_string e)
+
+let names = [| "A"; "B"; "C"; "AB"; "A1"; "x.A" |]
+
+let random_value g =
+  match Random.State.int g 4 with
+  | 0 ->
+      Value.int
+        (match Random.State.int g 4 with
+        | 0 -> Random.State.int g 300 - 100
+        | 1 -> max_int
+        | 2 -> min_int
+        | _ -> Random.State.bits g * 1_000_003)
+  | 1 ->
+      Value.Float
+        [| 0.; -0.; 1.5; -2.25; 1e300; Float.nan; 3.0 |].(Random.State.int g 7)
+  | 2 ->
+      Value.Str
+        [|
+          ""; "-"; "a"; "a,b"; "say \"hi\""; "two\nlines"; "cr\r"; "tab\there";
+        |].(Random.State.int g 8)
+  | _ -> Value.Bool (Random.State.bool g)
+
+(* A relation over [cols] with nulls: some rows share a null pattern,
+   some do not. *)
+let random_xrel g cols =
+  Xrel.of_list
+    (List.init (Random.State.int g 12) (fun _ ->
+         Tuple.of_list
+           (List.map
+              (fun a ->
+                ( a,
+                  if Random.State.int g 4 = 0 then Value.Null
+                  else random_value g ))
+              cols)))
+
+let random_cols g =
+  List.sort_uniq Attr.compare
+    (List.init
+       (1 + Random.State.int g 4)
+       (fun _ -> Attr.make names.(Random.State.int g (Array.length names))))
+
+(* A binary input the encoder never writes but [decode] accepts: its
+   dictionary unsorted and with repeated names, its tuples listing
+   indexes in any order and more than once. *)
+let crafted_binary g =
+  let buf = Buffer.create 64 in
+  let varint n =
+    let rec go n =
+      if n < 0x80 then Buffer.add_char buf (Char.chr n)
+      else begin
+        Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7f)));
+        go (n lsr 7)
+      end
+    in
+    go n
+  in
+  Buffer.add_string buf "NRX2";
+  let dict_len = 1 + Random.State.int g 5 in
+  varint dict_len;
+  for _ = 1 to dict_len do
+    let n = names.(Random.State.int g 3) in
+    varint (String.length n);
+    Buffer.add_string buf n
+  done;
+  let count = Random.State.int g 6 in
+  varint count;
+  for _ = 1 to count do
+    let bindings = Random.State.int g 5 in
+    varint bindings;
+    for _ = 1 to bindings do
+      varint (Random.State.int g dict_len);
+      Buffer.add_char buf '\x00';
+      let v = Random.State.int g 5 in
+      varint ((v lsl 1) lxor (v asr 62))
+    done
+  done;
+  let crc = Storage.Crc32.digest (Buffer.contents buf) in
+  for k = 0 to 3 do
+    Buffer.add_char buf (Char.chr ((crc lsr (8 * k)) land 0xff))
+  done;
+  Buffer.contents buf
+
+let test_binary_matches_reference () =
+  let g = Random.State.make [| 7 |] in
+  let check what data =
+    agree what
+      (fun () -> Reference.binary_decode data)
+      (fun () -> Storage.Binary.decode data)
+  in
+  for case = 1 to 60 do
+    let enc =
+      if case mod 4 = 0 then crafted_binary g
+      else Storage.Binary.encode (random_xrel g (random_cols g))
+    in
+    check (Printf.sprintf "case %d" case) enc;
+    for n = 0 to String.length enc - 1 do
+      check (Printf.sprintf "case %d cut at %d" case n) (String.sub enc 0 n)
+    done;
+    for i = 0 to String.length enc - 1 do
+      let b = Bytes.of_string enc in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0xff));
+      check (Printf.sprintf "case %d flipped at %d" case i) (Bytes.to_string b);
+      Bytes.set b i (Char.chr (Random.State.int g 256));
+      check
+        (Printf.sprintf "case %d byte %d replaced" case i)
+        (Bytes.to_string b)
+    done
+  done
+
+(* A cell as a hand-written file might hold it: strings quoted or not
+   when the dialect allows both, empty cells raw or quoted, the null as
+   a raw [-] and the string "-" quoted. *)
+let render_cell g v =
+  let quote s =
+    "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
+  in
+  let special = function ',' | '"' | '\n' | '\r' -> true | _ -> false in
+  match v with
+  | Value.Null -> "-"
+  | Value.Str s
+    when Random.State.bool g
+         && (not (String.equal s "-"))
+         && not (String.exists special s) ->
+      s
+  | Value.Str s -> quote s
+  | v -> Value.to_string v
+
+let random_csv g =
+  let cols = random_cols g in
+  let x = random_xrel g cols in
+  (* A header may name a column twice: the later cell wins. *)
+  let header =
+    if Random.State.int g 5 = 0 then cols @ [ List.hd cols ] else cols
+  in
+  let rows =
+    List.map
+      (fun t ->
+        List.map
+          (fun a ->
+            if Random.State.int g 8 = 0 then
+              if Random.State.bool g then "" else "\"\""
+            else render_cell g (Tuple.get t a))
+          header)
+      (Xrel.to_list x)
+  in
+  let eol = [| "\n"; "\r\n"; "\r" |].(Random.State.int g 3) in
+  ( cols,
+    String.concat eol
+      (List.map (String.concat ",") (List.map Attr.name header :: rows))
+    ^ if Random.State.bool g then eol else "" )
+
+let test_csv_matches_reference () =
+  let g = Random.State.make [| 11 |] in
+  for case = 1 to 150 do
+    let cols, text = random_csv g in
+    let domain () =
+      [| Domain.Ints; Domain.Floats; Domain.Strings; Domain.Bools |]
+        .(Random.State.int g 4)
+    in
+    let schema =
+      Schema.make "R" (List.map (fun a -> (Attr.name a, domain ())) cols)
+    in
+    let check what text =
+      agree what
+        (fun () -> snd (Reference.csv_read text))
+        (fun () -> snd (Storage.Csv.read_string text));
+      agree (what ^ " under a schema")
+        (fun () -> snd (Reference.csv_read ~schema text))
+        (fun () -> snd (Storage.Csv.read_string ~schema text))
+    in
+    check (Printf.sprintf "case %d" case) text;
+    for n = 0 to String.length text - 1 do
+      check (Printf.sprintf "case %d cut at %d" case n) (String.sub text 0 n)
+    done
+  done
+
 (* ---------------- no-op set_relation keeps the index ------------- *)
 
 let test_noop_set_relation_keeps_index () =
@@ -364,6 +791,10 @@ let suite =
       test_binary_truncation_fuzz;
     Alcotest.test_case "binary: every byte flip raises Corrupt" `Quick
       test_binary_byteflip_fuzz;
+    Alcotest.test_case "binary: decode = a Tuple.set per cell, cut or flipped"
+      `Quick test_binary_matches_reference;
+    Alcotest.test_case "csv: read = a Tuple.set per cell, cut or typed" `Quick
+      test_csv_matches_reference;
     Alcotest.test_case "no-op set_relation keeps the memoized index" `Quick
       test_noop_set_relation_keeps_index;
     Alcotest.test_case "INDEX roundtrip re-attaches without rebuilding" `Quick

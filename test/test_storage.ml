@@ -440,6 +440,52 @@ let test_binary_truncation_fuzz () =
     | exception Storage.Binary.Corrupt _ -> ()
   done
 
+(* ------------------------------ CRC-32 --------------------------- *)
+
+(* The table is built when the module is initialized, so digests taken
+   on several domains at once agree with a sequential one. The race the
+   table once had, two domains forcing it first at once, cannot be
+   re-created here: this process initialized the module long before. *)
+let test_crc32_domains () =
+  let crc = Storage.Crc32.digest in
+  Alcotest.(check string)
+    "check vector" "cbf43926"
+    (Storage.Crc32.to_hex (crc "123456789"));
+  let g = Random.State.make [| 22 |] in
+  let inputs =
+    Array.init 64 (fun _ ->
+        String.init (Random.State.int g 300) (fun _ ->
+            Char.chr (Random.State.int g 256)))
+  in
+  let expected = Array.map crc inputs in
+  Array.iteri
+    (fun i s ->
+      let n = String.length s in
+      let pos = if n = 0 then 0 else Random.State.int g n in
+      let len = Random.State.int g (n - pos + 1) in
+      Alcotest.(check int)
+        (Printf.sprintf "digest_sub of input %d" i)
+        (crc (String.sub s pos len))
+        (Storage.Crc32.digest_sub s pos len);
+      Alcotest.(check int)
+        (Printf.sprintf "chained digest of input %d" i)
+        expected.(i)
+        (crc ~init:(crc (String.sub s 0 pos)) (String.sub s pos (n - pos))))
+    inputs;
+  let worker () =
+    let ok = ref true in
+    for _ = 1 to 50 do
+      if crc "123456789" <> 0xcbf43926 then ok := false;
+      Array.iteri (fun i s -> if crc s <> expected.(i) then ok := false) inputs
+    done;
+    !ok
+  in
+  let domains = List.init 4 (fun _ -> Stdlib.Domain.spawn worker) in
+  Alcotest.(check (list bool))
+    "every domain's digests equal the sequential ones"
+    [ true; true; true; true ]
+    (List.map Stdlib.Domain.join domains)
+
 let suite =
   [
     Alcotest.test_case "index: probes" `Quick test_index_probes;
@@ -490,4 +536,6 @@ let suite =
     Alcotest.test_case "binary: compactness" `Quick test_binary_compactness;
     Alcotest.test_case "binary: truncation fuzz" `Quick
       test_binary_truncation_fuzz;
+    Alcotest.test_case "crc32: digests agree across four domains" `Quick
+      test_crc32_domains;
   ]
