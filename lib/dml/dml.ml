@@ -228,12 +228,12 @@ let exec ?semantics cat statement =
             "appended tuple added no information"
           else if Tuple.Set.is_empty net_r then "1 tuple appended"
           else "1 tuple appended (absorbed less informative rows)")
-  | Some (rel, x, Remove p), _ ->
-      let matched = Xrel.to_list (Xrel.filter (Predicate.holds p) x) in
+  | Some (rel, _, Remove p), _ ->
+      let matched = Storage.Catalog.qualifying cat rel p in
       write cat rel ~added:[] ~removed:matched (fun _ ->
           plural (List.length matched) "tuple" ^ " deleted")
-  | Some (rel, x, Patch (p, image)), _ ->
-      let matched = Xrel.to_list (Algebra.select p x) in
+  | Some (rel, _, Patch (p, image)), _ ->
+      let matched = Storage.Catalog.qualifying cat rel p in
       write cat rel ~added:(List.map image matched) ~removed:matched (fun _ ->
           plural (List.length matched) "tuple" ^ " replaced")
   | None, Quel.Ast.Retrieve q -> (

@@ -26,12 +26,34 @@ type table = int Probe.t
 let count_of bucket = bucket lsr 1
 let exact_of bucket = bucket land 1
 
+(* A listing table maps the hash of a [pi]-restriction
+   ({!Tuple.hash_on_signature}) to the tuples total on [pi] whose
+   restriction hashes to it, in {!Tuple.compare} order. Keyed by the
+   hash, it builds and holds no restriction; a lookup drops the tuples
+   of a colliding one. It is kept apart from the count table of the
+   same signature: the key-uniqueness probes and journal replay read
+   counts only and never pay for the lists. *)
+module Hashes = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash h = h
+end)
+
+type listing = Tuple.t list Hashes.t
+
+(* A published table, and whether a probe has read it since its base
+   was made: a compaction carries only the tables read, so a signature
+   probed once is dropped at the second compaction after. *)
+type 'a slot = { tbl : 'a; read : bool Atomic.t }
+
 type base = {
   set : Tuple.Set.t;
-  tables : table Sigmap.t Atomic.t;
+  tables : table slot Sigmap.t Atomic.t;
       (* Published probe tables, keyed by signature. A domain that
          misses builds the table privately and publishes it by
          compare-and-set, so probing is safe from any domain. *)
+  listings : listing slot Sigmap.t Atomic.t;  (* The same, for listings. *)
   size : int Once.t;
       (* A [Once] cell, not a [Lazy.t]: a catalog shares its indexes
          with every session domain. *)
@@ -65,6 +87,13 @@ let m_compactions =
     ~help:"Subsumption-index overlay compactions (overlay folded into base)"
     "nullrel_subsume_index_compactions_total"
 
+let m_tables =
+  Obs.Metrics.counter
+    ~help:
+      "Subsumption-index probe and listing tables built from a whole base \
+       (carried tables are not counted)"
+    "nullrel_subsume_index_tables_built_total"
+
 (* Counted in place, then frozen: a persistent update per tuple would
    copy a map path for each. *)
 let sigs_of set =
@@ -97,6 +126,7 @@ let build rel =
     {
       set;
       tables = Atomic.make Sigmap.empty;
+      listings = Atomic.make Sigmap.empty;
       size = Once.make (fun () -> Tuple.Set.cardinal set);
     }
 
@@ -115,22 +145,44 @@ let build_table (base : base) pi : table =
     base.set;
   tbl
 
-let table idx pi =
-  let tables = idx.base.tables in
-  match Sigmap.find_opt pi (Atomic.get tables) with
-  | Some tbl -> tbl
+(* Walking the set from its largest tuple down and consing leaves each
+   list in ascending order. *)
+let build_listing (base : base) pi : listing =
+  let tbl = Hashes.create (Once.get base.size) in
+  Seq.iter
+    (fun t ->
+      if Tuple.is_total_on_signature pi t then begin
+        let h = Tuple.hash_on_signature pi t in
+        let l = match Hashes.find tbl h with l -> l | exception Not_found -> [] in
+        Hashes.replace tbl h (t :: l)
+      end)
+    (Tuple.Set.to_rev_seq base.set);
+  tbl
+
+(* The published table of signature [pi] in [slots], built by [build]
+   on a miss, and marked read. *)
+let published slots build (base : base) pi =
+  match Sigmap.find_opt pi (Atomic.get slots) with
+  | Some slot ->
+      if not (Atomic.get slot.read) then Atomic.set slot.read true;
+      slot.tbl
   | None ->
-      let tbl = build_table idx.base pi in
+      if !Obs.Metrics.enabled then Obs.Metrics.inc m_tables;
+      let slot = { tbl = build base pi; read = Atomic.make true } in
       let rec publish () =
-        let seen = Atomic.get tables in
+        let seen = Atomic.get slots in
         match Sigmap.find_opt pi seen with
-        | Some winner -> winner
+        | Some winner ->
+            Atomic.set winner.read true;
+            winner.tbl
         | None ->
-            if Atomic.compare_and_set tables seen (Sigmap.add pi tbl seen)
-            then tbl
+            if Atomic.compare_and_set slots seen (Sigmap.add pi slot seen)
+            then slot.tbl
             else publish ()
       in
       publish ()
+
+let table idx pi = published idx.base.tables build_table idx.base pi
 
 let prepare idx probes =
   List.iter (fun t -> ignore (table idx (Tuple.signature t))) probes
@@ -166,6 +218,27 @@ let strictly_subsuming_exists idx r =
     let self = if Tuple.Set.mem r idx.live then 1 else 0 in
     count_at idx r - self > 0
 
+let matching idx r =
+  let pi = Tuple.signature r in
+  let listed =
+    match
+      Hashes.find_opt
+        (published idx.base.listings build_listing idx.base pi)
+        (Tuple.hash_on_signature pi r)
+    with
+    | Some l -> List.filter (fun t -> Tuple.more_informative t r) l
+    | None -> []
+  in
+  if idx.overlay = 0 then listed
+  else
+    let kept =
+      if Tuple.Set.is_empty idx.removed then listed
+      else List.filter (fun t -> not (Tuple.Set.mem t idx.removed)) listed
+    in
+    match List.filter (fun t -> Tuple.more_informative t r) idx.added with
+    | [] -> kept
+    | added -> List.merge Tuple.compare kept (List.sort Tuple.compare added)
+
 let mem idx t = Tuple.Set.mem t idx.live
 let tuples idx = idx.live
 let cardinal idx = Once.get idx.size
@@ -190,10 +263,63 @@ let subsumed_within idx u =
    compacting on every other statement. *)
 let compaction_slack = 16
 
-let compact ~live ~sigs ~size =
+(* A table of signature [pi] built over the old base, moved to the
+   live set by the overlay: a copy of it, patched for the tuples
+   [removed] and then those [added], is the table a rebuild over the
+   live set would give. [move] patches the copy for one tuple total on
+   [pi], by [-1] or [1]. *)
+let carry copy move pi tbl ~added ~removed =
+  let tbl = copy tbl in
+  let step sign t = if Tuple.is_total_on_signature pi t then move tbl pi sign t in
+  Tuple.Set.iter (step (-1)) removed;
+  List.iter (step 1) added;
+  tbl
+
+let move_count tbl pi sign t =
+  let r = Tuple.restrict_signature t pi in
+  let b = Option.value (Probe.find_opt tbl r) ~default:0 in
+  let exact = if Tuple.equal r t then 1 else 0 in
+  let b = if sign > 0 then (b + 2) lor exact else (b - 2) land lnot exact in
+  if count_of b = 0 then Probe.remove tbl r else Probe.replace tbl r b
+
+let move_listing tbl pi sign t =
+  let h = Tuple.hash_on_signature pi t in
+  let l = Option.value (Hashes.find_opt tbl h) ~default:[] in
+  match
+    if sign > 0 then List.merge Tuple.compare [ t ] l
+    else List.filter (fun u -> not (Tuple.equal u t)) l
+  with
+  | [] -> Hashes.remove tbl h
+  | l -> Hashes.replace tbl h l
+
+(* Folding the overlay into a fresh base carries along ({!carry}) every
+   table of the old one that a probe read since that base was made: a
+   compaction copies those tables and patches them by the overlay, so
+   a probe after it finds its table built instead of rebuilding it from
+   the whole relation. A carried table starts unread; one no probe
+   reads before the next compaction is dropped there. *)
+let compact idx ~added ~removed ~live ~sigs ~size =
   if !Obs.Metrics.enabled then Obs.Metrics.inc m_compactions;
+  let carried slots copy move =
+    Atomic.make
+      (Sigmap.filter_map
+         (fun pi slot ->
+           if not (Atomic.get slot.read) then None
+           else
+             Some
+               {
+                 tbl = carry copy move pi slot.tbl ~added ~removed;
+                 read = Atomic.make false;
+               })
+         (Atomic.get slots))
+  in
   of_base
-    { set = live; tables = Atomic.make Sigmap.empty; size = Once.of_val size }
+    {
+      set = live;
+      tables = carried idx.base.tables Probe.copy move_count;
+      listings = carried idx.base.listings Hashes.copy move_listing;
+      size = Once.of_val size;
+    }
   |> fun idx -> { idx with sigs = Once.of_val sigs }
 
 let advance idx ~added ~removed =
@@ -242,7 +368,7 @@ let advance idx ~added ~removed =
   in
   let overlay = List.length a + Tuple.Set.cardinal rm in
   if overlay > compaction_slack + int_of_float (sqrt (float_of_int size)) then
-    compact ~live ~sigs ~size
+    compact idx ~added:a ~removed:rm ~live ~sigs ~size
   else
     {
       idx with

@@ -24,7 +24,11 @@
     snapshot holding the previous value keeps probing its own view.
     The overlay is compacted into a fresh base once it outgrows about
     the square root of the relation size, so a statement's probe cost
-    stays sublinear where a from-scratch rebuild is linear. *)
+    stays sublinear where a from-scratch rebuild is linear. A
+    compaction carries the tables that probes read since the previous
+    one into the new base, copied and patched by the overlay, so the
+    probes after it do not rebuild them from the whole relation; a
+    table no probe read in that span is dropped. *)
 
 type t
 (** An index over a relation: an immutable probe-table base plus a
@@ -56,6 +60,14 @@ val prepare : t -> Tuple.t list -> unit
 val count_at : t -> Tuple.t -> int
 (** [count_at idx r]: how many indexed tuples are more informative than
     or equal to [r] (i.e. agree with [r] on [attrs r]). *)
+
+val matching : t -> Tuple.t -> Tuple.t list
+(** [matching idx r]: the indexed tuples more informative than or equal
+    to [r] (those that agree with [r] on [attrs r]), in {!Tuple.compare}
+    order — the tuples {!count_at} counts. It reads a listing table of
+    [r]'s signature, built on first use beside the probe tables and
+    published the same way, and applies the overlay: O(matches +
+    overlay) after the build. *)
 
 val subsuming_exists : t -> Tuple.t -> bool
 (** [count_at idx r > 0] — is [r] an x-element of the indexed relation? *)

@@ -223,6 +223,11 @@ let compare r t =
   else if r.keys == t.keys then compare_vals r t 0
   else compare_from r t 0
 
+(* Spread the low bits a power-of-two table indexes by. *)
+let spread h =
+  let h = h lxor (h lsr 29) in
+  ((h * 0x2f0b3c5d) lxor (h lsr 31)) land max_int
+
 (* Equal tuples have equal keys, so hashing the values alone is
    consistent with [equal]; it spreads the tuples of one signature,
    which is what a probe table holds. *)
@@ -231,9 +236,7 @@ let hash r =
   for i = 0 to length r - 1 do
     h := (!h * 65599) + hash_value r.vals.(i)
   done;
-  (* Spread the low bits a power-of-two table indexes by. *)
-  let h = !h lxor (!h lsr 29) in
-  ((h * 0x2f0b3c5d) lxor (h lsr 31)) land max_int
+  spread !h
 
 (* Every binding of [t] from [j] on is in [r] from [i] on. *)
 let rec covers r t i j =
@@ -409,6 +412,17 @@ let with_signature s r =
   if r.keys != s && compare_signature r.keys s = 0 then
     { keys = s; vals = r.vals }
   else r
+
+let hash_on_signature s r =
+  let h = ref (Array.length s) and i = ref 0 in
+  for k = 0 to Array.length s - 1 do
+    while !i < length r && compare_attr r.keys.(!i) s.(k) < 0 do
+      incr i
+    done;
+    if !i < length r && equal_attr r.keys.(!i) s.(k) then
+      h := (!h * 65599) + hash_value r.vals.(!i)
+  done;
+  spread !h
 
 let restrict_signature r s =
   let n = length r and m = Array.length s in

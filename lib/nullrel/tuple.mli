@@ -138,6 +138,10 @@ val subset_signature : signature -> signature -> bool
 val is_total_on_signature : signature -> t -> bool
 (** {!is_total_on} for the attributes of a signature. *)
 
+val hash_on_signature : signature -> t -> int
+(** [hash_on_signature s r] is [hash (restrict_signature r s)] for an
+    [r] total on [s], computed without building the restriction. *)
+
 val restrict_signature : t -> signature -> t
 (** {!restrict} to the attributes of a signature. *)
 

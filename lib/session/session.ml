@@ -47,6 +47,10 @@ type pending = {
           any constraint DDL. The leader numbers it as {e one} journal
           record, so the frame is the atomicity unit. *)
   snap_lsn : int;
+  staged : Storage.Catalog.t option;
+      (** The catalog the transaction staged, when it is exactly what
+          re-applying [ops] to its snapshot gives: published as is if
+          nothing committed since the snapshot ({!flush_batch}). *)
   mutable outcome : outcome_ option;  (** Written by the leader (or
       poisoner) under the engine lock; read by the waiter likewise. *)
 }
@@ -360,6 +364,16 @@ let flush_batch (eng : engine) batch =
              transaction conflicts rather than committing a broken
              constraint. *)
           (let cat_before = !scratch and lsn_before = !next_lsn in
+           match p.staged with
+           | Some staged when p.snap_lsn = !next_lsn ->
+               (* Nothing has committed since the snapshot, not even
+                  earlier in this batch: the staged catalog already is
+                  what the re-apply below would compute, its
+                  constraints enforced statement by statement. *)
+               incr next_lsn;
+               scratch := staged;
+               { Storage.Wal.lsn = !next_lsn; ops = p.ops }
+           | Some _ | None -> (
            match
              incr next_lsn;
              let r = { Storage.Wal.lsn = !next_lsn; ops = p.ops } in
@@ -391,7 +405,7 @@ let flush_batch (eng : engine) batch =
                (match e with
                | Storage.Catalog.Violation _ | Storage.Wal.Error _ ->
                    raise (Conflicting (first_rel p.ops))
-               | e -> raise e))
+               | e -> raise e)))
         with
         | r ->
             List.iter
@@ -727,6 +741,24 @@ let ops_of_txn t =
     (List.filter_map (fun rel -> String_map.find_opt rel t.net) (List.rev t.writes))
   @ Dml.constraint_ops t.base.catalog t.cat
 
+(* Whether re-applying [ops] to the snapshot gives exactly [t.cat]. The
+   relations always agree: the composed net deltas take the snapshot's
+   relations to the staged ones. What the record does not carry is
+   checked here. A relation the transaction changed and then wrote
+   back to where it was has no change in the record, but its staged
+   entry moved (its statistics went stale). And constraint DDL
+   re-applies in the record's order, drops before additions, which a
+   transaction that drops and declares one constraint again does not
+   follow; so a transaction that ran any (its declarations are a new
+   list) is re-applied. *)
+let staged_exact t ops =
+  Storage.Catalog.constraints t.cat == Storage.Catalog.constraints t.base.catalog
+  && String_map.cardinal t.net
+     = List.length
+         (List.filter
+            (function Storage.Wal.Change _ -> true | _ -> false)
+            ops)
+
 let submit sess =
   require_idle sess;
   match sess.txn with
@@ -735,7 +767,14 @@ let submit sess =
       match ops_of_txn t with
       | [] -> sess.txn <- None
       | ops ->
-          let p = { ops; snap_lsn = t.base.lsn; outcome = None } in
+          let p =
+            {
+              ops;
+              snap_lsn = t.base.lsn;
+              staged = (if staged_exact t ops then Some t.cat else None);
+              outcome = None;
+            }
+          in
           Mutex.lock sess.eng.lock;
           if sess.eng.dead then begin
             Mutex.unlock sess.eng.lock;

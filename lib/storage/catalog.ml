@@ -292,6 +292,44 @@ let replay_delta cat name ~added ~removed =
       patch cat name e ~x:(Xrel.unsafe_of_minimal x) ~count ~index:index_of
         ~added ~removed
 
+(* The top-level [A = k] conjuncts of [p] as one restriction: [Some r]
+   with [r] binding each such [A] to its [k], [None] when two of them
+   give one attribute different constants (no tuple can satisfy both).
+   An equality with [ni], never true, is left to the filter. *)
+let rec conjunct_restriction p r =
+  match (p, r) with
+  | _, None -> None
+  | Predicate.And (p, q), r -> conjunct_restriction q (conjunct_restriction p r)
+  | Predicate.Cmp_const (a, Predicate.Eq, k), Some r when not (Value.is_null k)
+    -> (
+      match Tuple.get r a with
+      | Value.Null -> Some (Tuple.set r a k)
+      | k0 -> if Value.equal k0 k then Some r else None)
+  | _, r -> r
+
+let kinds_of schema a =
+  match Schema.domain schema a with Some d -> Domain.kind d | None -> 0
+
+(* Under Section 5's lower bound, [A = k] is true only on a tuple whose
+   [A] is non-null and equal to [k]: exactly the tuples that the
+   subsumption index lists at the restriction [(A = k)]. The probe
+   stands in for the scan only when no comparison in [p] can meet two
+   kinds of value, so that a scan would raise nothing either. *)
+let qualifying cat name p =
+  let e = String_map.find name cat.c_rels in
+  let scan () = Xrel.to_list (Xrel.filter (Predicate.holds p) e.e_x) in
+  if Predicate.may_raise (kinds_of e.e_schema) p then scan ()
+  else
+    match conjunct_restriction p (Some Tuple.empty) with
+    | None -> []
+    | Some r when Tuple.is_null_tuple r -> scan ()
+    | Some r ->
+        List.filter
+          (fun t ->
+            Exec.tick ();
+            Predicate.holds p t)
+          (Subsume_index.matching (Once.get e.e_index) r)
+
 let to_db cat =
   List.map
     (fun (name, e) -> (name, (e.e_schema, e.e_x)))

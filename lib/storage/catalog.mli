@@ -75,6 +75,18 @@ val replay_delta :
     demand. An empty delta leaves the catalog unchanged. Raises
     [Not_found] on an unknown name. *)
 
+val qualifying : t -> string -> Predicate.t -> Tuple.t list
+(** [qualifying cat rel p]: the tuples of [rel] on which [p] is surely
+    true, in {!Tuple.compare} order — [Xrel.filter (Predicate.holds p)]
+    of the relation, and the same exception where that raises. A
+    [delete] or [replace] finds its targets here. When [p] has
+    top-level [A = k] conjuncts and no comparison in it can meet two
+    kinds of value ({!Predicate.may_raise} over the schema's domains),
+    the relation's subsumption index lists the tuples at their
+    restriction ({!Subsume_index.matching}) and [p] filters those
+    candidates, one {!Exec.tick} each; otherwise every tuple is
+    examined and ticked. Raises [Not_found] on an unknown name. *)
+
 val probe_index : t -> string -> Nullrel.Subsume_index.t option
 (** A subsumption index over the relation's current minimal
     representation, built lazily at most once per write — the probe

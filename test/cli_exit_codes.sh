@@ -130,6 +130,22 @@ expect 5 "the budget still binds the statements" \
     "$CLI" dml --dir "$tmp/bigdb" --max-tuples 10 \
     'range of v is R range of w is R retrieve (v.A, w.B)'
 
+# an update is charged the tuples it examines: a keyed one its
+# candidates, any other qualification the whole relation
+awk 'BEGIN { print "K,V"; for (k = 0; k < 2000; k++) print k "," (k % 7) }' \
+    > "$tmp/keyed.csv"
+expect 0 "load a 2,000-row relation keyed on K" \
+    "$CLI" dml --dir "$tmp/keydb" --load "R=$tmp/keyed.csv" --key R=K
+expect 0 "a keyed delete is charged its one candidate" \
+    "$CLI" dml --dir "$tmp/keydb" --max-tuples 10 \
+    'range of v is R delete v where v.K = 7'
+expect 5 "a range delete is charged the whole relation" \
+    "$CLI" dml --dir "$tmp/keydb" --max-tuples 10 \
+    'range of v is R delete v where v.K > 1990'
+expect 2 "a keyed delete comparing an int column with a string" \
+    "$CLI" dml --dir "$tmp/keydb" \
+    'range of v is R delete v where v.K = 999 and v.V = "x"'
+
 # --- metrics survive aborts ------------------------------------
 # --metrics-file must produce a well-formed Prometheus dump even when
 # the run is killed by the governor (exits 4 and 5), and the dump must

@@ -474,6 +474,351 @@ let cadence_survives_reopen =
           back !eng && bounded ())
         steps)
 
+(* ------------- staged publish vs re-applying every transaction ------------- *)
+
+(* PARENT(K, V) keyed on K; CHILD(C, K, W) keyed on C, with a hash
+   index on K and a foreign key to PARENT that cascades deletes. *)
+let publish_catalog () =
+  let ints name ?key cols =
+    Nullrel.Schema.make ?key name
+      (List.map (fun c -> (c, Nullrel.Domain.Ints)) cols)
+  in
+  let empty = Nullrel.Xrel.bottom in
+  let cat =
+    Storage.Catalog.add Storage.Catalog.empty
+      (ints "PARENT" ~key:[ "K" ] [ "K"; "V" ])
+      empty
+  in
+  let cat = Storage.Catalog.add cat (ints "CHILD" ~key:[ "C" ] [ "C"; "K"; "W" ]) empty in
+  let cat =
+    Storage.Catalog.create_index cat "CHILD" ~kind:"hash"
+      (Nullrel.Attr.Set.singleton (Nullrel.Attr.make "K"))
+  in
+  let cat =
+    List.fold_left
+      (fun cat stmt -> (Dml.exec_string cat stmt).Dml.catalog)
+      cat
+      (("constrain fk CHILD (K) to PARENT (K) on delete cascade as fk_cp"
+       :: "constrain unique CHILD (K, W) as uq_kw"
+       :: List.init 6 (fun k ->
+              Printf.sprintf "append to PARENT (K = %d, V = %d)" k (k mod 3)))
+      @ List.init 8 (fun c ->
+            Printf.sprintf "append to CHILD (C = %d, K = %d, W = %d)" c
+              (c mod 6) (c mod 4)))
+  in
+  (* Fresh statistics, so that a relation written and written back
+     shows whether its entry moved. *)
+  List.fold_left
+    (fun cat rel ->
+      let schema, x = Storage.Catalog.get cat rel in
+      Storage.Catalog.set_stats cat rel
+        (Stats.collect ~attrs:(Nullrel.Schema.attrs schema) x))
+    cat [ "PARENT"; "CHILD" ]
+
+(* Appends (some refining, some colliding on a key, some referencing no
+   parent), keyed deletes and replaces on both relations, deletes that
+   cascade, and constraint DDL: a unique constraint declared and
+   dropped, the foreign key dropped and declared again. *)
+let publish_statement_fk =
+  "constrain fk CHILD (K) to PARENT (K) on delete cascade as fk_cp"
+
+let rec publish_statement g =
+  let k () = Workload.Prng.int g 8
+  and c () = Workload.Prng.int g 10
+  and v () = Workload.Prng.int g 4 in
+  match Workload.Prng.int g 13 with
+  | 0 -> Printf.sprintf "append to PARENT (K = %d, V = %d)" (k ()) (v ())
+  | 1 -> Printf.sprintf "append to PARENT (K = %d)" (k ())
+  | 2 -> Printf.sprintf "range of p is PARENT delete p where p.K = %d" (k ())
+  | 3 ->
+      Printf.sprintf "range of p is PARENT replace p (V = %d) where p.K = %d"
+        (v ()) (k ())
+  | 4 | 5 ->
+      Printf.sprintf "append to CHILD (C = %d, K = %d, W = %d)" (c ()) (k ()) (v ())
+  | 6 -> Printf.sprintf "range of c is CHILD delete c where c.C = %d" (c ())
+  | 7 ->
+      Printf.sprintf "range of c is CHILD replace c (W = %d) where c.C = %d"
+        (v ()) (c ())
+  | 8 -> Printf.sprintf "range of c is CHILD delete c where c.K = %d" (k ())
+  | 9 -> "constrain unique CHILD (K, W) as uq_kw"
+  | 10 -> "unconstrain uq_kw"
+  | 11 -> "unconstrain fk_cp"
+  | _ -> publish_statement_fk
+
+(* A transaction's statements: random ones, or a pair whose effects
+   cancel — a child appended and deleted, a constraint dropped and
+   declared again. *)
+and publish_statements g =
+  match Workload.Prng.int g 5 with
+  | 0 ->
+      let c = 20 + Workload.Prng.int g 3 in
+      [
+        Printf.sprintf "append to CHILD (C = %d, K = %d)" c (Workload.Prng.int g 6);
+        Printf.sprintf "range of c is CHILD delete c where c.C = %d" c;
+      ]
+  | 1 ->
+      if Workload.Prng.bool g 0.5 then
+        [ "unconstrain fk_cp"; publish_statement_fk ]
+      else [ "unconstrain uq_kw"; "constrain unique CHILD (K, W) as uq_kw" ]
+  | _ -> List.init (1 + Workload.Prng.int g 3) (fun _ -> publish_statement g)
+
+(* Transactions that published their staged catalog and those that
+   were re-applied, counted over one run of the test below: it must see
+   both. Decided as the engine decides it: nothing committed since the
+   snapshot, and the staged catalog exactly what the re-apply gives (no
+   constraint statement ran, and every relation a statement changed
+   has a change in the record). *)
+let published_as_staged = ref 0
+let reapplied = ref 0
+
+exception Conflicting of string
+
+(* The group-commit leader as it was before staged catalogs were
+   published: every transaction is validated tuple-wise against what
+   committed after its snapshot, then re-applied to the merged state,
+   its constraint DDL verified and its cascades re-enforced. *)
+let reapply_batch (cat, lsn, history) batch =
+  let cat = ref cat and next = ref lsn and batch_hist = ref [] in
+  let tuples x = Nullrel.Relation.tuples (Nullrel.Xrel.rep x) in
+  let changes ops =
+    List.filter_map
+      (function Storage.Wal.Change c -> Some c | _ -> None)
+      ops
+  in
+  let outcomes =
+    List.map
+      (fun (who, snap_lsn, ops, exact) ->
+        if exact && snap_lsn = !next then incr published_as_staged
+        else incr reapplied;
+        let first_rel =
+          match changes ops with c :: _ -> c.Storage.Wal.rel | [] -> "?"
+        in
+        let outcome =
+          match
+            List.iter
+              (fun (c : Storage.Wal.change) ->
+                let a = tuples c.added and d = tuples c.removed in
+                let hits s l =
+                  List.exists (fun t -> Nullrel.Tuple.Set.mem t s) l
+                in
+                List.iter
+                  (fun (lsn', rel', added, removed) ->
+                    if
+                      String.equal rel' c.rel && lsn' > snap_lsn
+                      && (hits d added || hits d removed || hits a removed)
+                    then raise (Conflicting c.rel))
+                  (!batch_hist @ history))
+              (changes ops);
+            let r = { Storage.Wal.lsn = !next + 1; ops } in
+            let merged = Storage.Wal.apply ~verify_constraints:true !cat r in
+            let seeds =
+              List.map
+                (fun (c : Storage.Wal.change) ->
+                  {
+                    Constr.d_rel = c.rel;
+                    d_added = tuples c.added;
+                    d_removed = tuples c.removed;
+                  })
+                (changes ops)
+            in
+            (match Storage.Catalog.enforce merged seeds with
+            | [] -> ()
+            | extra :: _ -> raise (Conflicting extra.Constr.d_rel));
+            (r, merged)
+          with
+          | r, merged ->
+              cat := merged;
+              next := r.Storage.Wal.lsn;
+              batch_hist :=
+                List.map
+                  (fun (c : Storage.Wal.change) ->
+                    ( r.Storage.Wal.lsn,
+                      c.rel,
+                      Nullrel.Xrel.to_list c.added,
+                      Nullrel.Xrel.to_list c.removed ))
+                  (changes ops)
+                @ !batch_hist;
+              Ok r
+          | exception Conflicting rel ->
+              Error (Session.Session_error.Conflict { relation = rel })
+          | exception (Storage.Catalog.Violation _ | Storage.Wal.Error _) ->
+              Error (Session.Session_error.Conflict { relation = first_rel })
+          | exception Constr.Error v ->
+              Error (Session.Session_error.Constraint v)
+        in
+        (who, outcome))
+      batch
+  in
+  ((!cat, !next, !batch_hist @ history), outcomes)
+
+(* Everything but the relations: constraint declarations, the
+   unverified list, and per relation its indexes' cardinalities and
+   whether its statistics are still fresh. *)
+let declarations cat =
+  ( List.map Constr.def_to_line (Storage.Catalog.constraints cat),
+    Storage.Catalog.unverified_constraints cat,
+    List.map
+      (fun rel ->
+        ( List.map
+            (fun (kind, attrs, n) ->
+              (kind, List.map Nullrel.Attr.name (Nullrel.Attr.Set.elements attrs), n))
+            (Storage.Catalog.indexes cat rel),
+          match Storage.Catalog.stats_status cat rel with
+          | Storage.Catalog.Fresh _ -> "fresh"
+          | Storage.Catalog.Stale _ -> "stale"
+          | Storage.Catalog.Missing -> "missing" ))
+      (Storage.Catalog.names cat) )
+
+type publish_step = Stage of int * string list | Submit of int | Flush
+
+let publish_step_gen g n =
+  match Workload.Prng.int g 6 with
+  | 0 | 1 | 2 -> Stage (Workload.Prng.int g n, publish_statements g)
+  | 3 | 4 -> Submit (Workload.Prng.int g n)
+  | _ -> Flush
+
+let staged_publish_equals_reapply =
+  let name, speed, run =
+    to_alcotest
+      (QCheck.Test.make ~count:80 ~name:"staged publish = re-apply, in outcomes and bytes"
+         (QCheck.int_bound 1_000_000)
+         (fun seed ->
+           let g = Workload.Prng.create seed in
+           let dir = temp_dir "nullrel_props_publish" in
+           let ref_dir = temp_dir "nullrel_props_publish_ref" in
+           Fun.protect
+             ~finally:(fun () ->
+               rm_rf dir;
+               rm_rf ref_dir)
+           @@ fun () ->
+           let io = Storage.Io.real in
+           let cat0 = publish_catalog () in
+           Storage.Persist.save ~io ~dir cat0;
+           io.Storage.Io.mkdir ref_dir;
+           let eng, _ = Session.open_engine ~io ~dir () in
+           let n = 2 + Workload.Prng.int g 2 in
+           let sessions = Array.init n (fun _ -> Session.attach eng) in
+           (* Per session: the open transaction's snapshot, the
+              relations it wrote, in first-touch order, and those a
+              statement of it changed. *)
+           let open_txn = Array.make n None in
+           let inflight = Array.make n false in
+           let queue = ref [] in
+           let state = ref (cat0, (Session.engine_snapshot eng).Session.lsn, []) in
+           let ok = ref true in
+           let stage who stmts =
+             if not inflight.(who) then begin
+               let s = sessions.(who) in
+               let touched, changed =
+                 match open_txn.(who) with
+                 | Some (_, touched, changed) -> (touched, changed)
+                 | None ->
+                     Session.begin_ s;
+                     let touched = ref [] and changed = ref [] in
+                     open_txn.(who) <- Some (Session.snapshot s, touched, changed);
+                     (touched, changed)
+               in
+               let note l rel = if not (List.mem rel !l) then l := !l @ [ rel ] in
+               List.iter
+                 (fun stmt ->
+                   match Session.exec_string s stmt with
+                   | out ->
+                       List.iter (note touched) out.Dml.touched;
+                       List.iter
+                         (fun (d : Constr.delta) -> note changed d.d_rel)
+                         out.Dml.deltas
+                   | exception
+                       ( Storage.Catalog.Violation _ | Constr.Error _
+                       | Nullrel.Exec_error.Error _ ) ->
+                       ())
+                 stmts
+             end
+           in
+           let submit who =
+             match open_txn.(who) with
+             | None -> ()
+             | Some ((snap : Session.snapshot), touched, changed) ->
+                 let s = sessions.(who) in
+                 let staged = (Session.snapshot s).Session.catalog in
+                 let ops =
+                   diff_ops snap.catalog staged !touched
+                   @ Dml.constraint_ops snap.catalog staged
+                 in
+                 let exact =
+                   Storage.Catalog.constraints staged
+                   == Storage.Catalog.constraints snap.catalog
+                   && List.length !changed
+                      = List.length
+                          (List.filter
+                             (function Storage.Wal.Change _ -> true | _ -> false)
+                             ops)
+                 in
+                 Session.submit s;
+                 open_txn.(who) <- None;
+                 if ops <> [] then begin
+                   inflight.(who) <- true;
+                   queue := !queue @ [ (who, snap.lsn, ops, exact) ]
+                 end
+           in
+           let flush () =
+             Session.flush eng;
+             let state', outcomes = reapply_batch !state !queue in
+             state := state';
+             queue := [];
+             List.iter
+               (fun (who, expected) ->
+                 inflight.(who) <- false;
+                 let actual =
+                   match Session.await sessions.(who) with
+                   | lsn -> Ok lsn
+                   | exception Session.Session_error.Error e -> Error e
+                 in
+                 match (expected, actual) with
+                 | Ok r, Ok lsn when r.Storage.Wal.lsn = lsn ->
+                     Storage.Wal.append ~io ~dir:ref_dir r
+                 | Error e, Error e'
+                   when String.equal
+                          (Session.Session_error.to_string e)
+                          (Session.Session_error.to_string e') ->
+                     ()
+                 | _ -> ok := false)
+               outcomes
+           in
+           for _ = 1 to 4 + Workload.Prng.int g 10 do
+             match publish_step_gen g n with
+             | Stage (who, stmts) -> stage who stmts
+             | Submit who -> submit who
+             | Flush -> flush ()
+           done;
+           for who = 0 to n - 1 do
+             submit who
+           done;
+           flush ();
+           let final = Session.engine_snapshot eng in
+           Session.shutdown eng;
+           let cat, lsn, _ = !state in
+           let bytes d =
+             let path = Storage.Wal.file ~dir:d in
+             if io.Storage.Io.file_exists path then io.Storage.Io.read_file path
+             else ""
+           in
+           !ok && final.Session.lsn = lsn
+           && Test_durability.catalogs_equal final.Session.catalog cat
+           && declarations final.Session.catalog = declarations cat
+           && String.equal (bytes dir) (bytes ref_dir)))
+  in
+  ( name,
+    speed,
+    fun () ->
+      published_as_staged := 0;
+      reapplied := 0;
+      run ();
+      if !published_as_staged = 0 || !reapplied = 0 then
+        Alcotest.failf
+          "a run must exercise both commit paths: %d transactions published \
+           as staged, %d re-applied"
+          !published_as_staged !reapplied )
+
 let suite =
   List.map to_alcotest
     [
@@ -482,3 +827,4 @@ let suite =
       composed_records_equal_diff;
       cadence_survives_reopen;
     ]
+  @ [ staged_publish_equals_reapply ]

@@ -529,6 +529,38 @@ let test_noop_set_relation_keeps_index () =
       Alcotest.(check int) "both appends landed" 2
         (Xrel.cardinal (Storage.Catalog.relation cat'' "R")))
 
+(* ------------- a compaction carries only the tables read ---------- *)
+
+(* Every advance here adds 40 rows binding only C, past the overlay
+   bound, so each one compacts. The table a probe of (A = 1) reads is
+   carried by the compaction that follows its read, and dropped by one
+   it was not read before: the probe after that builds it again. *)
+let test_compaction_drops_unread_tables () =
+  with_metrics (fun () ->
+      let row k = Tuple.of_strings [ ("A", Value.Int k); ("B", Value.Int k) ] in
+      let probe = Tuple.of_strings [ ("A", Value.Int 1) ] in
+      let grow idx lo =
+        Subsume_index.advance idx ~removed:[]
+          ~added:(List.init 40 (fun k -> Tuple.of_strings [ ("C", Value.Int (lo + k)) ]))
+      in
+      let built = metric "nullrel_subsume_index_tables_built_total" in
+      let compactions = metric "nullrel_subsume_index_compactions_total" in
+      let check what expected idx =
+        Alcotest.(check int) (what ^ ": count") 1 (Subsume_index.count_at idx probe);
+        Alcotest.(check int) (what ^ ": tables built") expected
+          (metric "nullrel_subsume_index_tables_built_total" - built)
+      in
+      let idx = Subsume_index.build (Relation.of_list [ row 1; row 2 ]) in
+      check "the first probe builds" 1 idx;
+      let idx = grow idx 0 in
+      check "read, then carried" 1 idx;
+      let idx = grow idx 100 in
+      check "read again, carried again" 1 idx;
+      let idx = grow (grow idx 200) 300 in
+      check "unread through a compaction, dropped" 2 idx;
+      Alcotest.(check int) "every advance compacted" 4
+        (metric "nullrel_subsume_index_compactions_total" - compactions))
+
 (* ---------------- INDEX file persistence protocol ---------------- *)
 
 let attr s = Attr.make s
@@ -795,6 +827,8 @@ let suite =
       `Quick test_binary_matches_reference;
     Alcotest.test_case "csv: read = a Tuple.set per cell, cut or typed" `Quick
       test_csv_matches_reference;
+    Alcotest.test_case "index: a compaction drops the tables no probe read"
+      `Quick test_compaction_drops_unread_tables;
     Alcotest.test_case "no-op set_relation keeps the memoized index" `Quick
       test_noop_set_relation_keeps_index;
     Alcotest.test_case "INDEX roundtrip re-attaches without rebuilding" `Quick

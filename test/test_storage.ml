@@ -77,6 +77,35 @@ let test_index_x_mem () =
   Alcotest.(check bool) "indexed x_mem negative" false
     (Subsume_index.subsuming_exists idx a2)
 
+(* A compaction carries the tables built before it: here the table of
+   a1's signature, whose bucket must drop a1 itself, the exact match,
+   and keep counting ab above it. The fillers bind only C, so they sit
+   in no bucket of that table but push the overlay past its bound. *)
+let test_index_compaction_carries_tables () =
+  let idx = Subsume_index.build (rel [ a1; ab ]) in
+  Alcotest.(check bool) "a1 strictly subsumed before" true
+    (Subsume_index.strictly_subsuming_exists idx a1);
+  Alcotest.(check (list string)) "listed before" [ "(A=1)"; "(A=1, B=2)" ]
+    (List.map (Pp.to_string Tuple.pp) (Subsume_index.matching idx a1));
+  let fillers = List.init 40 (fun k -> t [ ("C", i k) ]) in
+  let idx = Subsume_index.advance idx ~added:fillers ~removed:[ a1 ] in
+  Alcotest.(check int) "count at a1: ab alone" 1 (Subsume_index.count_at idx a1);
+  Alcotest.(check bool) "a1 strictly subsumed by ab" true
+    (Subsume_index.strictly_subsuming_exists idx a1);
+  Alcotest.(check (list string)) "listed after" [ "(A=1, B=2)" ]
+    (List.map (Pp.to_string Tuple.pp) (Subsume_index.matching idx a1))
+
+(* A listing is keyed by the hash of a restriction, so tuples whose
+   restrictions collide share a key: (A=0, B=65599) and (A=1, B=0) hash
+   alike ((2 * 65599 + 0) * 65599 + 65599 = (2 * 65599 + 1) * 65599). *)
+let test_index_listing_collision () =
+  let r1 = t [ ("A", i 0); ("B", i 65599) ] and r2 = t [ ("A", i 1); ("B", i 0) ] in
+  Alcotest.(check int) "the restrictions collide" (Tuple.hash r1) (Tuple.hash r2);
+  let idx = Subsume_index.build (rel [ t [ ("A", i 0); ("B", i 65599); ("C", i 7) ]; r2 ]) in
+  Alcotest.(check (list string)) "only the agreeing tuple"
+    [ "(A=0, B=65599, C=7)" ]
+    (List.map (Pp.to_string Tuple.pp) (Subsume_index.matching idx r1))
+
 (* --------------------------- Csv -------------------------- *)
 
 let emp_csv = "E#,NAME,SEX,MGR#,TEL#\n1120,SMITH,M,2235,-\n4335,BROWN,F,2235,-\n8799,GREEN,M,1255,-\n"
@@ -498,6 +527,10 @@ let suite =
     Alcotest.test_case "index: randomized agreement" `Quick
       test_index_randomized_agreement;
     Alcotest.test_case "index: one-shot x_mem" `Quick test_index_x_mem;
+    Alcotest.test_case "index: a compaction carries its tables" `Quick
+      test_index_compaction_carries_tables;
+    Alcotest.test_case "index: a listing drops colliding restrictions" `Quick
+      test_index_listing_collision;
     Alcotest.test_case "csv: read" `Quick test_csv_read;
     Alcotest.test_case "csv: roundtrip" `Quick test_csv_roundtrip;
     Alcotest.test_case "csv: quoting" `Quick test_csv_quoting;
