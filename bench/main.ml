@@ -1169,19 +1169,12 @@ let e20 ~with_timings () =
   let jx = Attr.set_of_list [ "A1" ] in
   let j_seq = Storage.Join.hash_equijoin ~strategy:Kernel.Sequential jx j1 j2 in
   let j_par = Storage.Join.hash_equijoin ~strategy:Kernel.Parallel jx j1 j2 in
-  let j_rng =
-    Storage.Join.hash_equijoin ~strategy:Kernel.Parallel
-      ~index:(module Storage.Range_index.Equi)
-      jx j1 j2
-  in
   let u_seq =
     Storage.Join.hash_union_join ~strategy:Kernel.Sequential jx j1 j2
   in
   let u_par = Storage.Join.hash_union_join ~strategy:Kernel.Parallel jx j1 j2 in
-  verdict
-    "partition-parallel equijoin and union-join agree across strategies and \
-     indexes"
-    (Xrel.equal j_seq j_par && Xrel.equal j_seq j_rng && Xrel.equal u_seq u_par)
+  verdict "partition-parallel equijoin and union-join agree across strategies"
+    (Xrel.equal j_seq j_par && Xrel.equal u_seq u_par)
     "probe chunks merge by set union; order cannot matter";
   if not with_timings then printf "  (timings skipped)@."
   else begin
@@ -1965,7 +1958,8 @@ let e25 () =
 (* E26: incremental minimality and persistent secondary indexes --
    writes maintain the minimal representation by probing the
    subsumption index instead of re-minimizing, and declared
-   equi-indexes survive a restart under the CRC stamp protocol.       *)
+   equi-indexes are declarations whose probes read that index's
+   listing tables, so only probes build anything for them.           *)
 
 let e26_read path =
   let ic = open_in_bin path in
@@ -1979,14 +1973,34 @@ let e26_write path s =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc s)
 
-(* Keep only the [keep] lines of the INDEX file and re-seal it, so the
-   loader sees a well-formed file that is merely missing entries (a
-   stale or partial writer, not a torn one). *)
-let e26_filter_index dir keep =
+(* Append [lines] to the INDEX file's entries and re-seal it, so the
+   loader sees a well-formed file. *)
+let e26_extend_index dir lines =
   let path = Filename.concat dir "INDEX" in
   e26_write path
     (Storage.Sidecar.seal
-       (List.filter keep (Option.get (Storage.Sidecar.unseal (e26_read path)))))
+       (Option.get (Storage.Sidecar.unseal (e26_read path)) @ lines))
+
+(* [f ()] and the listing and probe tables the subsumption indexes
+   built from a whole base while it ran. *)
+let e26_tables_built f =
+  let built () =
+    List.fold_left
+      (fun acc (m : Obs.Metrics.info) ->
+        match m.Obs.Metrics.i_value with
+        | Obs.Metrics.Counter_v n
+          when String.equal m.Obs.Metrics.i_name
+                 "nullrel_subsume_index_tables_built_total" ->
+            acc + n
+        | _ -> acc)
+      0 (Obs.Metrics.snapshot ())
+  in
+  Obs.Metrics.set_enabled true;
+  let before = built () in
+  let v = Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled false) f in
+  let n = built () - before in
+  Obs.Metrics.reset ();
+  (v, n)
 
 (* The write path under test, shaped like the full-rewrite reference. *)
 let e26_incremental cat stmt =
@@ -2005,11 +2019,12 @@ let e26 ~with_timings () =
   printf
     "  A write maintains the minimal representation by probing the\n\
     \  relation's subsumption index -- admit, absorb, or evict -- never by\n\
-    \  re-minimizing from scratch, and declared equi-indexes persist\n\
-    \  beside the data under a per-relation CRC stamp.  Gates: a mixed\n\
-    \  schedule lands on the full-rewrite oracle's catalog word for word,\n\
-    \  per-append cost is sublinear where the oracle's is not, and a cold\n\
-    \  start attaching fresh dumps beats rebuilding >= 2x.@.";
+    \  re-minimizing from scratch, and a declared equi-index is a\n\
+    \  declaration whose probes read the same index's listing tables: it\n\
+    \  persists as one line, and loads, writes and replay build nothing\n\
+    \  for it.  Gates: a mixed schedule lands on the full-rewrite oracle's\n\
+    \  catalog word for word, per-append cost is sublinear where the\n\
+    \  oracle's is not, and only probes build listing tables.@.";
   (* --- symbolic: incremental DML = the full-rewrite oracle --------- *)
   let schedule =
     [
@@ -2064,7 +2079,7 @@ let e26 ~with_timings () =
     ok_parity "minimality is maintained, never re-established";
   show_table ~title:"R after the schedule (either pipeline)" [ "A"; "B" ]
     (Storage.Catalog.relation cat_inc "R");
-  (* --- symbolic: the INDEX stamp protocol -------------------------- *)
+  (* --- symbolic: declarations load, probes build ------------------- *)
   let dept = Attr.Set.singleton (Attr.make "DEPT") in
   let proto_rows =
     Xrel.of_list
@@ -2106,21 +2121,54 @@ let e26 ~with_timings () =
       let indexes rpt =
         List.length (Storage.Catalog.all_indexes rpt.Storage.Persist.catalog)
       in
-      let fresh = Storage.Persist.load_report ~dir:proto_dir () in
-      let ok_attach =
-        fresh.Storage.Persist.journal_note = None
-        && indexes fresh = 2 && probes_toys fresh
+      let clean rpt =
+        (not rpt.Storage.Persist.needs_repair) && indexes rpt = 2
       in
-      gate "a fresh stamp re-attaches both dumps, no rebuild, no note"
-        ok_attach "attach is the cold-start fast path";
-      e26_filter_index proto_dir (function "line" :: _ -> false | _ -> true);
-      let rebuilt = Storage.Persist.load_report ~dir:proto_dir () in
-      let ok_rebuild =
-        rebuilt.Storage.Persist.journal_note = None
-        && indexes rebuilt = 2 && probes_toys rebuilt
+      let fresh, load_built =
+        e26_tables_built (fun () -> Storage.Persist.load_report ~dir:proto_dir ())
       in
-      gate "a missing dump degrades to a from-scratch rebuild"
-        ok_rebuild "slower, never wrong";
+      gate "a load of a directory with declarations builds no table"
+        (clean fresh && load_built = 0)
+        "a declaration is all an index persists";
+      let toys, probe_built = e26_tables_built (fun () -> probes_toys fresh) in
+      gate "the first probe of a declaration builds exactly one table"
+        (toys && probe_built = 1)
+        "the probe reads the subsumption index's listing";
+      (* 24 joined tuples: fewer than the kernel minimizes through an
+         index, so the join's own listing is the one table built. *)
+      let emp = Storage.Catalog.relation fresh.Storage.Persist.catalog "EMP" in
+      let left =
+        Xrel.of_list
+          (List.init 16 (fun k ->
+               t
+                 [
+                   ("DEPT", Value.Str (if k mod 2 = 0 then "toys" else "candy"));
+                   ("ROOM", i k);
+                 ]))
+      in
+      let saved_domains = Par.Pool.domains () in
+      Par.Pool.set_domains 4;
+      let joined, join_built =
+        Fun.protect
+          ~finally:(fun () -> Par.Pool.set_domains saved_domains)
+          (fun () ->
+            e26_tables_built (fun () ->
+                Storage.Join.hash_equijoin ~strategy:Kernel.Parallel dept left
+                  emp))
+      in
+      gate "a per-query join at 4 domains builds exactly one table"
+        (join_built = 1 && Xrel.equal joined (Algebra.equijoin dept left emp))
+        "the listing is published before the probes fan out";
+      e26_extend_index proto_dir
+        [
+          [ "line"; "EMP"; "hash"; "DEPT"; "0 1" ];
+          [ "line"; "EMP"; "range"; "SAL"; "2 1 3 0" ];
+        ];
+      let legacy = Storage.Persist.load_report ~dir:proto_dir () in
+      gate "an INDEX with line entries loads with no note"
+        (clean legacy && legacy.Storage.Persist.journal_note = None
+       && probes_toys legacy)
+        "directories written with positional dumps still open";
       let path = Filename.concat proto_dir "INDEX" in
       let data = e26_read path in
       e26_write path (String.sub data 0 (String.length data / 2));
@@ -2198,77 +2246,6 @@ let e26 ~with_timings () =
           "a keyed replace's cost",
           "range of t is T replace t (B = 5) where t.A = 1717" );
       ];
-    (* --- (b) cold start: attach fresh dumps vs rebuild ------------- *)
-    (* The loader's index phase is [Catalog.restore_index] once per
-       declaration: a positional re-attach of the dump when the stamp
-       matched the data file, a from-scratch build otherwise.  Both are
-       run here against the same already-decoded data catalog, so the
-       measured difference is exactly the attach-vs-build work (the
-       data decode, identical on either path, is excluded). *)
-    let n = 8_000 in
-    let schema =
-      Schema.make "C"
-        [ ("K", Domain.Ints); ("S", Domain.Strings); ("W", Domain.Ints) ]
-    in
-    let rows =
-      Xrel.of_list
-        (List.init n (fun k ->
-             t
-               [
-                 ("K", i (k * 7919 mod n));
-                 ("S", Value.Str (Printf.sprintf "s%05d" (k mod 97)));
-                 ("W", i (k mod 251));
-               ]))
-    in
-    let data_cat = Storage.Catalog.add Storage.Catalog.empty schema rows in
-    let decls =
-      [
-        ("range", [ "K" ]); ("range", [ "S" ]); ("range", [ "W" ]);
-        ("hash", [ "S" ]); ("hash", [ "W" ]);
-      ]
-    in
-    let indexed_cat =
-      List.fold_left
-        (fun cat (kind, attrs) ->
-          Storage.Catalog.create_index cat "C" ~kind (Attr.set_of_list attrs))
-        data_cat decls
-    in
-    let dumps =
-      List.filter_map
-        (fun (kind, attrs0) ->
-          let attrs = Attr.set_of_list attrs0 in
-          Option.map
-            (fun ls -> (kind, attrs, ls))
-            (Storage.Catalog.dump_index indexed_cat "C" ~kind attrs))
-        decls
-    in
-    let restore lines_of =
-      List.fold_left
-        (fun (cat, all) (kind, attrs, ls) ->
-          let cat, attached =
-            Storage.Catalog.restore_index cat "C" ~kind attrs
-              ~lines:(lines_of ls)
-          in
-          (cat, all && attached))
-        (data_cat, true) dumps
-    in
-    let all_attached =
-      List.length dumps = List.length decls && snd (restore (fun ls -> Some ls))
-    in
-    let attach_ns =
-      Timing.ns_per_run (fun () -> ignore (restore (fun ls -> Some ls)))
-    in
-    let rebuild_ns =
-      Timing.ns_per_run (fun () -> ignore (restore (fun _ -> None)))
-    in
-    printf "  cold-start index phase, %d rows, %d declarations:@." n
-      (List.length decls);
-    printf "  attach fresh dumps: %s; rebuild from declarations: %s (%.1fx)@."
-      (Timing.pp_ns attach_ns) (Timing.pp_ns rebuild_ns)
-      (rebuild_ns /. attach_ns);
-    gate "attaching fresh dumps beats rebuilding >= 2x"
-      (all_attached && rebuild_ns >= 2. *. attach_ns)
-      "persisted indexes are worth their bytes"
   end
 
 (* ---------------------------------------------------------------- *)

@@ -29,10 +29,12 @@ let exact_of bucket = bucket land 1
 (* A listing table maps the hash of a [pi]-restriction
    ({!Tuple.hash_on_signature}) to the tuples total on [pi] whose
    restriction hashes to it, in {!Tuple.compare} order. Keyed by the
-   hash, it builds and holds no restriction; a lookup drops the tuples
-   of a colliding one. It is kept apart from the count table of the
-   same signature: the key-uniqueness probes and journal replay read
-   counts only and never pay for the lists. *)
+   hash, it builds and holds no restriction. The hashes whose bucket
+   holds tuples of more than one restriction are marked [mixed]; a
+   lookup filters only those, and answers any other bucket whole or
+   not at all from its head. It is kept apart from the count table of
+   the same signature: the key-uniqueness probes and journal replay
+   read counts only and never pay for the lists. *)
 module Hashes = Hashtbl.Make (struct
   type t = int
 
@@ -40,7 +42,7 @@ module Hashes = Hashtbl.Make (struct
   let hash h = h
 end)
 
-type listing = Tuple.t list Hashes.t
+type listing = { lists : Tuple.t list Hashes.t; mixed : unit Hashes.t }
 
 (* A published table, and whether a probe has read it since its base
    was made: a compaction carries only the tables read, so a signature
@@ -145,16 +147,27 @@ let build_table (base : base) pi : table =
     base.set;
   tbl
 
+(* [t], total on [pi], goes into the bucket [l] at [h]: a tuple that
+   disagrees with the bucket's head on [pi] marks the bucket mixed. *)
+let mark tbl pi h t l =
+  match l with
+  | u :: _ when not (Tuple.agree_on_signature pi u t) ->
+      Hashes.replace tbl.mixed h ()
+  | _ -> ()
+
 (* Walking the set from its largest tuple down and consing leaves each
    list in ascending order. *)
 let build_listing (base : base) pi : listing =
-  let tbl = Hashes.create (Once.get base.size) in
+  let tbl =
+    { lists = Hashes.create (Once.get base.size); mixed = Hashes.create 1 }
+  in
   Seq.iter
     (fun t ->
       if Tuple.is_total_on_signature pi t then begin
         let h = Tuple.hash_on_signature pi t in
-        let l = match Hashes.find tbl h with l -> l | exception Not_found -> [] in
-        Hashes.replace tbl h (t :: l)
+        let l = Option.value (Hashes.find_opt tbl.lists h) ~default:[] in
+        mark tbl pi h t l;
+        Hashes.replace tbl.lists h (t :: l)
       end)
     (Tuple.Set.to_rev_seq base.set);
   tbl
@@ -218,26 +231,39 @@ let strictly_subsuming_exists idx r =
     let self = if Tuple.Set.mem r idx.live then 1 else 0 in
     count_at idx r - self > 0
 
-let matching idx r =
-  let pi = Tuple.signature r in
-  let listed =
-    match
-      Hashes.find_opt
-        (published idx.base.listings build_listing idx.base pi)
-        (Tuple.hash_on_signature pi r)
-    with
-    | Some l -> List.filter (fun t -> Tuple.more_informative t r) l
-    | None -> []
+let listing idx pi = published idx.base.listings build_listing idx.base pi
+
+(* The live tuples that agree with [t], total on [pi], on [pi], read
+   from [pi]'s listing [tbl] and the overlay. *)
+let listed idx tbl pi t =
+  let agrees u = Tuple.agree_on_signature pi u t in
+  let h = Tuple.hash_on_signature pi t in
+  let base =
+    match Hashes.find_opt tbl.lists h with
+    | Some (u :: _ as l) ->
+        if Hashes.mem tbl.mixed h then List.filter agrees l
+        else if agrees u then l
+        else []
+    | Some [] | None -> []
   in
-  if idx.overlay = 0 then listed
+  if idx.overlay = 0 then base
   else
     let kept =
-      if Tuple.Set.is_empty idx.removed then listed
-      else List.filter (fun t -> not (Tuple.Set.mem t idx.removed)) listed
+      if Tuple.Set.is_empty idx.removed then base
+      else List.filter (fun u -> not (Tuple.Set.mem u idx.removed)) base
     in
-    match List.filter (fun t -> Tuple.more_informative t r) idx.added with
+    match List.filter agrees idx.added with
     | [] -> kept
     | added -> List.merge Tuple.compare kept (List.sort Tuple.compare added)
+
+let matching idx r =
+  let pi = Tuple.signature r in
+  listed idx (listing idx pi) pi r
+
+let equi_probe idx x =
+  let pi = Tuple.signature_of_attrs x in
+  let tbl = listing idx pi in
+  fun t -> if Tuple.is_total_on_signature pi t then listed idx tbl pi t else []
 
 let mem idx t = Tuple.Set.mem t idx.live
 let tuples idx = idx.live
@@ -284,13 +310,19 @@ let move_count tbl pi sign t =
 
 let move_listing tbl pi sign t =
   let h = Tuple.hash_on_signature pi t in
-  let l = Option.value (Hashes.find_opt tbl h) ~default:[] in
+  let l = Option.value (Hashes.find_opt tbl.lists h) ~default:[] in
+  if sign > 0 then mark tbl pi h t l;
   match
     if sign > 0 then List.merge Tuple.compare [ t ] l
     else List.filter (fun u -> not (Tuple.equal u t)) l
   with
-  | [] -> Hashes.remove tbl h
-  | l -> Hashes.replace tbl h l
+  | [] ->
+      Hashes.remove tbl.lists h;
+      Hashes.remove tbl.mixed h
+  | l -> Hashes.replace tbl.lists h l
+
+let copy_listing tbl =
+  { lists = Hashes.copy tbl.lists; mixed = Hashes.copy tbl.mixed }
 
 (* Folding the overlay into a fresh base carries along ({!carry}) every
    table of the old one that a probe read since that base was made: a
@@ -317,7 +349,7 @@ let compact idx ~added ~removed ~live ~sigs ~size =
     {
       set = live;
       tables = carried idx.base.tables Probe.copy move_count;
-      listings = carried idx.base.listings Hashes.copy move_listing;
+      listings = carried idx.base.listings copy_listing move_listing;
       size = Once.of_val size;
     }
   |> fun idx -> { idx with sigs = Once.of_val sigs }

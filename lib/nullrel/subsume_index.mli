@@ -28,7 +28,12 @@
     compaction carries the tables that probes read since the previous
     one into the new base, copied and patched by the overlay, so the
     probes after it do not rebuild them from the whole relation; a
-    table no probe read in that span is dropped. *)
+    table no probe read in that span is dropped.
+
+    Since [t >= r] for a restriction [r] on [X] exactly when [t] is
+    total on [X] and agrees with [r] there, the same listing tables
+    answer the equality probes of an equijoin ({!equi_probe}): the
+    relation needs no second index for them. *)
 
 type t
 (** An index over a relation: an immutable probe-table base plus a
@@ -68,6 +73,16 @@ val matching : t -> Tuple.t -> Tuple.t list
     [r]'s signature, built on first use beside the probe tables and
     published the same way, and applies the overlay: O(matches +
     overlay) after the build. *)
+
+val equi_probe : t -> Attr.Set.t -> Tuple.t -> Tuple.t list
+(** [equi_probe idx x] is the equality probe on [x] that Section 5's
+    equijoin needs: applied to a tuple [t] total on [x], it returns the
+    indexed tuples that agree with [t] on [x] — {!matching} of [t]'s
+    [x]-restriction, whatever else [t] binds — and [[]] for any other
+    tuple. The listing table of [x] is built and published when
+    [equi_probe idx x] returns, so the probes after it are pure reads
+    from any domain. Every declared secondary index and every
+    per-query hash join probes through it. *)
 
 val subsuming_exists : t -> Tuple.t -> bool
 (** [count_at idx r > 0] — is [r] an x-element of the indexed relation? *)

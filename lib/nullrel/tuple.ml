@@ -424,6 +424,23 @@ let hash_on_signature s r =
   done;
   spread !h
 
+let agree_on_signature s r t =
+  let n = length r and m = length t in
+  let rec go k i j =
+    k = Array.length s
+    ||
+    let a = s.(k) in
+    if i < n && compare_attr r.keys.(i) a < 0 then go k (i + 1) j
+    else if j < m && compare_attr t.keys.(j) a < 0 then go k i (j + 1)
+    else
+      i < n && j < m
+      && equal_attr r.keys.(i) a
+      && equal_attr t.keys.(j) a
+      && equal_value r.vals.(i) t.vals.(j)
+      && go (k + 1) (i + 1) (j + 1)
+  in
+  go 0 0 0
+
 let restrict_signature r s =
   let n = length r and m = Array.length s in
   (* One walk counts the shared attributes, a second copies them. *)

@@ -27,8 +27,8 @@
 
     {b Order guarantee.} {!compare} is lexicographic over the
     (attribute, value) pairs, a proper prefix first, and {!fold} and
-    {!to_list} run in attribute order. Every {!Set} order, CSV file and
-    index dump follows from these. *)
+    {!to_list} run in attribute order. Every {!Set} order and CSV file
+    follows from these. *)
 
 type t
 
@@ -141,6 +141,10 @@ val is_total_on_signature : signature -> t -> bool
 val hash_on_signature : signature -> t -> int
 (** [hash_on_signature s r] is [hash (restrict_signature r s)] for an
     [r] total on [s], computed without building the restriction. *)
+
+val agree_on_signature : signature -> t -> t -> bool
+(** [agree_on_signature s r t]: [r] and [t] are both total on [s] and
+    hold equal values there, decided without building a restriction. *)
 
 val restrict_signature : t -> signature -> t
 (** {!restrict} to the attributes of a signature. *)

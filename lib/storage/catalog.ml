@@ -18,12 +18,6 @@ module String_map = Map.Make (String)
    across statements and the per-statement cost stays bounded by the
    delta, not the relation. *)
 
-(* A declared secondary (equi-probe) index, packed existentially so
-   hash and range implementations ride the same entry slot. *)
-type packed = Packed : (module Index_intf.S with type t = 'a) * 'a -> packed
-
-type sec = { s_kind : string; s_attrs : Attr.Set.t; s_idx : packed }
-
 type entry = {
   e_schema : Schema.t;
   e_x : Xrel.t;
@@ -31,7 +25,9 @@ type entry = {
   e_version : int;
   e_stats : (int * Stats.table) option;  (** (version stamp, summary) *)
   e_index : Subsume_index.t Once.t;
-  e_sec : sec list;  (** Declaration order. *)
+  e_sec : (string * Attr.Set.t) list;
+      (** Declared indexes, kind and attributes, in declaration order.
+          Their probes read [e_index]'s listings. *)
 }
 
 type t = {
@@ -47,40 +43,6 @@ exception Violation of Schema.violation list
 
 let empty = { c_rels = String_map.empty; c_defs = []; c_unverified = [] }
 let index_of x = Once.make (fun () -> Subsume_index.build (Xrel.rep x))
-
-(* ---------------------- secondary indexes --------------------- *)
-
-let index_module kind : (module Index_intf.S) option =
-  match kind with
-  | "hash" -> Some (module Hash_index.Equi)
-  | "range" -> Some (module Range_index.Equi)
-  | _ -> None
-
-let index_kinds = [ "hash"; "range" ]
-
-let packed_probe (Packed ((module I), idx)) t = I.probe idx t
-let packed_cardinal (Packed ((module I), idx)) = I.cardinal idx
-let packed_dump (Packed ((module I), idx)) ~pos = I.dump idx ~pos
-
-let packed_advance ~added ~removed (Packed ((module I), idx)) =
-  Packed ((module I), I.advance idx ~added ~removed)
-
-(* Rebuild the declared indexes after a wholesale replacement; a
-   declaration whose attributes fell out of the schema (or whose kind
-   can no longer index them) is silently dropped — the declaration is
-   an acceleration, never a source of truth. *)
-let rebuild_secs schema x secs =
-  List.filter_map
-    (fun s ->
-      if not (Attr.Set.subset s.s_attrs (Schema.attr_set schema)) then None
-      else
-        match index_module s.s_kind with
-        | None -> None
-        | Some (module I) -> (
-            match I.build s.s_attrs x with
-            | idx -> Some { s with s_idx = Packed ((module I), idx) }
-            | exception _ -> None))
-    secs
 
 (* A wholesale replacement of a relation (shell [.load] over an existing
    name) voids the verification of every constraint involving it; the
@@ -112,7 +74,12 @@ let add_entry cat schema x =
           e_count = Xrel.cardinal x;
           e_version = e.e_version + 1;
           e_index = index_of x;
-          e_sec = rebuild_secs schema x e.e_sec;
+          (* A declaration whose attributes left the schema is dropped:
+             it is an acceleration, never a source of truth. *)
+          e_sec =
+            List.filter
+              (fun (_, attrs) -> Attr.Set.subset attrs (Schema.attr_set schema))
+              e.e_sec;
         }
     | None ->
         {
@@ -175,9 +142,8 @@ let remove cat name =
 let set_relation cat name x =
   let e = String_map.find name cat.c_rels in
   (* A write of the identical relation is a no-op: keep the entry —
-     and with it the memoized subsumption index, the declared
-     secondary indexes and the statistics stamp — instead of
-     invalidating them all for nothing. *)
+     and with it the memoized subsumption index and the statistics
+     stamp — instead of invalidating them for nothing. *)
   if Xrel.equal x e.e_x then cat
   else
     match Schema.check e.e_schema x with
@@ -189,10 +155,10 @@ let set_relation cat name x =
 (* Patches an entry by a net delta known to keep the relation minimal:
    the persistent set moves by the delta — O(|delta| log n) — instead of
    being rebuilt, which would put an O(n) term back into every
-   statement, and every declared secondary index advances by the same
-   delta. [x] is the entry's relation with the delta applied, [count]
-   its cardinality, and [index] gives the new subsumption-index memo. *)
-let patch cat name e ~x ~count ~index ~added ~removed =
+   statement. [x] is the entry's relation with the delta applied,
+   [count] its cardinality, and [index] gives the new subsumption-index
+   memo, which also serves the declared indexes' probes. *)
+let patch cat name e ~x ~count ~index =
   let entry =
     {
       e with
@@ -200,10 +166,6 @@ let patch cat name e ~x ~count ~index ~added ~removed =
       e_count = count;
       e_version = e.e_version + 1;
       e_index = index x;
-      e_sec =
-        List.map
-          (fun s -> { s with s_idx = packed_advance ~added ~removed s.s_idx })
-          e.e_sec;
     }
   in
   { cat with c_rels = String_map.add name entry cat.c_rels }
@@ -213,9 +175,8 @@ let patch cat name e ~x ~count ~index ~added ~removed =
    Section 7 — probe, admit, evict the newly-subsumed — in one bounded
    pass over the statement delta, never re-minimizing the relation.
    Deletions need no repair at all: removing elements from an antichain
-   leaves an antichain. The entry's subsumption index and every
-   declared secondary index are advanced by the same net delta, so
-   they survive the write. *)
+   leaves an antichain. The entry's subsumption index is advanced by
+   the same net delta, so its tables survive the write. *)
 let apply_delta cat name ~added ~removed =
   let e = String_map.find name cat.c_rels in
   let idx0 = Once.get e.e_index in
@@ -262,9 +223,7 @@ let apply_delta cat name ~added ~removed =
     let count =
       e.e_count + Tuple.Set.cardinal net_added - Tuple.Set.cardinal net_removed
     in
-    ( patch cat name e ~x ~count ~index:(fun _ -> Once.of_val idx2)
-        ~added:(Tuple.Set.elements net_added)
-        ~removed:(Tuple.Set.elements net_removed),
+    ( patch cat name e ~x ~count ~index:(fun _ -> Once.of_val idx2),
       (net_added, net_removed) )
 
 (* Journal replay folds a relation's whole tail into one net delta that
@@ -290,7 +249,6 @@ let replay_delta cat name ~added ~removed =
           added
       in
       patch cat name e ~x:(Xrel.unsafe_of_minimal x) ~count ~index:index_of
-        ~added ~removed
 
 (* The top-level [A = k] conjuncts of [p] as one restriction: [Some r]
    with [r] binding each such [A] to its [k], [None] when two of them
@@ -342,10 +300,12 @@ let probe_index cat name =
 
 (* ------------------ secondary-index catalog ------------------- *)
 
-let find_sec e ~kind attrs =
-  List.find_opt
-    (fun s -> String.equal s.s_kind kind && Attr.Set.equal s.s_attrs attrs)
-    e.e_sec
+(* A declaration names an equality probe; the relation's subsumption
+   index serves it ({!Subsume_index.equi_probe}). The kinds differ only
+   in what they accept: a [range] key is a single attribute. *)
+let index_kinds = [ "hash"; "range" ]
+
+let declares e attrs = List.exists (fun (_, a) -> Attr.Set.equal a attrs) e.e_sec
 
 let create_index cat name ~kind attrs =
   let e =
@@ -361,20 +321,17 @@ let create_index cat name ~kind attrs =
         Exec_error.bad_inputf "create index: %s is not a column of %s"
           (Attr.name a) name)
     attrs;
-  match index_module kind with
-  | None -> Exec_error.bad_inputf "create index: unknown kind %s" kind
-  | Some (module I) ->
-      if find_sec e ~kind attrs <> None then cat
-      else begin
-        let sec =
-          { s_kind = kind; s_attrs = attrs; s_idx = Packed ((module I), I.build attrs e.e_x) }
-        in
-        {
-          cat with
-          c_rels =
-            String_map.add name { e with e_sec = e.e_sec @ [ sec ] } cat.c_rels;
-        }
-      end
+  if not (List.mem kind index_kinds) then
+    Exec_error.bad_inputf "create index: unknown kind %s" kind;
+  if String.equal kind "range" && Attr.Set.cardinal attrs > 1 then
+    Exec_error.bad_input "create index: a range key must be a single attribute";
+  if List.mem (kind, attrs) e.e_sec then cat
+  else
+    {
+      cat with
+      c_rels =
+        String_map.add name { e with e_sec = e.e_sec @ [ (kind, attrs) ] } cat.c_rels;
+    }
 
 let drop_index cat name ~kind attrs =
   match String_map.find_opt name cat.c_rels with
@@ -382,8 +339,7 @@ let drop_index cat name ~kind attrs =
   | Some e ->
       let secs =
         List.filter
-          (fun s ->
-            not (String.equal s.s_kind kind && Attr.Set.equal s.s_attrs attrs))
+          (fun (k, a) -> not (String.equal k kind && Attr.Set.equal a attrs))
           e.e_sec
       in
       { cat with c_rels = String_map.add name { e with e_sec = secs } cat.c_rels }
@@ -392,76 +348,35 @@ let indexes cat name =
   match String_map.find_opt name cat.c_rels with
   | None -> []
   | Some e ->
-      List.map (fun s -> (s.s_kind, s.s_attrs, packed_cardinal s.s_idx)) e.e_sec
+      List.map
+        (fun (kind, attrs) ->
+          let total = Tuple.signature_of_attrs attrs in
+          ( kind,
+            attrs,
+            List.length
+              (List.filter (Tuple.is_total_on_signature total) (Xrel.to_list e.e_x)) ))
+        e.e_sec
 
 let all_indexes cat =
   List.concat_map
-    (fun (name, e) ->
-      List.map (fun s -> (name, s.s_kind, s.s_attrs)) e.e_sec)
+    (fun (name, e) -> List.map (fun (kind, attrs) -> (name, kind, attrs)) e.e_sec)
     (String_map.bindings cat.c_rels)
 
 let equi_probe cat name attrs =
   match String_map.find_opt name cat.c_rels with
-  | None -> None
-  | Some e ->
-      List.find_map
-        (fun s ->
-          if Attr.Set.equal s.s_attrs attrs then
-            Some (fun t -> packed_probe s.s_idx t)
-          else None)
-        e.e_sec
+  | Some e when declares e attrs ->
+      Some (Subsume_index.equi_probe (Once.get e.e_index) attrs)
+  | Some _ | None -> None
 
-let has_equi cat name attrs = equi_probe cat name attrs <> None
-
-let dump_index cat name ~kind attrs =
+let has_equi cat name attrs =
   match String_map.find_opt name cat.c_rels with
-  | None -> None
-  | Some e -> (
-      match find_sec e ~kind attrs with
-      | None -> None
-      | Some s ->
-          let _, posmap =
-            List.fold_left
-              (fun (i, m) t -> (i + 1, Tuple.Map.add t i m))
-              (0, Tuple.Map.empty) (Xrel.to_list e.e_x)
-          in
-          packed_dump s.s_idx ~pos:(fun t -> Tuple.Map.find_opt t posmap))
+  | Some e -> declares e attrs
+  | None -> false
 
-let restore_index cat name ~kind attrs ~lines =
-  match String_map.find_opt name cat.c_rels with
-  | None -> (cat, false)
-  | Some e ->
-      if
-        (not (Attr.Set.subset attrs (Schema.attr_set e.e_schema)))
-        || find_sec e ~kind attrs <> None
-      then (cat, false)
-      else (
-        match index_module kind with
-        | None -> (cat, false)
-        | Some (module I) -> (
-            let attach idx attached =
-              let sec = { s_kind = kind; s_attrs = attrs; s_idx = Packed ((module I), idx) } in
-              ( {
-                  cat with
-                  c_rels =
-                    String_map.add name
-                      { e with e_sec = e.e_sec @ [ sec ] }
-                      cat.c_rels;
-                },
-                attached )
-            in
-            let rebuilt () =
-              match I.build attrs e.e_x with
-              | idx -> attach idx false
-              | exception _ -> (cat, false)
-            in
-            match lines with
-            | None -> rebuilt ()
-            | Some ls -> (
-                let arr = Array.of_list (Xrel.to_list e.e_x) in
-                match I.restore attrs arr ls with
-                | Some idx -> attach idx true
-                | None -> rebuilt ())))
+let restore_index cat name ~kind attrs =
+  match create_index cat name ~kind attrs with
+  | cat -> Some cat
+  | exception Exec_error.Error _ -> None
 
 (* ------------------------- statistics ------------------------- *)
 

@@ -37,9 +37,9 @@ val set_relation : t -> string -> Xrel.t -> t
     Declared constraints stay verified — the caller is responsible for
     having enforced them ({!enforce}). A write of the {e identical}
     relation is a no-op: the entry (memoized subsumption index,
-    secondary indexes, statistics stamp) is kept untouched. Prefer
-    {!apply_delta} when the statement's delta is known — it maintains
-    minimality and the indexes incrementally instead of rebuilding. *)
+    statistics stamp) is kept untouched. Prefer {!apply_delta} when the
+    statement's delta is known — it maintains minimality and the index
+    incrementally instead of rebuilding. *)
 
 val apply_delta :
   t ->
@@ -53,9 +53,9 @@ val apply_delta :
     discipline: reject it if some stored tuple already subsumes it,
     otherwise admit it and evict the stored tuples it strictly
     subsumes — one bounded index probe per tuple, never a full
-    re-minimize. The entry's subsumption index and every declared
-    secondary index are {e advanced} by the statement's net delta and
-    survive the write. Returns the new catalog and the net
+    re-minimize. The entry's subsumption index is {e advanced} by the
+    statement's net delta and survives the write. Returns the new
+    catalog and the net
     [(added, removed)] tuple sets actually applied — the seeds
     constraint enforcement consumes. When the net delta is empty the
     catalog is returned unchanged (no version bump, stats stay
@@ -70,10 +70,9 @@ val replay_delta :
     delta {!Replay.compose} has checked against every probe of the
     insert discipline — [removed] present, [added] absent, schema-valid
     and incomparable with the rest — so no probe is repeated here.
-    Secondary indexes advance by the delta; the subsumption index is
-    left unbuilt, as after a load, and the first writer builds it on
-    demand. An empty delta leaves the catalog unchanged. Raises
-    [Not_found] on an unknown name. *)
+    The subsumption index is left unbuilt, as after a load, and the
+    first writer or probe builds it on demand. An empty delta leaves
+    the catalog unchanged. Raises [Not_found] on an unknown name. *)
 
 val qualifying : t -> string -> Predicate.t -> Tuple.t list
 (** [qualifying cat rel p]: the tuples of [rel] on which [p] is surely
@@ -94,53 +93,48 @@ val probe_index : t -> string -> Nullrel.Subsume_index.t option
 
 (** {1 Secondary indexes}
 
-    Declared equi-probe indexes ([hash] or [range]) live in the entry
-    beside the data they accelerate. They are advanced in place by
-    {!apply_delta}, rebuilt by wholesale replacement, and persisted by
-    {!Persist} under the same CRC-stamp freshness protocol as
-    statistics: re-attach on stamp match, degrade to rebuild, never
-    wrong. *)
+    A declared index ([hash] or [range]) is a kind and an attribute set
+    [X] kept in the relation's entry: it names an equality probe on
+    [X], which the planner and the constraint layer read. The probe is
+    served by the relation's subsumption index
+    ({!Subsume_index.equi_probe}), whose listing tables advance with
+    each write and survive compactions, so writes, journal replay,
+    checkpoints and loads do no work for a declaration. {!Persist}
+    saves the declarations in the [INDEX] file. *)
 
 val index_kinds : string list
 (** The declarable kinds: [["hash"; "range"]]. *)
 
 val create_index : t -> string -> kind:string -> Attr.Set.t -> t
-(** Declares and builds an index. Idempotent on an identical
-    declaration. Raises [Exec_error] on an unknown relation or kind,
-    on attributes outside the schema, or (for [range]) on a key of
+(** Declares an index. Idempotent on an identical declaration. Raises
+    [Exec_error] on an unknown relation or kind, on an empty attribute
+    set or attributes outside the schema, or (for [range]) on a key of
     more than one attribute. *)
 
 val drop_index : t -> string -> kind:string -> Attr.Set.t -> t
 (** No-op on an unknown declaration. *)
 
 val indexes : t -> string -> (string * Attr.Set.t * int) list
-(** The declared indexes of one relation: kind, attributes, indexed
-    cardinality. *)
+(** The declared indexes of one relation: kind, attributes, and how
+    many tuples are total on the attributes (the tuples a probe can
+    return). *)
 
 val all_indexes : t -> (string * string * Attr.Set.t) list
 (** Every declaration in the catalog: relation, kind, attributes. *)
 
 val equi_probe : t -> string -> Attr.Set.t -> (Tuple.t -> Tuple.t list) option
 (** An equality probe over the named relation on exactly these
-    attributes, served by a declared index of any kind; [None] when no
-    index covers them. *)
+    attributes when a declared index of any kind names them, [None]
+    otherwise: {!Subsume_index.equi_probe} of the relation's
+    subsumption index. *)
 
 val has_equi : t -> string -> Attr.Set.t -> bool
+(** Whether {!equi_probe} answers, decided without building anything. *)
 
-val dump_index : t -> string -> kind:string -> Attr.Set.t -> string list option
-(** Serializes a declared index as text lines referring to tuples by
-    canonical position ([Xrel.to_list] order) — the {!Persist} INDEX
-    payload. [None] when the declaration is absent or inconsistent. *)
-
-val restore_index :
-  t -> string -> kind:string -> Attr.Set.t -> lines:string list option -> t * bool
-(** Re-declares an index from a persisted dump. [lines = Some _]
-    attempts a positional re-attach and falls back to a from-scratch
-    build on any anomaly; [None] (stale or damaged payload) builds
-    directly. Returns whether the dump was attached verbatim. Skips
-    silently (catalog unchanged, [false]) when the relation or its
-    attributes no longer exist — a persisted declaration is never a
-    source of truth. *)
+val restore_index : t -> string -> kind:string -> Attr.Set.t -> t option
+(** Re-declares a persisted index: {!create_index}, or [None] where it
+    would raise (the relation or its attributes no longer exist) — a
+    persisted declaration is never a source of truth. *)
 
 val to_db : t -> (string * (Schema.t * Xrel.t)) list
 (** Export in the shape the {!Quel.Resolve} evaluator consumes. *)

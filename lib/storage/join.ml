@@ -22,8 +22,6 @@ let observed2 op x1 x2 result =
   end;
   result
 
-let default_index : (module Index_intf.S) = (module Hash_index.Equi)
-
 let chunk_grain = 256
 
 let chunk_count n =
@@ -65,7 +63,7 @@ let probe_core strategy probe r1 =
   if not parallel then
     join_chunk ~keep:keep_all ~probe probes ~tick:(fun () -> Exec.tick ()) 0 n
   else begin
-    (* Probe-side chunks against the shared read-only bucket table;
+    (* Probe-side chunks against the shared read-only listing table;
        per-chunk partial relations are merged by set union, so chunk
        boundaries and merge order cannot change the result. *)
     let chunks = chunk_count n in
@@ -84,14 +82,12 @@ let probe_core strategy probe r1 =
     Array.fold_left Relation.union Relation.empty parts
   end
 
-let equijoin_core strategy index x r1 r2 =
-  let (module I : Index_intf.S) = index in
-  let idx = I.build x r2 in
-  probe_core strategy (I.probe idx) r1
-
-let hash_equijoin ?(strategy = Kernel.Auto) ?(index = default_index) x r1 r2 =
+(* The build side is [r2]'s subsumption index: its listing of [x],
+   published before any probe runs, is the hash table. *)
+let hash_equijoin ?(strategy = Kernel.Auto) x r1 r2 =
+  let probe = Subsume_index.equi_probe (Subsume_index.build (Xrel.rep r2)) x in
   observed2 "hash-equijoin" r1 r2
-    (Xrel.of_relation (equijoin_core strategy index x r1 r2))
+    (Xrel.of_relation (probe_core strategy probe r1))
 
 (* Same probe loop against a pre-built index probe (a declared
    secondary index served by the catalog): the build side is never
@@ -164,6 +160,6 @@ let column_probe a b r2 =
     | Value.Null -> []
     | v -> Values.find_all tbl v
 
-let hash_union_join ?strategy ?index x r1 r2 =
+let hash_union_join ?strategy x r1 r2 =
   observed2 "hash-union-join" r1 r2
-    (Xrel.union (hash_equijoin ?strategy ?index x r1 r2) (Xrel.union r1 r2))
+    (Xrel.union (hash_equijoin ?strategy x r1 r2) (Xrel.union r1 r2))

@@ -170,12 +170,10 @@ let read_constraints io dir =
       | [ "stale"; name ] -> Some (Either.Right name)
       | _ -> None)
 
-(* INDEX persists secondary-index declarations and, for each, a
-   positional dump of the built structure. At load a dump re-attaches
-   only while its relation's stamp still matches the data just read; a
-   stale stamp, a missing dump, or any anomaly in the payload degrades
-   to a from-scratch rebuild of the declared index — slower, never
-   wrong. *)
+(* INDEX persists secondary-index declarations: a declaration is all
+   there is to an index, its probes read the relation's subsumption
+   index. Its stamps only tell whether the file was cut against the
+   data just loaded. *)
 let indexes_name = "INDEX"
 
 let attrs_to_field attrs =
@@ -196,25 +194,15 @@ let indexes_to_string ~lsn cat data_crcs =
           (fun (rel, kind, attrs) ->
             [ "decl"; rel; kind; attrs_to_field attrs ])
           decls)
-    @ Sidecar.stamp_lines data_crcs (List.map (fun (rel, _, _) -> rel) decls)
-    @ List.concat_map
-        (fun (rel, kind, attrs) ->
-          match Catalog.dump_index cat rel ~kind attrs with
-          | None -> [] (* no dump: the loader rebuilds from the decl *)
-          | Some lines ->
-              List.map
-                (fun payload ->
-                  [ "line"; rel; kind; attrs_to_field attrs; payload ])
-                lines)
-        decls)
+    @ Sidecar.stamp_lines data_crcs (List.map (fun (rel, _, _) -> rel) decls))
 
-(* Declarations [(relation, kind, attrs field)] on the left, dump lines
-   [((relation, kind, attrs field), payload)] on the right. *)
+(* The declarations [(relation, kind, attrs field)]. A [line] entry is
+   the positional dump that files written before declarations became
+   probes of the subsumption index carry: accepted, and ignored. *)
 let read_indexes io dir =
   Sidecar.read io (Filename.concat dir indexes_name) ~kind:"indexes" (function
-    | [ "decl"; rel; kind; attrs ] -> Some (Either.Left (rel, kind, attrs))
-    | [ "line"; rel; kind; attrs; payload ] ->
-        Some (Either.Right ((rel, kind, attrs), payload))
+    | [ "decl"; rel; kind; attrs ] -> Some (Some (rel, kind, attrs))
+    | [ "line"; _; _; _; _ ] -> Some None
     | _ -> None)
 
 (* ---------------------------- save ---------------------------- *)
@@ -234,15 +222,8 @@ let m_wal_replayed =
 
 let m_index_attached =
   Obs.Metrics.counter
-    ~help:"Persisted secondary-index dumps re-attached verbatim at load"
+    ~help:"Persisted secondary-index declarations re-attached at load"
     "storage_index_attach_total"
-
-let m_index_rebuilt =
-  Obs.Metrics.counter
-    ~help:
-      "Persisted secondary-index declarations rebuilt from data at load \
-       (stale stamp, missing or anomalous dump)"
-    "storage_index_rebuild_total"
 
 let save ?(io = Io.real) ?(lsn = 0) ~dir cat =
   if not (io.Io.file_exists dir) then io.Io.mkdir dir;
@@ -274,7 +255,7 @@ let save ?(io = Io.real) ?(lsn = 0) ~dir cat =
   (* The other sidecars ride along, their entries stamped with the CRCs
      of the data files being written: the loader re-checks each stamp,
      so a torn or superseded sidecar degrades — to no stats, to stale
-     constraints, to rebuilt indexes — never to wrong answers. *)
+     constraints, to a repair verdict — never to wrong answers. *)
   let data_crcs =
     List.map (fun (name, _, _, (_, dcrc)) -> (name, Crc32.to_hex dcrc)) entries
   in
@@ -531,11 +512,11 @@ let load_report ?(io = Io.real) ~dir () =
           file.Sidecar.lsn,
           None )
   in
-  (* Replayed deltas advance the re-attached indexes in place like live
-     statements do. A stale stamp, a missing dump, or any payload
-     anomaly keeps the declaration and rebuilds the index from data —
-     slower, never wrong. A damaged INDEX file loses the declarations
-     themselves, reported like CONSTRAINTS damage. *)
+  (* A declaration re-attaches whatever its stamp says: its probes read
+     the relation's subsumption index, which a load leaves unbuilt, so
+     nothing is built here and replayed deltas need no index work. A
+     damaged INDEX file loses the declarations themselves, reported
+     like CONSTRAINTS damage. *)
   let catalog, indexes_note =
     match read_indexes io dir with
     | `Absent -> (catalog, None)
@@ -546,33 +527,17 @@ let load_report ?(io = Io.real) ~dir () =
              with .index" )
     | `Loaded (file, entries) ->
         check_stamps file.Sidecar.stamps;
-        let decls, dumps = List.partition_map Fun.id entries in
         let restore cat (rel, kind, attrs_field) =
-          match attrs_of_field attrs_field with
-          | None -> cat
-          | Some attrs ->
-              let lines =
-                if not (fresh file.Sidecar.stamps rel) then None
-                else
-                  match
-                    List.filter_map
-                      (fun (key, payload) ->
-                        if key = (rel, kind, attrs_field) then Some payload
-                        else None)
-                      dumps
-                  with
-                  | [] -> None
-                  | ls -> Some ls
-              in
-              let cat, attached =
-                Catalog.restore_index cat rel ~kind attrs ~lines
-              in
-              (if attached then Obs.Metrics.inc m_index_attached
-               else if Option.is_some (Catalog.find cat rel) then
-                 Obs.Metrics.inc m_index_rebuilt);
+          match
+            Option.bind (attrs_of_field attrs_field)
+              (Catalog.restore_index cat rel ~kind)
+          with
+          | Some cat ->
+              Obs.Metrics.inc m_index_attached;
               cat
+          | None -> cat
         in
-        (List.fold_left restore catalog decls, None)
+        (List.fold_left restore catalog (List.filter_map Fun.id entries), None)
   in
   (* Replay the journal tail: relation changes past the checkpoint the
      relation's data file belongs to (replaying onto a relation from a

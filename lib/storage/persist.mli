@@ -56,25 +56,25 @@
     it attaches stale — enforced on new writes, the restored data
     unchecked.
 
-    [INDEX] (kind [indexes]) holds every secondary-index declaration,
-    one stamp per indexed relation, and a positional dump of each built
-    structure (lines referring to tuples by their canonical position):
+    [INDEX] (kind [indexes]) holds every secondary-index declaration
+    and one stamp per indexed relation:
     {v
     decl <TAB> REL <TAB> hash|range <TAB> ATTR[,ATTR...]
     stamp <TAB> REL <TAB> DATA-CRC
-    line <TAB> REL <TAB> KIND <TAB> ATTRS <TAB> PAYLOAD
     v}
-    A dump re-attaches ({!Catalog.restore_index}) only while its
-    relation's stamp matches — skipping the build entirely — and
-    degrades to a from-scratch rebuild of the declaration on a stale
-    stamp, missing dump, or any payload anomaly: slower, never wrong.
+    A declaration re-attaches ({!Catalog.restore_index}) whatever its
+    stamp says, and nothing is built: its probes read the relation's
+    subsumption index, built on demand. A stamp that names another
+    data file than the one loaded only sets [checkpoint_note]. A
+    [line <TAB> REL <TAB> KIND <TAB> ATTRS <TAB> PAYLOAD] entry, the
+    positional dump that files written before declarations became
+    probes of the subsumption index hold, is accepted and ignored.
 
     A damaged [CONSTRAINTS] or [INDEX] file loses its declarations and
     says so in the journal note, since declarations are semantics and
     steer planning. All sidecars attach {e before} journal replay, so
     replayed records leave stats observably stale
-    ({!Catalog.stats_status}) and advance restored indexes exactly as
-    live statements would.
+    ({!Catalog.stats_status}).
 
     {!save} is atomic per file and ordered so that a crash at {e any}
     point leaves a recoverable directory: every file is written to a

@@ -58,178 +58,6 @@ let select idx cmp k =
   | Predicate.Ge -> slice idx lb n
   | Predicate.Neq -> Xrel.union (slice idx 0 lb) (slice idx ub n)
 
-(* The sorted array doubles as an equality-probe index when the join
-   key is a single attribute: an [Eq] probe is two binary searches.
-   Persistent under DML: the sorted base is immutable and a small
-   functional overlay carries a statement's delta; compaction merges
-   the (sorted) overlay into the base in linear time rather than
-   re-sorting. *)
-module Equi : Index_intf.S = struct
-  type base = t
-
-  type nonrec t = {
-    b : base;
-    added : Tuple.t list;  (* non-null on [b.attr], live, not in base *)
-    removed : Tuple.Set.t;  (* in base, not live *)
-    n : int;  (* live indexed tuples *)
-  }
-
-  let kind = "range"
-  let of_base b = { b; added = []; removed = Tuple.Set.empty; n = cardinal b }
-
-  let build x rel =
-    match Attr.Set.elements x with
-    | [ a ] -> of_base (build a rel)
-    | _ ->
-        Exec_error.bad_input
-          "Range_index.Equi: the join key must be a single attribute"
-
-  let cardinal t = t.n
-
-  let base_probe b v =
-    let lb = bound b ~strict:false v in
-    let ub = bound b ~strict:true v in
-    let rec collect i acc =
-      if i < lb then acc else collect (i - 1) (b.sorted.(i) :: acc)
-    in
-    collect (ub - 1) []
-
-  let probe t r =
-    let v = Tuple.get r t.b.attr in
-    if Value.is_null v then []
-    else begin
-      let hits = base_probe t.b v in
-      let hits =
-        if Tuple.Set.is_empty t.removed then hits
-        else List.filter (fun u -> not (Tuple.Set.mem u t.removed)) hits
-      in
-      match t.added with
-      | [] -> hits
-      | added ->
-          List.fold_left
-            (fun acc u ->
-              if value_cmp (Tuple.get u t.b.attr) v = 0 then u :: acc else acc)
-            hits added
-    end
-
-  (* Merge the sorted overlay into the sorted base: O(n + k log k),
-     never a full re-sort. *)
-  let compact t =
-    let a = t.b.attr in
-    let extra = Array.of_list t.added in
-    Array.sort (fun r1 r2 -> value_cmp (Tuple.get r1 a) (Tuple.get r2 a)) extra;
-    let out = ref [] in
-    let i = ref 0 and j = ref 0 in
-    let nb = Array.length t.b.sorted and ne = Array.length extra in
-    while !i < nb || !j < ne do
-      if !i < nb && Tuple.Set.mem t.b.sorted.(!i) t.removed then incr i
-      else if
-        !i < nb
-        && (!j >= ne
-           || value_cmp (Tuple.get t.b.sorted.(!i) a) (Tuple.get extra.(!j) a)
-              <= 0)
-      then begin
-        out := t.b.sorted.(!i) :: !out;
-        incr i
-      end
-      else begin
-        out := extra.(!j) :: !out;
-        incr j
-      end
-    done;
-    of_base { attr = a; sorted = Array.of_list (List.rev !out) }
-
-  let compaction_slack = 16
-
-  let is_live t u =
-    (not (Tuple.Set.mem u t.removed))
-    && (List.exists (Tuple.equal u) t.added
-       ||
-       let v = Tuple.get u t.b.attr in
-       (not (Value.is_null v)) && List.exists (Tuple.equal u) (base_probe t.b v))
-
-  let advance t ~added ~removed =
-    let a = t.b.attr in
-    let t =
-      List.fold_left
-        (fun t u ->
-          if Value.is_null (Tuple.get u a) || not (is_live t u) then t
-          else if List.exists (Tuple.equal u) t.added then
-            {
-              t with
-              added = List.filter (fun v -> not (Tuple.equal v u)) t.added;
-              n = t.n - 1;
-            }
-          else { t with removed = Tuple.Set.add u t.removed; n = t.n - 1 })
-        t removed
-    in
-    let t =
-      List.fold_left
-        (fun t u ->
-          if Value.is_null (Tuple.get u a) || is_live t u then t
-          else if Tuple.Set.mem u t.removed then
-            { t with removed = Tuple.Set.remove u t.removed; n = t.n + 1 }
-          else { t with added = u :: t.added; n = t.n + 1 })
-        t added
-    in
-    let overlay = List.length t.added + Tuple.Set.cardinal t.removed in
-    if overlay > compaction_slack + int_of_float (sqrt (float_of_int t.n)) then
-      compact t
-    else t
-
-  (* One line: the canonical positions in sorted order. Restoring
-     resolves positions and verifies the order in O(n) — the O(n log n)
-     sort is exactly what attach avoids. *)
-  let dump t ~pos =
-    let t =
-      if t.added = [] && Tuple.Set.is_empty t.removed then t else compact t
-    in
-    let exception Missing in
-    try
-      Some
-        [
-          String.concat " "
-            (List.map
-               (fun u ->
-                 match pos u with
-                 | Some p -> string_of_int p
-                 | None -> raise Missing)
-               (Array.to_list t.b.sorted));
-        ]
-    with Missing -> None
-
-  let restore x arr lines =
-    match (Attr.Set.elements x, lines) with
-    | [ a ], ([] | [ _ ]) -> (
-        let line = match lines with [ l ] -> l | _ -> "" in
-        try
-          let sorted =
-            Array.of_list
-              (List.filter_map
-                 (fun s ->
-                   if s = "" then None
-                   else begin
-                     let p = int_of_string s in
-                     if p < 0 || p >= Array.length arr then
-                       failwith "position out of range";
-                     let u = arr.(p) in
-                     if Value.is_null (Tuple.get u a) then
-                       failwith "null value in index";
-                     Some u
-                   end)
-                 (String.split_on_char ' ' line))
-          in
-          for i = 1 to Array.length sorted - 1 do
-            if
-              value_cmp (Tuple.get sorted.(i - 1) a) (Tuple.get sorted.(i) a)
-              > 0
-            then failwith "positions not sorted"
-          done;
-          Some (of_base { attr = a; sorted })
-        with Failure _ -> None)
-    | _ -> None
-end
-
 let range idx ?lo ?hi () =
   let n = Array.length idx.sorted in
   let from = match lo with Some v -> bound idx ~strict:false v | None -> 0 in

@@ -6,7 +6,11 @@
     [A theta k] selections by binary search — O(log n + answer). Tuples
     that are null on A never satisfy any comparison (Section 5), so
     they are simply absent from the index and the semantics are
-    preserved exactly (property: agreement with [select_ak]). *)
+    preserved exactly (property: agreement with [select_ak]).
+
+    A declared [range] index ({!Catalog.create_index}) builds none of
+    this: like a [hash] one, it names an equality probe that the
+    relation's subsumption index serves. *)
 
 open Nullrel
 
@@ -29,9 +33,3 @@ val select : t -> Predicate.comparison -> Value.t -> Xrel.t
 
 val range : t -> ?lo:Value.t -> ?hi:Value.t -> unit -> Xrel.t
 (** Inclusive range scan [lo <= A <= k], either end open when absent. *)
-
-module Equi : Index_intf.S
-(** The sorted array as an equality-probe index for single-attribute
-    join keys: a probe is two binary searches, O(log n + answer).
-    [build] raises [Exec_error] when the key is not a single
-    attribute. *)

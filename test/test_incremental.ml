@@ -623,6 +623,8 @@ let rewrite_index dir f =
 
 let is_line_entry = function "line" :: _ -> true | _ -> false
 
+(* A load re-attaches every declaration and builds nothing: the
+   probes read the relations' subsumption indexes, built on demand. *)
 let test_index_persist_roundtrip () =
   Test_durability.with_temp_dir (fun dir ->
       Storage.Persist.save ~dir (indexed_seed ());
@@ -633,55 +635,80 @@ let test_index_persist_roundtrip () =
           let cat = report.Storage.Persist.catalog in
           Alcotest.(check int) "both declarations survive" 2
             (List.length (Storage.Catalog.all_indexes cat));
-          Alcotest.(check int) "both dumps re-attached verbatim" 2
+          Alcotest.(check int) "both declarations re-attached" 2
             (metric "storage_index_attach_total");
-          Alcotest.(check int) "nothing rebuilt" 0
-            (metric "storage_index_rebuild_total");
+          Alcotest.(check int) "nothing built at load" 0
+            (metric "nullrel_subsume_index_tables_built_total");
           check_probe_agrees cat "R" (attr "A");
           check_probe_agrees cat "R" (attr "B")))
+
+(* An INDEX written before declarations became probes of the
+   subsumption index carries a positional dump of each index in [line]
+   entries, these for [indexed_seed]. With them or stripped of them, it
+   loads the same declarations, and the first probe of each builds its
+   listing from the data. *)
+let dumped_lines =
+  [
+    [ "line"; "R"; "hash"; "A"; "3" ];
+    [ "line"; "R"; "hash"; "A"; "2" ];
+    [ "line"; "R"; "hash"; "A"; "1 0" ];
+    [ "line"; "R"; "range"; "B"; "0 1 2 4" ];
+  ]
 
 let test_index_stripped_dump_rebuilds () =
   Test_durability.with_temp_dir (fun dir ->
       Storage.Persist.save ~dir (indexed_seed ());
-      (* Declarations and stamps intact, dumps gone: the loader must
-         degrade to rebuilding from data, never fail. *)
+      let load () =
+        with_metrics (fun () ->
+            let report = Storage.Persist.load_report ~dir () in
+            let cat = report.Storage.Persist.catalog in
+            Alcotest.(check bool) "no repair" false
+              report.Storage.Persist.needs_repair;
+            Alcotest.(check int) "declarations survive" 2
+              (List.length (Storage.Catalog.all_indexes cat));
+            Alcotest.(check int) "nothing built at load" 0
+              (metric "nullrel_subsume_index_tables_built_total");
+            check_probe_agrees cat "R" (attr "A");
+            check_probe_agrees cat "R" (attr "B");
+            Alcotest.(check int) "each probe built its listing" 2
+              (metric "nullrel_subsume_index_tables_built_total"))
+      in
+      load ();
+      let path = index_file dir in
+      let text = In_channel.with_open_text path In_channel.input_all in
+      Out_channel.with_open_text path (fun oc ->
+          Out_channel.output_string oc
+            (Storage.Sidecar.seal
+               (Option.get (Storage.Sidecar.unseal text) @ dumped_lines)));
+      load ();
       rewrite_index dir (fun l -> if is_line_entry l then None else Some l);
-      with_metrics (fun () ->
-          let report = Storage.Persist.load_report ~dir () in
-          let cat = report.Storage.Persist.catalog in
-          Alcotest.(check int) "declarations survive without dumps" 2
-            (List.length (Storage.Catalog.all_indexes cat));
-          Alcotest.(check int) "nothing attached verbatim" 0
-            (metric "storage_index_attach_total");
-          Alcotest.(check int) "both rebuilt from data" 2
-            (metric "storage_index_rebuild_total");
-          check_probe_agrees cat "R" (attr "A");
-          check_probe_agrees cat "R" (attr "B")))
+      load ())
 
+(* A [line] payload is never read: a garbled one (positions reversed,
+   out of range, not numbers) loads like any other, with no note. *)
 let test_index_garbled_payload_rebuilds () =
   Test_durability.with_temp_dir (fun dir ->
       Storage.Persist.save ~dir (indexed_seed ());
-      (* Reverse the range dump's position list: the checksum still
-         passes (we recompute it) but restore must spot the broken sort
-         order and degrade to a rebuild — stale-never-wrong. *)
-      rewrite_index dir (function
-        | [ "line"; rel; "range"; attrs; payload ] ->
-            let reversed =
-              String.concat " " (List.rev (String.split_on_char ' ' payload))
-            in
-            Some [ "line"; rel; "range"; attrs; reversed ]
-        | l -> Some l);
-      with_metrics (fun () ->
-          let report = Storage.Persist.load_report ~dir () in
-          let cat = report.Storage.Persist.catalog in
-          Alcotest.(check int) "declarations survive" 2
-            (List.length (Storage.Catalog.all_indexes cat));
-          Alcotest.(check int) "the intact hash dump still attaches" 1
-            (metric "storage_index_attach_total");
-          Alcotest.(check int) "the anomalous range dump rebuilds" 1
-            (metric "storage_index_rebuild_total");
-          check_probe_agrees cat "R" (attr "A");
-          check_probe_agrees cat "R" (attr "B")))
+      let path = index_file dir in
+      let text = In_channel.with_open_text path In_channel.input_all in
+      Out_channel.with_open_text path (fun oc ->
+          Out_channel.output_string oc
+            (Storage.Sidecar.seal
+               (Option.get (Storage.Sidecar.unseal text)
+               @ [
+                   [ "line"; "R"; "range"; "B"; "4 2 1 0" ];
+                   [ "line"; "R"; "hash"; "A"; "99 -1" ];
+                   [ "line"; "R"; "hash"; "A"; "x y" ];
+                 ])));
+      let report = Storage.Persist.load_report ~dir () in
+      let cat = report.Storage.Persist.catalog in
+      Alcotest.(check (option string)) "no note" None
+        report.Storage.Persist.journal_note;
+      Alcotest.(check bool) "no repair" false report.Storage.Persist.needs_repair;
+      Alcotest.(check int) "declarations survive" 2
+        (List.length (Storage.Catalog.all_indexes cat));
+      check_probe_agrees cat "R" (attr "A");
+      check_probe_agrees cat "R" (attr "B"))
 
 let test_index_torn_file_drops_declarations () =
   Test_durability.with_temp_dir (fun dir ->

@@ -4,9 +4,8 @@
    a checkpoint. Its [Xrel.to_list]
    order (one tuple per line), its data file and its INDEX file must
    match golden copies. Every order the engine exposes -- set
-   iteration, CSV rows, index buckets -- follows [Tuple.compare] and
-   [Hashtbl] over binding lists, so a change to the tuple
-   representation that reorders anything fails here. *)
+   iteration, CSV rows -- follows [Tuple.compare], so a change to the
+   tuple representation that reorders anything fails here. *)
 
 open Nullrel
 

@@ -88,12 +88,6 @@ let test_join_parity () =
         "parallel equijoin = sequential" true
         (Xrel.equal seq
            (Storage.Join.hash_equijoin ~strategy:Kernel.Parallel x x1 x2));
-      Alcotest.(check bool)
-        "range-indexed equijoin agrees with the hash index" true
-        (Xrel.equal seq
-           (Storage.Join.hash_equijoin ~strategy:Kernel.Parallel
-              ~index:(module Storage.Range_index.Equi)
-              x x1 x2));
       let useq =
         Storage.Join.hash_union_join ~strategy:Kernel.Sequential x x1 x2
       in

@@ -124,6 +124,63 @@ let test_index_keeps_type_errors () =
               ("explain analyze with the index", explained) ]
       | _ -> Alcotest.fail "expected six outputs")
 
+(* A [range] declaration takes one attribute; a [hash] declaration on
+   two serves the two-attribute equality probe, which answers the
+   tuples agreeing on both and nothing for a tuple null on either. *)
+let test_index_kinds_and_keys () =
+  let r = temp_csv "A,B,C\n1,2,x\n1,3,y\n2,2,z\n1,2,-\n" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove r)
+    (fun () ->
+      let st, outputs =
+        feed [ ".load R " ^ r; ".index R range A,B"; ".index R hash A,B" ]
+      in
+      (match outputs with
+      | [ _; range; hash ] ->
+          Alcotest.(check string) "range on two attributes is refused"
+            "error: create index: a range key must be a single attribute" range;
+          Alcotest.(check string) "hash on two attributes is declared"
+            "index R hash(A,B) -- 3 tuples indexed" hash
+      | _ -> Alcotest.fail "expected three outputs");
+      match
+        Storage.Catalog.equi_probe (Shell.catalog st) "R"
+          (Nullrel.Attr.set_of_list [ "A"; "B" ])
+      with
+      | None -> Alcotest.fail "no probe on (A, B)"
+      | Some probe ->
+          let shown t = List.map (Nullrel.Pp.to_string Nullrel.Tuple.pp) (probe t) in
+          Alcotest.(check (list string)) "agreeing on A and B"
+            [ "(A=1, B=2, C=x)" ]
+            (shown (t [ ("A", i 1); ("B", i 2) ]));
+          Alcotest.(check (list string)) "whatever else the probe binds"
+            [ "(A=1, B=3, C=y)" ]
+            (shown (t [ ("A", i 1); ("B", i 3); ("C", s "q") ]));
+          Alcotest.(check (list string)) "null on B" [] (shown (t [ ("A", i 1) ])))
+
+(* Both kinds of declaration probe alike, also with a value of another
+   kind: R's string column F references T's int column K under a
+   foreign key left unverified by a reload, and a delete from T probes
+   R's index on F with an int, which agrees with no string. *)
+let test_index_kinds_probe_alike () =
+  let t_ = temp_csv "K\n1\n2\n" and empty = temp_csv "F,W\n"
+  and r = temp_csv "F,W\nx,1\ny,2\n" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ t_; empty; r ])
+    (fun () ->
+      let _, outputs =
+        feed
+          [ ".load T " ^ t_; ".load R " ^ empty;
+            "constrain fk R (F) to T (K) on delete cascade as fk_rt";
+            ".load R " ^ r; ".index R range F";
+            "range of t is T delete t where t.K = 1"; ".index drop R range F";
+            ".index R hash F"; "range of t is T delete t where t.K = 2" ]
+      in
+      match outputs with
+      | [ _; _; _; _; _; by_range; _; _; by_hash ] ->
+          Alcotest.(check string) "range-indexed delete" "1 tuple deleted" by_range;
+          Alcotest.(check string) "hash-indexed delete" "1 tuple deleted" by_hash
+      | _ -> Alcotest.fail "expected nine outputs")
+
 (* A retrieve gets the calculus evaluator's answer or error, whatever
    order the plan runs its comparisons in. R's columns are both int and
    S is empty; [run inputs] feeds the shell [.load R], [.load S] and
@@ -530,6 +587,10 @@ let suite =
       `Quick test_open_replayed_tail_is_clean;
     Alcotest.test_case "a declared index keeps type errors" `Quick
       test_index_keeps_type_errors;
+    Alcotest.test_case "a range index takes one attribute, hash two" `Quick
+      test_index_kinds_and_keys;
+    Alcotest.test_case "range and hash declarations probe alike" `Quick
+      test_index_kinds_probe_alike;
     Alcotest.test_case "a retrieve raises where the evaluator does" `Quick
       test_retrieve_raises_where_the_evaluator_does;
     Alcotest.test_case "a retrieve answers where the evaluator does" `Quick

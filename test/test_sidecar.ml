@@ -3,7 +3,9 @@
    for damage: every truncation and every single-byte flip of each file
    either loads in full or takes that file's documented damage path,
    with the data intact; a checksum-valid header that claims another
-   format version raises. *)
+   format version raises. An INDEX written with positional dumps, as
+   files were before declarations became probes of the subsumption
+   index, still opens. *)
 
 open Nullrel
 
@@ -13,8 +15,8 @@ let files = [ "MANIFEST"; "STATS"; "CONSTRAINTS"; "INDEX" ]
 
 (* Every tag of every file: two relations, fresh statistics on DEPT
    only, a verified unique constraint and a stale foreign key, and a
-   hash and a range index, both dumped. Small enough that every pool
-   size writes the same bytes. *)
+   hash and a range index. Small enough that every pool size writes the
+   same bytes. *)
 let fixture () =
   let dept =
     Schema.make "DEPT" [ ("D", Domain.Ints); ("LOC", Domain.Strings) ]
@@ -214,7 +216,7 @@ let expected_counts =
     ("MANIFEST", (7, 381));
     ("STATS", (2, 266));
     ("CONSTRAINTS", (4, 596));
-    ("INDEX", (2, 742));
+    ("INDEX", (5, 419));
   ]
 
 let test_damage_sweep () =
@@ -255,10 +257,62 @@ let test_damage_sweep () =
           | _ -> Alcotest.failf "%s claiming version 2 loaded" name)
         [ "MANIFEST"; "CONSTRAINTS"; "INDEX" ])
 
+(* ---------------------- INDEX with dumps ------------------------ *)
+
+(* [INDEX.with-lines] beside a golden INDEX keeps the file its fixture
+   was saved with while each index was also dumped, one [line] entry
+   per bucket. A directory that carries it opens with the fixture's
+   declarations and probe answers, no note and no repair verdict, and
+   its next checkpoint writes the golden INDEX, with no [line] entry. *)
+let test_index_with_lines ~golden ~lsn fixture () =
+  Test_durability.with_temp_dir (fun dir ->
+      let cat = fixture () in
+      Storage.Persist.save ~lsn ~dir cat;
+      Out_channel.with_open_bin (Filename.concat dir "INDEX") (fun oc ->
+          output_string oc (read (Filename.concat golden "INDEX.with-lines")));
+      let r = Storage.Persist.load_report ~dir () in
+      Alcotest.(check (option string)) "no journal note" None
+        r.Storage.Persist.journal_note;
+      Alcotest.(check (option string)) "no checkpoint note" None
+        r.Storage.Persist.checkpoint_note;
+      Alcotest.(check bool) "no repair" false r.Storage.Persist.needs_repair;
+      let loaded = r.Storage.Persist.catalog in
+      let decls c =
+        List.map
+          (fun (rel, kind, attrs) ->
+            (rel, kind, List.map Attr.name (Attr.Set.elements attrs)))
+          (Storage.Catalog.all_indexes c)
+      in
+      Alcotest.(check (list (triple string string (list string))))
+        "the same declarations" (decls cat) (decls loaded);
+      List.iter
+        (fun (rel, _, attrs) ->
+          let probe c = Option.get (Storage.Catalog.equi_probe c rel attrs) in
+          let expected = probe cat and answered = probe loaded in
+          let shown l = List.map (Pp.to_string Tuple.pp) l in
+          List.iter
+            (fun t ->
+              Alcotest.(check (list string)) "the same probe answer"
+                (shown (expected t)) (shown (answered t)))
+            (Xrel.to_list (Storage.Catalog.relation cat rel)))
+        (Storage.Catalog.all_indexes cat);
+      Storage.Persist.save ~lsn:r.Storage.Persist.lsn ~dir loaded;
+      Alcotest.(check string) "the next checkpoint writes no line entry"
+        (read (Filename.concat golden "INDEX"))
+        (read (Filename.concat dir "INDEX")))
+
+let order_golden_dir =
+  Filename.concat (Filename.dirname Sys.executable_name) "order_golden"
+
 let suite =
   [
     Alcotest.test_case "the four sidecars match their golden bytes" `Quick
       test_golden;
     Alcotest.test_case "damage sweep over the four sidecars" `Quick
       test_damage_sweep;
+    Alcotest.test_case "an INDEX with line entries still opens" `Quick
+      (test_index_with_lines ~golden:golden_dir ~lsn:7 fixture);
+    Alcotest.test_case "the order golden's dumped INDEX still opens" `Quick
+      (test_index_with_lines ~golden:order_golden_dir ~lsn:3
+         Test_order_golden.fixture);
   ]
