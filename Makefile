@@ -54,8 +54,10 @@ metrics-demo:
 # run .analyze, list the stats catalog, show a plan costed with the
 # collected statistics, then measure it with .explain analyze: no index
 # is declared, and still no product may run (the join hashes one
-# factor per query). Exercised by CI at 1 and 4 domains so the
-# governed analyze scan runs through both kernel strategies.
+# factor per query). Exercised by CI at 1 and 4 domains; the relations
+# have 3 and 4 rows, below the kernel's 512-row fan-out cutover, so
+# both runs fold sequentially (test_stats "pool-size parity" covers
+# the parallel fold).
 analyze-demo:
 	$(DUNE) build bin/nullrel_cli.exe
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \

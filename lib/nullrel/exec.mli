@@ -20,12 +20,12 @@
     of the per-session governors in {!Session}. Worker domains spawned
     by {!Par.Pool} still must never call {!tick} against a governor
     they did not install — [charged] and the amortization countdown
-    are unsynchronized within a domain. Parallel kernels instead count
-    work into a per-task [Atomic.t] which the coordinator charges via
-    {!drain_ticks} between the chunks it runs itself, preserving
-    deadline, budget and cancellation semantics across domains
-    (workers observe the pool's cancel flag at chunk boundaries when
-    the drain raises). *)
+    are unsynchronized within a domain. The one governed fan-out,
+    {!Kernel.fan_out}, instead counts work into a per-task [Atomic.t]
+    which the coordinator charges via {!drain_ticks} between the chunks
+    it runs itself, preserving deadline, budget and cancellation
+    semantics across domains (workers observe the pool's cancel flag
+    at chunk boundaries when the drain raises). *)
 
 type t
 

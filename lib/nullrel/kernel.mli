@@ -1,45 +1,51 @@
-(** The one entry point for the subsumption kernels — minimization
-    (Definition 4.6), relation subsumption (Definition 4.7) and
-    x-membership (4.2') — behind a size- and pool-aware strategy
-    dispatch.
+(** The subsumption kernels — minimization (Definition 4.6), relation
+    subsumption (Definition 4.7) and repeated x-membership (4.2') —
+    with the path each call takes chosen from its input's size and the
+    {!Par.Pool}, and the one governed fan-out every parallel kernel
+    runs through.
 
-    Callers used to pick between [Relation.minimize] (naive
-    quadratic), [Subsume_index.minimize] (combinatorial hashing) and
-    ad-hoc loops. This facade makes that an implementation choice:
-    [Auto] (the default) selects sequential scans for small inputs,
-    the {!Subsume_index} for medium ones, and chunked fan-out over the
-    {!Par.Pool} domains for large ones. Every strategy computes the
-    same set — results are sets and per-tuple verdicts are independent,
-    so merge order cannot change semantics (property-tested).
+    Section 4 leaves the method open (a quadratic scan or combinatorial
+    hashing), so the choice is the kernel's: a sequential scan below
+    {!indexed_cutover} tuples, the {!Subsume_index} from there, and a
+    chunked fan-out over the pool's domains from {!parallel_cutover}
+    tuples when {!Par.Pool.parallelizable}. Every path computes the same
+    set — results are sets and per-tuple verdicts are independent, so
+    merge order cannot change semantics (the tests hold each path to
+    [Relation]'s kernels at pool sizes 1 and 4). Each choice is counted
+    under [nullrel_kernel_dispatch_total{kernel, strategy}].
 
-    Governance: sequential and indexed strategies charge
-    {!Exec.tick} per comparison or probe as before. Parallel
-    strategies count work into a per-task [Atomic.t] on the worker
-    domains and the coordinator drains it via {!Exec.drain_ticks}
-    between its own chunks — a governor violation raised there cancels
-    the remaining chunks at chunk boundaries. *)
-
-type strategy =
-  | Auto  (** pick by input size and pool availability (default) *)
-  | Sequential  (** the plain [Relation] scans, bit-for-bit *)
-  | Indexed  (** {!Subsume_index} probes on the calling domain *)
-  | Parallel
-      (** chunked fan-out over {!Par.Pool} against a prepared, shared
-          read-only {!Subsume_index}; inline when the pool has size 1 *)
-
-val strategy_name : strategy -> string
+    Governance: the sequential and indexed paths charge {!Exec.tick}
+    per comparison or probe. Parallel work goes through {!fan_out}. *)
 
 val indexed_cutover : int
-(** [Auto] stays [Sequential] below this cardinality (64): below it
-    the index build costs more than the quadratic scan it avoids, and
-    small governed callers keep their exact historical tick counts. *)
+(** Below this cardinality (64) a kernel scans: below it the index
+    build costs more than the quadratic scan it avoids, and small
+    governed callers keep their exact historical tick counts. *)
 
 val parallel_cutover : int
-(** [Auto] considers [Parallel] from this cardinality (512) up,
-    provided {!Par.Pool.parallelizable}. *)
+(** From this cardinality (512) up a kernel fans out, provided
+    {!Par.Pool.parallelizable}. *)
+
+val fans_out : int -> bool
+(** [fans_out n]: an input of [n] tuples fans out — [n] reaches
+    {!parallel_cutover} and the pool has more than one domain. *)
+
+val fan_out :
+  int ->
+  chunk:(lo:int -> hi:int -> 'b * int) ->
+  combine:('a -> 'b -> 'a) ->
+  init:'a ->
+  'a
+(** [fan_out n ~chunk ~combine ~init] runs [chunk ~lo ~hi] over chunks
+    of [[0, n)] on the {!Par.Pool}; each returns its partial result and
+    the work it charged. The coordinator drains that count into the
+    ambient governor ({!Exec.drain_ticks}) between the chunks it runs
+    itself and once more at the end, so a violation cancels the
+    remaining chunks at chunk boundaries. The partial results are folded
+    left to right with [combine] from [init]. A chunk may only read
+    shared state, and must not tick the governor itself. *)
 
 val fold_chunks :
-  ?strategy:strategy ->
   'a array ->
   chunk:(lo:int -> hi:int -> 'b) ->
   combine:('b -> 'b -> 'b) ->
@@ -48,30 +54,21 @@ val fold_chunks :
 (** Governed, chunked fold over an array: [chunk ~lo ~hi] summarizes
     the slice [lo, hi) (it must be a pure read), [combine] merges
     summaries left-to-right starting from [init]. Charges one
-    {!Exec.tick} per element under every strategy (per-task atomics
-    drained by the coordinator when parallel). [Auto] fans out over
-    the {!Par.Pool} from {!parallel_cutover} elements; [Indexed]
-    degrades to [Sequential] (a scan has no index). The statistics
-    analyzer is the main client. *)
+    {!Exec.tick} per element on either path, and fans out from
+    {!parallel_cutover} elements. The statistics analyzer is the main
+    client. *)
 
-val minimize : ?strategy:strategy -> Relation.t -> Relation.t
-(** Reduction to minimal form; agrees with [Relation.minimize]. [Auto]
-    is [Sequential] below {!indexed_cutover}, [Parallel] from
-    {!parallel_cutover} up when {!Par.Pool.parallelizable}, [Indexed]
-    in between. *)
+val minimize : Relation.t -> Relation.t
+(** Reduction to minimal form; agrees with [Relation.minimize]. *)
 
-val subsumes : ?strategy:strategy -> Relation.t -> Relation.t -> bool
+val subsumes : Relation.t -> Relation.t -> bool
 (** [subsumes r1 r2]: does [r1] x-contain every non-null tuple of
-    [r2]? Agrees with [Relation.subsumes]. *)
+    [r2]? Agrees with [Relation.subsumes]. Scans while both operands
+    are below {!indexed_cutover}; the fan-out splits [r2]. *)
 
-val x_mem : ?strategy:strategy -> Tuple.t -> Relation.t -> bool
-(** X-membership of one tuple; agrees with [Relation.x_mem]. [Auto]
-    stays [Sequential]: a single probe never amortizes an index build,
-    and the linear scan is too short to fan out. *)
-
-val prober : ?strategy:strategy -> Relation.t -> Tuple.t -> bool
+val prober : Relation.t -> Tuple.t -> bool
 (** [prober r] prepares a repeated x-membership test against [r] and
-    returns the probe function: under [Auto]/[Indexed] a
-    {!Subsume_index} is built once (when [r] is large enough) and each
-    probe is an expected-O(1) lookup; under [Sequential] each probe
-    scans. The returned closure is for the calling domain only. *)
+    returns the probe function: from {!indexed_cutover} tuples a
+    {!Subsume_index} is built once and each probe is an expected-O(1)
+    lookup; below it each probe scans. The returned closure is for the
+    calling domain only. *)

@@ -1,5 +1,5 @@
 (** Hash-accelerated subsumption probes — the engine-core index behind
-    {!Kernel}'s indexed and parallel strategies.
+    {!Kernel}'s indexed and parallel paths.
 
     The paper notes after (4.6)-(4.8) that the naive implementations of
     difference and reduction to minimal form are quadratic, and that

@@ -33,7 +33,7 @@ let is_empty = Relation.is_empty
 let scope = Relation.scope
 let equal = Relation.equal
 let compare = Relation.compare
-let x_mem t x = Kernel.x_mem t x
+let x_mem = Relation.x_mem
 let contains x1 x2 = Kernel.subsumes x1 x2
 let properly_contains x1 x2 = contains x1 x2 && not (equal x1 x2)
 let union x1 x2 = minimized (Relation.union x1 x2)

@@ -10,18 +10,13 @@ type bands = {
 
 type tautology_strategy = Brute_force | Symbolic_first
 
-type ctx = {
-  semantics : Semantics.t;
-  governor : Exec.t option;
-  strategy : tautology_strategy;
-  legal : (Tuple.t -> bool) option;
-}
+type ctx = { semantics : Semantics.t }
 
-let ctx ?semantics ?governor ?(strategy = Symbolic_first) ?legal () =
+let ctx ?semantics () =
   let semantics =
     match semantics with Some sem -> sem | None -> Semantics.current ()
   in
-  { semantics; governor; strategy; legal }
+  { semantics }
 
 let target_attr targets (v, a) =
   let same_attr = List.filter (fun (_, a') -> String.equal a a') targets in
@@ -140,44 +135,39 @@ let ticked keep r =
    over this. *)
 let query ctx db q =
   let sem = ctx.semantics in
-  let run () =
-    Obs.Span.with_span ("quel.query." ^ sem.Semantics.name) (fun () ->
-        let p = qualification ~semantics:sem q in
-        Resolve.check db q;
-        let attrs = output_attrs q in
-        let scope = Attr.Set.of_list attrs in
-        let row = project q attrs in
-        let into band r =
-          let t = row r in
-          if Semantics.admit_tuple sem scope t then band := Relation.add t !band
-        in
-        let sure = ref Relation.empty and maybe = ref Relation.empty in
-        iter_combined db q (fun r ->
-            Exec.tick ();
-            match sem.Semantics.admit (Semantics.eval sem p r) with
-            | Semantics.Sure -> into sure r
-            | Semantics.Maybe -> if sem.Semantics.reports_maybe then into maybe r
-            | Semantics.Out -> ());
-        let sure =
-          (* Through Xrel so the minimizing dialect pays the kernel
-             minimizer (bucketed, parallel-capable), not the naive
-             quadratic Relation.minimize — E25 gates this path. *)
-          if sem.Semantics.minimize then Xrel.rep (Xrel.of_relation !sure)
-          else !sure
-        in
-        let maybe =
-          if not sem.Semantics.reports_maybe then None
-          else
-            Some
-              (if sem.Semantics.exclude_sure then
-                 Relation.filter (fun r -> not (Relation.mem r sure)) !maybe
-               else !maybe)
-        in
-        { attrs; sure; maybe })
-  in
-  match ctx.governor with
-  | None -> run ()
-  | Some g -> Exec.with_governor g run
+  Obs.Span.with_span ("quel.query." ^ sem.Semantics.name) (fun () ->
+      let p = qualification ~semantics:sem q in
+      Resolve.check db q;
+      let attrs = output_attrs q in
+      let scope = Attr.Set.of_list attrs in
+      let row = project q attrs in
+      let into band r =
+        let t = row r in
+        if Semantics.admit_tuple sem scope t then band := Relation.add t !band
+      in
+      let sure = ref Relation.empty and maybe = ref Relation.empty in
+      iter_combined db q (fun r ->
+          Exec.tick ();
+          match sem.Semantics.admit (Semantics.eval sem p r) with
+          | Semantics.Sure -> into sure r
+          | Semantics.Maybe -> if sem.Semantics.reports_maybe then into maybe r
+          | Semantics.Out -> ());
+      let sure =
+        (* Through Xrel so the minimizing dialect pays the kernel
+           minimizer (bucketed, parallel-capable), not the naive
+           quadratic Relation.minimize — E25 gates this path. *)
+        if sem.Semantics.minimize then Xrel.rep (Xrel.of_relation !sure)
+        else !sure
+      in
+      let maybe =
+        if not sem.Semantics.reports_maybe then None
+        else
+          Some
+            (if sem.Semantics.exclude_sure then
+               Relation.filter (fun r -> not (Relation.mem r sure)) !maybe
+             else !maybe)
+      in
+      { attrs; sure; maybe })
 
 let run db q =
   let b = query (ctx ~semantics:(Semantics.of_dialect Semantics.Ni_lower) ()) db q in

@@ -48,27 +48,12 @@ type tautology_strategy =
 
 type ctx = {
   semantics : Semantics.t;  (** The dialect answering the query. *)
-  governor : Exec.t option;
-      (** Run under this governor ([Exec.with_governor]) — [None]
-          inherits whatever governor is ambient. *)
-  strategy : tautology_strategy;
-      (** For the substitution-based bounds ({!run_unknown}). *)
-  legal : (Tuple.t -> bool) option;
-      (** Integrity constraints on fully substituted tuples, for the
-          substitution-based bounds. *)
 }
-(** The evaluation context: one record carrying everything the old
-    positional entry points took separately. *)
+(** The evaluation context of {!query}. *)
 
-val ctx :
-  ?semantics:Semantics.t ->
-  ?governor:Exec.t ->
-  ?strategy:tautology_strategy ->
-  ?legal:(Tuple.t -> bool) ->
-  unit ->
-  ctx
+val ctx : ?semantics:Semantics.t -> unit -> ctx
 (** Context builder. [semantics] defaults to the ambient dialect
-    ({!Semantics.current}), [strategy] to {!Symbolic_first}. *)
+    ({!Semantics.current}). {!query} runs under the ambient governor. *)
 
 val query : ctx -> Resolve.db -> Ast.query -> bands
 (** The dialect-parameterized core: evaluate the qualification on every

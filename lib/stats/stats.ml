@@ -81,7 +81,7 @@ let merge_col c1 c2 =
 (* One governed pass over the minimal representation: row count plus a
    per-attribute summary, Kernel-dispatched so a large relation is
    chunked over the domain pool. *)
-let collect ?strategy ~attrs x =
+let collect ~attrs x =
   let attrs = Array.of_list attrs in
   let arr = Array.of_list (Xrel.to_list x) in
   let chunk ~lo ~hi =
@@ -98,7 +98,7 @@ let collect ?strategy ~attrs x =
     (n1 + n2, Array.map2 merge_col c1 c2)
   in
   let rows, cols =
-    Kernel.fold_chunks ?strategy arr ~chunk ~combine
+    Kernel.fold_chunks arr ~chunk ~combine
       ~init:(0, Array.map (fun _ -> empty_col) attrs)
   in
   Obs.Metrics.inc m_analyzed;

@@ -28,13 +28,12 @@ type column = {
 
 type table = { rows : int; columns : (Attr.t * column) list }
 
-val collect : ?strategy:Kernel.strategy -> attrs:Attr.t list -> Xrel.t -> table
+val collect : attrs:Attr.t list -> Xrel.t -> table
 (** One pass over the minimal representation. [attrs] fixes the
     columns summarized (normally the schema universe); attributes a
     tuple does not bind count as nulls. Ticks the ambient governor
-    once per tuple and honours the usual {!Nullrel.Kernel.strategy}
-    dispatch ([Auto] fans out from
-    {!Nullrel.Kernel.parallel_cutover} rows). *)
+    once per tuple and fans out from
+    {!Nullrel.Kernel.parallel_cutover} rows. *)
 
 val column : table -> Attr.t -> column option
 val null_fraction : table -> column -> float

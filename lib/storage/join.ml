@@ -22,17 +22,11 @@ let observed2 op x1 x2 result =
   end;
   result
 
-let chunk_grain = 256
-
-let chunk_count n =
-  let d = Par.Pool.domains () in
-  min n (max (4 * d) ((n + chunk_grain - 1) / chunk_grain))
-
 (* Probe-side join: each probe tuple looks up its bucket and attempts
    the tuple joins, keeping the joined tuples [keep] accepts. [tick] is
    charged once per probe and once per attempted join — [Exec.tick]
-   directly when sequential, a local count drained by the coordinator
-   when a worker runs the chunk. *)
+   directly on the calling domain, a local count reported to
+   [Kernel.fan_out] when the probes fan out. *)
 let join_chunk ~keep ~probe probes ~tick lo hi =
   let acc = ref Relation.empty in
   for j = lo to hi - 1 do
@@ -48,46 +42,38 @@ let join_chunk ~keep ~probe probes ~tick lo hi =
   done;
   !acc
 
+(* Every probe on the calling domain. *)
+let join_all ~keep ~probe probes =
+  join_chunk ~keep ~probe probes
+    ~tick:(fun () -> Exec.tick ())
+    0 (Array.length probes)
+
 let keep_all _ = true
 
-let probe_core strategy probe r1 =
+(* The build side is [r2]'s subsumption index: its listing of [x],
+   published before any probe runs, is the hash table. From
+   [Kernel.parallel_cutover] probe tuples on a pool of several domains
+   the probes fan out against that shared read-only table; the
+   per-chunk partial relations are merged by set union, so chunk
+   boundaries and merge order cannot change the result. *)
+let hash_equijoin x r1 r2 =
+  let probe = Subsume_index.equi_probe (Subsume_index.build (Xrel.rep r2)) x in
   let probes = Array.of_list (Xrel.to_list r1) in
   let n = Array.length probes in
-  let parallel =
-    match strategy with
-    | Kernel.Parallel -> n > 1 && Par.Pool.parallelizable ()
-    | Kernel.Auto ->
-        n >= Kernel.parallel_cutover && Par.Pool.parallelizable ()
-    | Kernel.Sequential | Kernel.Indexed -> false
+  let joined =
+    if Kernel.fans_out n then
+      Kernel.fan_out n ~init:Relation.empty ~combine:Relation.union
+        ~chunk:(fun ~lo ~hi ->
+          let cost = ref 0 in
+          let part =
+            join_chunk ~keep:keep_all ~probe probes
+              ~tick:(fun () -> incr cost)
+              lo hi
+          in
+          (part, !cost))
+    else join_all ~keep:keep_all ~probe probes
   in
-  if not parallel then
-    join_chunk ~keep:keep_all ~probe probes ~tick:(fun () -> Exec.tick ()) 0 n
-  else begin
-    (* Probe-side chunks against the shared read-only listing table;
-       per-chunk partial relations are merged by set union, so chunk
-       boundaries and merge order cannot change the result. *)
-    let chunks = chunk_count n in
-    let parts = Array.make chunks Relation.empty in
-    let ticks = Atomic.make 0 in
-    Par.Pool.run ~chunks
-      ~progress:(fun () -> Exec.drain_ticks ticks)
-      (fun c ->
-        let lo = c * n / chunks and hi = (c + 1) * n / chunks in
-        let cost = ref 0 in
-        parts.(c) <-
-          join_chunk ~keep:keep_all ~probe probes ~tick:(fun () -> incr cost)
-            lo hi;
-        ignore (Atomic.fetch_and_add ticks !cost));
-    Exec.drain_ticks ticks;
-    Array.fold_left Relation.union Relation.empty parts
-  end
-
-(* The build side is [r2]'s subsumption index: its listing of [x],
-   published before any probe runs, is the hash table. *)
-let hash_equijoin ?(strategy = Kernel.Auto) x r1 r2 =
-  let probe = Subsume_index.equi_probe (Subsume_index.build (Xrel.rep r2)) x in
-  observed2 "hash-equijoin" r1 r2
-    (Xrel.of_relation (probe_core strategy probe r1))
+  observed2 "hash-equijoin" r1 r2 (Xrel.of_relation joined)
 
 (* Same probe loop against a pre-built index probe (a declared
    secondary index served by the catalog): the build side is never
@@ -105,32 +91,25 @@ let observed_probe op r1 result =
    comparable factors: the output of minimal operands is minimal, the
    test {!Algebra.product} makes. Only a hit that shares a column with
    [r1] sends the output through minimization. *)
-let probe_equijoin ?(strategy = Kernel.Indexed) ~probe r1 =
+let probe_equijoin ~probe r1 =
   let scope = Xrel.scope r1 in
-  let shared = Atomic.make false in
+  let shared = ref false in
   let binds_scope t2 =
     Tuple.fold (fun a _ hit -> hit || Attr.Set.mem a scope) t2 false
   in
   let probe t1 =
     let hits = probe t1 in
-    if (not (Atomic.get shared)) && List.exists binds_scope hits then
-      Atomic.set shared true;
+    if (not !shared) && List.exists binds_scope hits then shared := true;
     hits
   in
-  let raw = probe_core strategy probe r1 in
+  let raw = join_all ~keep:keep_all ~probe (Array.of_list (Xrel.to_list r1)) in
   observed_probe "probe-equijoin" r1
-    (if Atomic.get shared then Xrel.of_relation raw
-     else Xrel.unsafe_of_minimal raw)
+    (if !shared then Xrel.of_relation raw else Xrel.unsafe_of_minimal raw)
 
 (* The planner's one-pass join works on plain tuple sets, which it
    minimizes once at the end, so nothing here minimizes. *)
 let probe_join op ~keep ~probe r1 =
-  let probes = Array.of_list (Relation.to_list r1) in
-  let out =
-    join_chunk ~keep ~probe probes
-      ~tick:(fun () -> Exec.tick ())
-      0 (Array.length probes)
-  in
+  let out = join_all ~keep ~probe (Array.of_list (Relation.to_list r1)) in
   if Obs.Metrics.is_enabled () then begin
     Obs.Metrics.add (op_counter op "in") (Relation.cardinal r1);
     Obs.Metrics.add (op_counter op "out") (Relation.cardinal out)
@@ -160,6 +139,6 @@ let column_probe a b r2 =
     | Value.Null -> []
     | v -> Values.find_all tbl v
 
-let hash_union_join ?strategy x r1 r2 =
+let hash_union_join x r1 r2 =
   observed2 "hash-union-join" r1 r2
-    (Xrel.union (hash_equijoin ?strategy x r1 r2) (Xrel.union r1 r2))
+    (Xrel.union (hash_equijoin x r1 r2) (Xrel.union r1 r2))

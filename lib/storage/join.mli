@@ -9,41 +9,25 @@
     property-tested; the speedup is benchmark E13.
 
     The build side is the operand's subsumption index, probed through
-    {!Nullrel.Subsume_index.equi_probe}; the probe side can fan out over
-    the {!Par.Pool} domains — probe chunks against the shared read-only
-    listing table, per-chunk partial results merged by set union, so the
-    result is identical under every strategy and pool size. Governance
-    follows the {!Nullrel.Kernel} scheme: sequential probes tick
-    inline, parallel chunks count ticks into an atomic drained by the
-    coordinator. *)
+    {!Nullrel.Subsume_index.equi_probe}. From
+    {!Nullrel.Kernel.parallel_cutover} probe tuples on a pool of several
+    domains the probe side fans out through {!Nullrel.Kernel.fan_out}:
+    probe chunks against the shared read-only listing table, per-chunk
+    partial results merged by set union, so the result is identical at
+    every pool size. The governor is charged once per probe and once
+    per attempted join on either path. *)
 
 open Nullrel
 
-val hash_equijoin :
-  ?strategy:Kernel.strategy ->
-  Attr.Set.t ->
-  Xrel.t ->
-  Xrel.t ->
-  Xrel.t
+val hash_equijoin : Attr.Set.t -> Xrel.t -> Xrel.t -> Xrel.t
 (** [hash_equijoin x r1 r2] = [Algebra.equijoin x r1 r2], computed by
-    probing [r2]'s listing of [x] with the tuples of [r1]. [strategy]
-    defaults to [Auto] (parallel from {!Kernel.parallel_cutover}
-    probe tuples when the pool has more than one domain); [Sequential]
-    and [Indexed] both mean "probe on the calling domain". *)
+    probing [r2]'s listing of [x] with the tuples of [r1]. *)
 
-val hash_union_join :
-  ?strategy:Kernel.strategy ->
-  Attr.Set.t ->
-  Xrel.t ->
-  Xrel.t ->
-  Xrel.t
+val hash_union_join : Attr.Set.t -> Xrel.t -> Xrel.t -> Xrel.t
 (** The union-join (outer join) on top of {!hash_equijoin}. *)
 
 val probe_equijoin :
-  ?strategy:Kernel.strategy ->
-  probe:(Tuple.t -> Tuple.t list) ->
-  Xrel.t ->
-  Xrel.t
+  probe:(Tuple.t -> Tuple.t list) -> Xrel.t -> Xrel.t
 (** The same probe loop against a {e pre-built} equality probe — a
     declared index served by {!Catalog.equi_probe} — so the build side
     is never materialized: cost O(|r1| + |output|) instead
@@ -53,8 +37,8 @@ val probe_equijoin :
     minimal relation (a catalog relation, seen through the compiler's
     one-to-one renames) — then the result equals [Algebra.equijoin].
     When no hit binds an attribute of [r1]'s scope the output is
-    already minimal and is not minimized again. [strategy] defaults to
-    [Indexed] (sequential probes on the calling domain). *)
+    already minimal and is not minimized again. Probes on the calling
+    domain. *)
 
 val probe_join :
   string ->

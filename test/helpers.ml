@@ -48,3 +48,17 @@ let evaluator_ran f =
   in
   Obs.Span.clear_events ();
   (x, ran)
+
+(* [f ()] with the pool forced to [d] domains, restoring the previous
+   degree (and thus the previous pool) afterwards. *)
+let with_domains d f =
+  let saved = Par.Pool.domains () in
+  Par.Pool.set_domains d;
+  Fun.protect ~finally:(fun () -> Par.Pool.set_domains saved) f
+
+(* A pool of 1 domain, where every kernel stays on the calling domain,
+   and one of 4, where large inputs fan out. *)
+let pools = [ 1; 4 ]
+
+(* [f d] on a pool of [d] domains, for each of [pools]. *)
+let each_pool f = List.iter (fun d -> with_domains d (fun () -> f d)) pools

@@ -61,16 +61,42 @@ let test_collect_empty () =
   Alcotest.(check (float 1e-9)) "null fraction of empty" 0.
     (Stats.null_fraction tbl a)
 
-(* The parallel fold must compute exactly the sequential answer. *)
-let test_strategy_parity () =
+(* At every size around the fan-out cutover and at pools 1 and 4, the
+   fold computes what one direct pass over the tuples counts. *)
+let test_pool_size_parity () =
   let spec = { Workload.Gen.default with rows = 2000 } in
-  let rel = Workload.Gen.xrel (Workload.Prng.create 42) spec in
   let attrs = Workload.Gen.attrs spec in
-  let seq = Stats.collect ~strategy:Kernel.Sequential ~attrs rel in
-  let par = Stats.collect ~strategy:Kernel.Parallel ~attrs rel in
-  let auto = Stats.collect ~attrs rel in
-  Alcotest.check stats_table "parallel = sequential" seq par;
-  Alcotest.check stats_table "auto = sequential" seq auto
+  let all = Xrel.to_list (Workload.Gen.xrel (Workload.Prng.create 42) spec) in
+  List.iter
+    (fun n ->
+      let ts = List.filteri (fun k _ -> k < n) all in
+      let column a =
+        let known =
+          List.filter_map
+            (fun t ->
+              match Tuple.get t a with Value.Null -> None | v -> Some v)
+            ts
+        in
+        let seen = List.sort_uniq Value.compare known in
+        let ints =
+          List.sort compare
+            (List.filter_map (function Value.Int k -> Some k | _ -> None) seen)
+        in
+        ( a,
+          {
+            Stats.nulls = n - List.length known;
+            distinct = List.length seen;
+            min_int = List.nth_opt ints 0;
+            max_int = List.nth_opt (List.rev ints) 0;
+          } )
+      in
+      let expected = { Stats.rows = n; columns = List.map column attrs } in
+      each_pool (fun d ->
+          Alcotest.check stats_table
+            (Printf.sprintf "%d rows at %d domains" n d)
+            expected
+            (Stats.collect ~attrs (Xrel.of_list ts))))
+    [ 0; 63; 64; 511; 512; 1500 ]
 
 (* ----------------------- serialization ------------------------ *)
 
@@ -318,7 +344,7 @@ let suite =
   [
     Alcotest.test_case "collect summarizes columns" `Quick test_collect;
     Alcotest.test_case "collect on empty relation" `Quick test_collect_empty;
-    Alcotest.test_case "strategy parity" `Quick test_strategy_parity;
+    Alcotest.test_case "pool-size parity" `Quick test_pool_size_parity;
     Alcotest.test_case "serialization roundtrip" `Quick test_roundtrip;
     Alcotest.test_case "corrupt stats rejected" `Quick test_corrupt_rejected;
     Alcotest.test_case "freshness protocol" `Quick test_freshness_protocol;
