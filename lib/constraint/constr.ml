@@ -1,5 +1,4 @@
 open Nullrel
-module String_map = Map.Make (String)
 
 (* ------------------------ declarations ------------------------ *)
 
@@ -183,11 +182,12 @@ type delta = {
   d_removed : Tuple.Set.t;
 }
 
-type env = {
-  lookup : string -> Xrel.t option;
-  probe : string -> Subsume_index.t option;
-  equi_probe : string -> Attr.Set.t -> (Tuple.t -> Tuple.t list) option;
-  key_of : string -> Attr.Set.t;
+type 'c env = {
+  lookup : 'c -> string -> Xrel.t option;
+  probe : 'c -> string -> Subsume_index.t option;
+  equi_probe : 'c -> string -> Attr.Set.t -> (Tuple.t -> Tuple.t list) option;
+  key_of : 'c -> string -> Attr.Set.t;
+  apply : 'c -> delta -> 'c * delta;
 }
 
 (* A total reference of [r] through the fk pairs, as a tuple over the
@@ -204,91 +204,14 @@ let reference_of pairs r =
           | v -> Some (Tuple.set t referenced v)))
     (Some Tuple.empty) pairs
 
-(* Mutable working state: the post-statement relations, overlaid with
-   the referential actions fired so far. A relation starts out as the
-   env's own value and index, shared untouched; each action then moves
-   both by its delta. [rs_added] holds the tuples the closure put in —
-   the ones the env's declared equality indexes do not hold. *)
-type rel_state = {
-  rs_x : Xrel.t;
-  rs_idx : Subsume_index.t Lazy.t;
-  rs_added : Tuple.Set.t;
-}
-
-type state = {
-  env : env;
-  defs : def list;
-  mutable overlay : rel_state String_map.t;
-}
-
-let state_of st rel =
-  match String_map.find_opt rel st.overlay with
-  | Some rs -> Some rs
-  | None -> (
-      match st.env.lookup rel with
-      | None -> None
-      | Some x ->
-          let rs =
-            {
-              rs_x = x;
-              rs_idx =
-                lazy
-                  (match st.env.probe rel with
-                  | Some idx -> idx
-                  | None -> Subsume_index.build (Xrel.rep x));
-              rs_added = Tuple.Set.empty;
-            }
-          in
-          st.overlay <- String_map.add rel rs st.overlay;
-          Some rs)
-
-(* Advances a relation's working state by an action's delta, in
-   O(|delta| log n). A cascade only removes tuples, and a subset of an
-   antichain is one; a set-null rewrite is admitted by the insert
-   discipline's probe/admit/evict step, the one {!Storage.Catalog}
-   runs, so the state stays the minimal relation the committed
-   extras will produce. *)
-let apply_overlay st d =
-  match state_of st d.d_rel with
-  | None -> ()
-  | Some rs ->
-      let drop t (x, added) = (Relation.remove t x, Tuple.Set.remove t added) in
-      let x, added =
-        Tuple.Set.fold drop d.d_removed (Xrel.rep rs.rs_x, rs.rs_added)
-      in
-      let idx =
-        lazy
-          (Subsume_index.advance (Lazy.force rs.rs_idx) ~added:[]
-             ~removed:(Tuple.Set.elements d.d_removed))
-      in
-      let idx, x, added =
-        if Tuple.Set.is_empty d.d_added then (idx, x, added)
-        else
-          let idx, x, added =
-            Tuple.Set.fold
-              (fun t (idx, x, added) ->
-                match Subsume_index.admit idx t with
-                | None -> (idx, x, added)
-                | Some (idx, dead) ->
-                    let x, added = List.fold_right drop dead (x, added) in
-                    (idx, Relation.add t x, Tuple.Set.add t added))
-              d.d_added (Lazy.force idx, x, added)
-          in
-          (Lazy.from_val idx, x, added)
-      in
-      st.overlay <-
-        String_map.add d.d_rel
-          { rs_x = Xrel.unsafe_of_minimal x; rs_idx = idx; rs_added = added }
-          st.overlay
-
-let target_holds st target reference =
-  match state_of st target with
+let target_holds env c target reference =
+  match env.probe c target with
   | None -> false
-  | Some rs -> Subsume_index.subsuming_exists (Lazy.force rs.rs_idx) reference
+  | Some idx -> Subsume_index.subsuming_exists idx reference
 
 (* Checks on tuples a delta added: not-null, ni-tolerant uniqueness,
    and outgoing references — all by index probe, never a scan. *)
-let added_checks st d =
+let added_checks env defs c d =
   if not (Tuple.Set.is_empty d.d_added) then
     List.iter
       (function
@@ -299,20 +222,19 @@ let added_checks st d =
                   error (Null_forbidden { constr = name; rel; attr }))
               d.d_added
         | Unique { name; rel; attrs } when String.equal rel d.d_rel -> (
-            match state_of st rel with
+            match env.probe c rel with
             | None -> ()
-            | Some rs ->
+            | Some idx ->
                 let aset = Attr.Set.of_list attrs in
-                let rep = Relation.tuples (Xrel.rep rs.rs_x) in
                 Tuple.Set.iter
                   (fun t ->
                     (* A tuple null on any unique attribute collides
                        with nothing; one absorbed by minimization added
                        no information. *)
-                    if Tuple.is_total_on aset t && Tuple.Set.mem t rep then
+                    if Tuple.is_total_on aset t && Subsume_index.mem idx t then
                       let u = Tuple.restrict t aset in
-                      if Subsume_index.count_at (Lazy.force rs.rs_idx) u >= 2
-                      then error (Duplicate { constr = name; rel; tuple = t }))
+                      if Subsume_index.count_at idx u >= 2 then
+                        error (Duplicate { constr = name; rel; tuple = t }))
                   d.d_added)
         | Foreign_key { name; rel; target; pairs; _ }
           when String.equal rel d.d_rel ->
@@ -321,23 +243,22 @@ let added_checks st d =
                 match reference_of pairs t with
                 | None -> () (* partial reference asserts nothing *)
                 | Some reference ->
-                    if not (target_holds st target reference) then
+                    if not (target_holds env c target reference) then
                       error
                         (Dangling { constr = name; rel; target; tuple = t }))
               d.d_added
         | Unique _ | Not_null _ | Foreign_key _ -> ())
-      st.defs
+      defs
 
-(* The referencing tuples of [rs] a removal from [target] left
-   dangling. Under [ni] only a total reference asserts anything, and it
-   holds only while some target tuple agrees with it on the referenced
-   attributes, so the only candidates are the references equal to a
-   removed tuple's referenced values. A declared equality index on
-   exactly the local attributes finds them with one probe per removed
-   tuple; it covers the env's value, so hits the closure has removed
-   are dropped and the closure's own additions are tested directly.
-   Without one, the scan keeps to the same candidates. *)
-let broken_references st rs ~rel ~target pairs removed =
+(* The tuples of [x], relation [rel] in [c], that a removal from
+   [target] left dangling. Under [ni] only a total reference asserts
+   anything, and it holds only while some target tuple agrees with it
+   on the referenced attributes, so the only candidates are the
+   references equal to a removed tuple's referenced values. A declared
+   equality index on exactly the local attributes finds them with one
+   probe per removed tuple; without one, the scan keeps to the same
+   candidates. *)
+let broken_references env c x ~rel ~target pairs removed =
   let referenced = Attr.Set.of_list (List.map snd pairs) in
   let keys =
     Tuple.Set.fold
@@ -351,44 +272,43 @@ let broken_references st rs ~rel ~target pairs removed =
     match reference_of pairs r with
     | None -> false
     | Some reference ->
-        Tuple.Set.mem reference keys && not (target_holds st target reference)
+        Tuple.Set.mem reference keys
+        && not (target_holds env c target reference)
   in
-  let live = Relation.tuples (Xrel.rep rs.rs_x) in
   if Tuple.Set.is_empty keys then Tuple.Set.empty
   else
-    match st.env.equi_probe rel (Attr.Set.of_list (List.map fst pairs)) with
-    | None -> Tuple.Set.filter dangling live
+    match env.equi_probe c rel (Attr.Set.of_list (List.map fst pairs)) with
+    | None -> Tuple.Set.filter dangling (Relation.tuples (Xrel.rep x))
     | Some probe ->
-        let hits =
-          Tuple.Set.fold
-            (fun key acc ->
-              let local =
-                List.fold_left
-                  (fun k (l, r) -> Tuple.set k l (Tuple.get key r))
-                  Tuple.empty pairs
-              in
+        Tuple.Set.fold
+          (fun key acc ->
+            let local =
               List.fold_left
-                (fun acc h -> if Tuple.Set.mem h live then Tuple.Set.add h acc else acc)
-                acc (probe local))
-            keys Tuple.Set.empty
-        in
-        Tuple.Set.filter dangling (Tuple.Set.union hits rs.rs_added)
+                (fun k (l, r) -> Tuple.set k l (Tuple.get key r))
+                Tuple.empty pairs
+            in
+            List.fold_left
+              (fun acc h -> if dangling h then Tuple.Set.add h acc else acc)
+              acc (probe local))
+          keys Tuple.Set.empty
 
 (* The declared delete action, fired on the referencing tuples a
-   removal left dangling. *)
-let removal_checks st d ~emit =
-  if not (Tuple.Set.is_empty d.d_removed) then
-    List.iter
-      (function
+   removal left dangling; [fire] applies it and returns the state. *)
+let removal_checks env defs c d ~fire =
+  if Tuple.Set.is_empty d.d_removed then c
+  else
+    List.fold_left
+      (fun c -> function
         | Foreign_key { name; rel; target; pairs; on_delete }
           when String.equal target d.d_rel -> (
-            match state_of st rel with
-            | None -> ()
-            | Some rs ->
+            match env.lookup c rel with
+            | None -> c
+            | Some x -> (
                 let dangling =
-                  broken_references st rs ~rel ~target pairs d.d_removed
+                  broken_references env c x ~rel ~target pairs d.d_removed
                 in
-                if not (Tuple.Set.is_empty dangling) then begin
+                if Tuple.Set.is_empty dangling then c
+                else
                   match on_delete with
                   | Restrict ->
                       error
@@ -401,7 +321,7 @@ let removal_checks st d ~emit =
                            })
                   | Cascade ->
                       Obs.Metrics.add m_cascade (Tuple.Set.cardinal dangling);
-                      emit
+                      fire c
                         {
                           d_rel = rel;
                           d_added = Tuple.Set.empty;
@@ -411,7 +331,7 @@ let removal_checks st d ~emit =
                       let locals = List.map fst pairs in
                       List.iter
                         (fun local ->
-                          if Attr.Set.mem local (st.env.key_of rel) then
+                          if Attr.Set.mem local (env.key_of c rel) then
                             error
                               (Set_null_forbidden
                                  {
@@ -434,11 +354,11 @@ let removal_checks st d ~emit =
                                          blocker = "constraint " ^ nn;
                                        })
                               | _ -> ())
-                            st.defs)
+                            defs)
                         locals;
                       let local_set = Attr.Set.of_list locals in
                       Obs.Metrics.add m_set_null (Tuple.Set.cardinal dangling);
-                      emit
+                      fire c
                         {
                           d_rel = rel;
                           d_added =
@@ -446,92 +366,64 @@ let removal_checks st d ~emit =
                               (fun r -> Tuple.remove r local_set)
                               dangling;
                           d_removed = dangling;
-                        }
-                end)
-        | Unique _ | Not_null _ | Foreign_key _ -> ())
-      st.defs
+                        }))
+        | Unique _ | Not_null _ | Foreign_key _ -> c)
+      c defs
 
-let enforce env defs seeds =
-  if defs = [] || seeds = [] then []
+let enforce env defs c seeds =
+  if defs = [] || seeds = [] then (c, [])
   else begin
     Obs.Metrics.inc m_checks;
-    let st = { env; defs; overlay = String_map.empty } in
-    let extras = ref [] in
-    let queue = Queue.create () in
-    List.iter (fun d -> Queue.add d queue) seeds;
-    let emit d =
-      (* Referential actions apply to the working state immediately, so
-         every later probe sees them; the seeds are already reflected
-         in [env] and are not re-applied. *)
-      apply_overlay st d;
-      extras := d :: !extras;
-      Queue.add d queue
+    let fired = ref [] in
+    let queue = Queue.of_seq (List.to_seq seeds) in
+    (* An action applies to the state as it fires, so every later probe
+       reads it; the seeds are already reflected in [c]. *)
+    let fire c action =
+      let c, net = env.apply c action in
+      fired := (action, net) :: !fired;
+      Queue.add action queue;
+      c
     in
-    (* Terminates: every emitted delta either strictly removes tuples or
+    (* Terminates: every fired action either strictly removes tuples or
        replaces them by strictly less informative ones, so the total
        information content strictly decreases. *)
-    while not (Queue.is_empty queue) do
-      let d = Queue.pop queue in
-      added_checks st d;
-      removal_checks st d ~emit
-    done;
-    List.rev !extras
+    let rec close c =
+      match Queue.take_opt queue with
+      | None -> c
+      | Some d ->
+          added_checks env defs c d;
+          close (removal_checks env defs c d ~fire)
+    in
+    let c = close c in
+    (c, List.rev !fired)
   end
 
 (* ---------------------- full verification --------------------- *)
 
-let verify env def =
+let verify env c def =
+  let scan rel check =
+    match env.lookup c rel with
+    | None -> []
+    | Some x -> List.filter_map check (Xrel.to_list x)
+  in
   match def with
-  | Not_null { name; rel; attr } -> (
-      match env.lookup rel with
-      | None -> []
-      | Some x ->
-          List.filter_map
-            (fun t ->
-              if Value.is_null (Tuple.get t attr) then
-                Some (Null_forbidden { constr = name; rel; attr })
-              else None)
-            (Xrel.to_list x))
-  | Unique { name; rel; attrs } -> (
-      match env.lookup rel with
-      | None -> []
-      | Some x ->
-          let aset = Attr.Set.of_list attrs in
-          let idx =
-            match env.probe rel with
-            | Some idx -> idx
-            | None -> Subsume_index.build (Xrel.rep x)
-          in
-          List.filter_map
-            (fun t ->
-              if
-                Tuple.is_total_on aset t
-                && Subsume_index.count_at idx (Tuple.restrict t aset) >= 2
-              then Some (Duplicate { constr = name; rel; tuple = t })
-              else None)
-            (Xrel.to_list x))
-  | Foreign_key { name; rel; target; pairs; _ } -> (
-      match env.lookup rel with
-      | None -> []
-      | Some x ->
-          let target_idx =
-            match env.probe target with
-            | Some idx -> Some idx
-            | None ->
-                Option.map
-                  (fun tx -> Subsume_index.build (Xrel.rep tx))
-                  (env.lookup target)
-          in
-          List.filter_map
-            (fun t ->
-              match reference_of pairs t with
-              | None -> None
-              | Some reference ->
-                  let ok =
-                    match target_idx with
-                    | None -> false
-                    | Some idx -> Subsume_index.subsuming_exists idx reference
-                  in
-                  if ok then None
-                  else Some (Dangling { constr = name; rel; target; tuple = t }))
-            (Xrel.to_list x))
+  | Not_null { name; rel; attr } ->
+      scan rel (fun t ->
+          if Value.is_null (Tuple.get t attr) then
+            Some (Null_forbidden { constr = name; rel; attr })
+          else None)
+  | Unique { name; rel; attrs } ->
+      let aset = Attr.Set.of_list attrs and idx = env.probe c rel in
+      scan rel (fun t ->
+          match idx with
+          | Some idx
+            when Tuple.is_total_on aset t
+                 && Subsume_index.count_at idx (Tuple.restrict t aset) >= 2 ->
+              Some (Duplicate { constr = name; rel; tuple = t })
+          | Some _ | None -> None)
+  | Foreign_key { name; rel; target; pairs; _ } ->
+      scan rel (fun t ->
+          match reference_of pairs t with
+          | Some reference when not (target_holds env c target reference) ->
+              Some (Dangling { constr = name; rel; target; tuple = t })
+          | Some _ | None -> None)

@@ -25,9 +25,9 @@
     tuples a statement added or removed, probing the target relations
     through {!Nullrel.Subsume_index} rather than re-scanning — and, for
     a delete, the referencing relation through a declared index on the
-    foreign key's columns when there is one — and returns the closure
-    of referential actions as extra deltas to be committed inside the
-    same transaction. *)
+    foreign key's columns when there is one — and applies the closure
+    of referential actions to the state it checks, each action once, to
+    be committed inside the same transaction. *)
 
 open Nullrel
 
@@ -120,26 +120,33 @@ type delta = {
 (** One relation's change, as the tuples its minimal representation
     gained and lost (the {!Storage.Wal} delta shape). *)
 
-type env = {
-  lookup : string -> Xrel.t option;
-      (** The {e post-statement} state of a relation. *)
-  probe : string -> Subsume_index.t option;
-      (** A subsumption index over exactly [lookup]'s value. *)
-  equi_probe : string -> Attr.Set.t -> (Tuple.t -> Tuple.t list) option;
-      (** [equi_probe rel attrs]: an equality probe over exactly
-          [lookup rel]'s value on exactly the attribute set [attrs] —
+type 'c env = {
+  lookup : 'c -> string -> Xrel.t option;  (** A relation's value. *)
+  probe : 'c -> string -> Subsume_index.t option;
+      (** A subsumption index over exactly [lookup]'s value, [Some]
+          whenever [lookup] is. *)
+  equi_probe : 'c -> string -> Attr.Set.t -> (Tuple.t -> Tuple.t list) option;
+      (** [equi_probe c rel attrs]: an equality probe over exactly
+          [lookup c rel]'s value on exactly the attribute set [attrs] —
           given a tuple total on [attrs], the tuples that agree with it
           there — or [None] when no declared index covers [attrs]. A
           delete action probes it on a foreign key's local attributes,
           once per removed target tuple, instead of scanning the
           referencing relation. *)
-  key_of : string -> Attr.Set.t;
+  key_of : 'c -> string -> Attr.Set.t;
       (** The relation's primary key (empty when none). *)
+  apply : 'c -> delta -> 'c * delta;
+      (** Applies a referential action's delta under the insert
+          discipline and returns the new state with the {e net} delta
+          (empty when no tuple moved). *)
 }
+(** Enforcement's view of a state ['c] (a {!Storage.Catalog.t}): every
+    probe reads the state as the actions fired so far have left it. *)
 
-val enforce : env -> def list -> delta list -> delta list
-(** [enforce env defs seeds] checks the seed deltas (already reflected
-    in [env]) against every constraint and computes the referential
+val enforce :
+  'c env -> def list -> 'c -> delta list -> 'c * (delta * delta) list
+(** [enforce env defs c seeds] checks the seed deltas (already reflected
+    in [c]) against every constraint and computes the referential
     action closure. Added tuples are checked for not-null, ni-tolerant
     uniqueness and dangling references by index probes; removed tuples
     trigger the declared delete actions on every foreign key referencing
@@ -151,16 +158,16 @@ val enforce : env -> def list -> delta list -> delta list
     are found by {!env.equi_probe} on the foreign key's local
     attributes when it answers, by a scan of the referencing relation
     otherwise; a [Restrict] refusal names the least such tuple in
-    [Xrel.to_list] order either way. Each action advances the working
-    state by its own delta, never rebuilding a relation or an index.
-    Returns the extra deltas — cascade deletions and set-null rewrites,
-    in firing order — that must commit atomically with the seeds.
-    Raises {!Error} on any violation; the caller must then abandon the
-    whole transaction. With no definitions or no seeds it returns [[]]
-    at once; {!Dml} does not call it at all on a catalog with nothing
-    declared. *)
+    [Xrel.to_list] order either way. Each action is applied once, by
+    {!env.apply}, as it fires. Returns the state with every action
+    applied and the actions — cascade deletions and set-null rewrites,
+    in firing order — each with its net delta; all of it must commit
+    atomically with the seeds. Raises {!Error} on any violation; the
+    caller must then abandon the whole transaction. With no definitions
+    or no seeds it returns [(c, [])] at once; {!Dml} does not call it at
+    all on a catalog with nothing declared. *)
 
-val verify : env -> def -> violation list
+val verify : 'c env -> 'c -> def -> violation list
 (** Full-scan verification that the current data satisfies one
     definition — the TLA+ [Add*Constraint] precondition, used at
     declaration time and to re-validate constraints restored from a

@@ -116,38 +116,28 @@ let cascade_note extras =
 (* Hand the statement delta to {!Storage.Catalog.apply_delta} — which
    maintains minimality by bounded probes and advances the relation's
    indexes — and seed enforcement with the net delta it returns, for
-   free. The extras — cascade removals and set-null rewrites, in firing
-   order — ride the same path within the same transaction, so a
-   set-null rewrite whose patched row is absorbed by an existing tuple
-   settles without any re-minimize; [touched] names every relation the
-   transaction wrote so the session layer journals them in one atomic
-   record. [message] words the statement's own net delta. *)
+   free. Enforcement applies the extras — cascade removals and set-null
+   rewrites, in firing order — through the same path within the same
+   transaction, so a set-null rewrite whose patched row is absorbed by
+   an existing tuple settles without any re-minimize; [touched] names
+   every relation the transaction wrote so the session layer journals
+   them in one atomic record. [message] words the statement's own net
+   delta. *)
 let write cat rel ~added ~removed message =
   let cat, (net_a, net_r) =
     Storage.Catalog.apply_delta cat rel ~added ~removed
   in
-  let noop = Tuple.Set.is_empty net_a && Tuple.Set.is_empty net_r in
+  let moved (d : Constr.delta) =
+    not (Tuple.Set.is_empty d.d_added && Tuple.Set.is_empty d.d_removed)
+  in
   let seed = { Constr.d_rel = rel; d_added = net_a; d_removed = net_r } in
   (* One branch when nothing is declared. *)
-  let extras =
-    if noop || Storage.Catalog.constraints cat = [] then []
+  let cat, fired =
+    if (not (moved seed)) || Storage.Catalog.constraints cat = [] then
+      (cat, [])
     else Storage.Catalog.enforce cat [ seed ]
   in
-  let cat, applied_rev =
-    List.fold_left
-      (fun (cat, acc) (d : Constr.delta) ->
-        let cat, (a, r) =
-          Storage.Catalog.apply_delta cat d.Constr.d_rel
-            ~added:(Tuple.Set.elements d.Constr.d_added)
-            ~removed:(Tuple.Set.elements d.Constr.d_removed)
-        in
-        if Tuple.Set.is_empty a && Tuple.Set.is_empty r then (cat, acc)
-        else
-          ( cat,
-            { Constr.d_rel = d.Constr.d_rel; d_added = a; d_removed = r }
-            :: acc ))
-      (cat, []) extras
-  in
+  let extras = List.map fst fired in
   {
     catalog = cat;
     message = message (net_a, net_r) ^ cascade_note extras;
@@ -156,7 +146,7 @@ let write cat rel ~added ~removed message =
     touched =
       List.sort_uniq String.compare
         (rel :: List.map (fun d -> d.Constr.d_rel) extras);
-    deltas = (if noop then [] else [ seed ]) @ List.rev applied_rev;
+    deltas = List.filter moved (seed :: List.map snd fired);
   }
 
 let auto_name rel spec =

@@ -133,7 +133,6 @@ let observe h v =
   end
 
 let counter_value c = Atomic.get c
-let gauge_value g = g.g
 let bucket_count h i = Atomic.get h.counts.(i)
 let histogram_sum h = Atomic.get h.sum
 let histogram_count h = Atomic.get h.n
@@ -303,27 +302,3 @@ let quantile_of_counts counts q =
         else go (i + 1) cum
     in
     go 0 0
-
-let dump_sexp () =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "(";
-  List.iter
-    (fun e ->
-      let labels =
-        String.concat " "
-          (List.map (fun (k, v) -> Printf.sprintf "(%s %S)" k v) e.labels)
-      in
-      let value =
-        match e.metric with
-        | C c -> string_of_int (Atomic.get c)
-        | G g -> Printf.sprintf "%g" g.g
-        | H h ->
-            Printf.sprintf "(sum %d) (count %d)" (Atomic.get h.sum)
-              (Atomic.get h.n)
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "\n (%s (%s) %s %s)" e.name labels
-           (kind_of e.metric) value))
-    !registry;
-  Buffer.add_string buf ")\n";
-  Buffer.contents buf

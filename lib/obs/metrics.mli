@@ -67,7 +67,6 @@ val observe : histogram -> int -> unit
 (** {1 Reads (for tests and dumps)} *)
 
 val counter_value : counter -> int
-val gauge_value : gauge -> float
 
 val bucket_index : int -> int
 (** [bucket_index v] is the log2 bucket of [v]: 0 for [v <= 0],
@@ -138,7 +137,3 @@ val dump_prometheus : unit -> string
 (** Prometheus text format: one [# HELP]/[# TYPE] pair per metric
     family, one sample line per registered counter/gauge, and the
     cumulative [_bucket]/[_sum]/[_count] series per histogram. *)
-
-val dump_sexp : unit -> string
-(** The same registry as one s-expression,
-    [((name ((label value) ...) kind value) ...)]. *)

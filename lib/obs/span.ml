@@ -18,8 +18,6 @@ let enabled = ref false
    the stack grows and empties. *)
 let set_enabled b = enabled := b
 
-let is_enabled () = !enabled
-
 (* The open-span stack is domain-local: a span opened on one domain is
    never the parent of, nor charged by, work on another. *)
 let current_key : span option ref Domain.DLS.key =

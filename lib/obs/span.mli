@@ -25,8 +25,6 @@ type measure = { duration_s : float; ticks : int }
 val set_enabled : bool -> unit
 (** Gates {!with_span} and event/slow-log recording. *)
 
-val is_enabled : unit -> bool
-
 val charge : int -> unit
 (** Charge governor ticks to the innermost open span, if any. *)
 

@@ -38,18 +38,10 @@ let query ~schemas (q : Quel.Ast.query) =
 
 (* The probe a declared index of [cat] serves for one join node, seen
    through the plan's renames: the translations from
-   {!Cost.probe_target} carry probe tuples down to base names and
-   indexed hits back up. *)
+   {!Cost.select_product_probe} carry probe tuples down to base names
+   and indexed hits back up. *)
 let index_probe_of ~stats cat node =
-  let probe_for = Storage.Catalog.equi_probe cat in
   match node with
-  | Expr.Equijoin (x, _, e2) -> (
-      match Cost.probe_target stats x e2 with
-      | None -> None
-      | Some (name, x0, down, up) -> (
-          match probe_for name x0 with
-          | None -> None
-          | Some p -> Some (fun t -> List.filter_map up (p (down t)))))
   | Expr.Select (p, Expr.Product (_, e2)) -> (
       (* The compiled-query join shape: a cross-scope equality directly
          over a product. Key each left tuple's value of the non-indexed
@@ -59,7 +51,7 @@ let index_probe_of ~stats cat node =
       match Cost.select_product_probe stats p e2 with
       | None -> None
       | Some (ka, kb, (name, x0, down, up)) -> (
-          match probe_for name x0 with
+          match Storage.Catalog.equi_probe cat name x0 with
           | None -> None
           | Some p ->
               Some

@@ -287,13 +287,8 @@ let rec cost ~stats expr =
       else card e2 +. cost ~stats e2
   | Expr.Select (_, e) | Expr.Project (_, e) | Expr.Rename (_, e) ->
       card e +. cost ~stats e
-  | Expr.Equijoin (x, e1, e2) ->
-      (* A declared index on the build side turns the join into a probe
-         pass over the left operand: the build side is never evaluated
-         or materialized. *)
-      if probe_target stats x e2 <> None then card e1 +. cost ~stats e1
-      else (card e1 *. card e2) +. cost ~stats e1 +. cost ~stats e2
   | Expr.Product (e1, e2)
+  | Expr.Equijoin (_, e1, e2)
   | Expr.Union_join (_, e1, e2)
   | Expr.Diff (e1, e2)
   | Expr.Inter (e1, e2)

@@ -24,32 +24,15 @@ type source = {
   equipped : string -> Nullrel.Attr.Set.t -> bool;
       (** Whether a declared secondary index covers exactly these
           attributes of the named base relation ({!Compile.run_catalog}
-          wires [Storage.Catalog.has_equi]). An equipped equijoin build side
-          is costed as a probe pass — the build side is never
-          materialized — and dispatched [Indexed]. *)
+          wires [Storage.Catalog.has_equi]). A cross-scope equality
+          selection over a product with an equipped factor is costed
+          as a probe pass over the other factor: the product is never
+          materialized. *)
 }
 
 val of_rowcount : (string -> int option) -> source
 (** A source with row counts only — the pre-statistics cost model,
     with no statistics tables and no indexes. *)
-
-val probe_target :
-  source ->
-  Nullrel.Attr.Set.t ->
-  Expr.t ->
-  (string
-  * Nullrel.Attr.Set.t
-  * (Nullrel.Tuple.t -> Nullrel.Tuple.t)
-  * (Nullrel.Tuple.t -> Nullrel.Tuple.t option))
-  option
-(** [probe_target stats x e] identifies a join arm that bottoms out,
-    through renames and selections only, in a base relation equipped
-    with an index on exactly the join attributes [x]: the base name,
-    the attributes under their base names, and the tuple translations
-    [down] (probe tuple into base scope) and [up] (indexed hit back
-    into the node's scope, [None] when a selection on the way rejects
-    it). [None] when the arm is not that shape or nothing covers
-    it. *)
 
 val select_product_probe :
   source ->
@@ -66,10 +49,15 @@ val select_product_probe :
     compiled queries actually take — a cross-scope equality selection
     [a = b] directly over a product (the algebra cannot merge two
     differently-named columns, so compiled plans never contain
-    [Equijoin]) — and finds a {!probe_target} for whichever side of
-    the equality the right factor [e2] binds. Returns [(ka, kb, tgt)]:
-    the left factor's attribute [ka] supplies the probe key, looked up
-    under the right factor's attribute [kb] through target [tgt].
+    [Equijoin]) — when the right factor [e2] bottoms out, through
+    renames and selections only, in a base relation equipped with an
+    index on whichever side of the equality it binds. Returns
+    [(ka, kb, tgt)]: the left factor's attribute [ka] supplies the
+    probe key, looked up under the right factor's attribute [kb]
+    through target [tgt] — the base name, the attribute set under its
+    base name, and the tuple translations [down] (probe tuple into
+    base scope) and [up] (indexed hit back into the node's scope,
+    [None] when a selection on the way rejects it).
     Serving the selection by index probes is sound because a sure
     equality is upward-closed under subsumption, so the selection
     commutes with the minimization the product bakes in. *)

@@ -162,12 +162,7 @@ let eval ?(index_probe = fun _ -> None) ?observe ~schema ~env e =
         | None -> Algebra.select p (node e))
     | Project (x, e) -> Xrel.of_relation (image x e)
     | Product (e1, e2) -> Algebra.product (node e1) (node e2)
-    | Equijoin (x, e1, e2) as n -> (
-        (* A probe served by a declared index replaces evaluating the
-           build side entirely. *)
-        match index_probe n with
-        | Some probe -> Storage.Join.probe_equijoin ~probe (node e1)
-        | None -> Storage.Join.hash_equijoin x (node e1) (node e2))
+    | Equijoin (x, e1, e2) -> Storage.Join.hash_equijoin x (node e1) (node e2)
     | Union_join (x, e1, e2) ->
         Storage.Join.hash_union_join x (node e1) (node e2)
     | Union (e1, e2) -> Xrel.union (node e1) (node e2)

@@ -62,7 +62,7 @@ val eval :
       the product's unit. A projection the plan states inside a join
       is evaluated as it stands, a minimal projection.
     - [Equijoin] and [Union_join] run the hash joins of
-      {!Storage.Join}, or the index probe when one is served.
+      {!Storage.Join}.
 
     A join path never changes an error: when the kinds of value
     ({!Nullrel.Value.kind}) on the two sides could make a comparison of
@@ -71,13 +71,12 @@ val eval :
     an index serves, the kinds are its schema's domains, which the
     catalog enforces; every other factor's are read off its tuples.
 
-    [index_probe] is consulted on [Equijoin] nodes and on
-    [Select (c, Product (e1, e2))] for each cross-scope equality
-    conjunct [c] of a chain (and on the commuted product); when it
-    answers — a declared secondary index covering that factor,
-    translated through the plan's renames and pushed selections by
-    {!Compile.run_catalog} — the probe serves the join. The default
-    answers [None] everywhere.
+    [index_probe] is consulted only on [Select (c, Product (e1, e2))]
+    for each cross-scope equality conjunct [c] of a chain (and on the
+    commuted product); when it answers — a declared secondary index
+    covering that factor, translated through the plan's renames and
+    pushed selections by {!Compile.run_catalog} — the probe serves the
+    join. The default answers [None] everywhere.
 
     [observe], when given, wraps the evaluation of every node that
     actually runs: it receives the node and a thunk that computes it

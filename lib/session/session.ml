@@ -394,8 +394,8 @@ let flush_batch (eng : engine) batch =
                  p.ops
              in
              (match Storage.Catalog.enforce !scratch seeds with
-             | [] -> ()
-             | extra :: _ -> raise (Conflicting extra.Constr.d_rel));
+             | _, [] -> ()
+             | _, (extra, _) :: _ -> raise (Conflicting extra.Constr.d_rel));
              r
            with
            | r -> r

@@ -50,6 +50,3 @@ let to_string = function
         limit
   | Shutdown -> "session engine is shut down"
   | Constraint v -> Constr.to_string v
-
-let pp ppf e = Format.pp_print_string ppf (to_string e)
-let protect f = match f () with v -> Ok v | exception Error e -> Result.Error e

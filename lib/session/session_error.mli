@@ -44,7 +44,3 @@ val exit_code : t -> int
     queue-full 8, shutdown 9, constraint 10. *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
-
-val protect : (unit -> 'a) -> ('a, t) result
-(** Runs the thunk, catching {!Error} (only) into [Error _]. *)

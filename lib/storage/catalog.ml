@@ -46,7 +46,7 @@ let index_of x = Once.make (fun () -> Subsume_index.build (Xrel.rep x))
 
 (* A wholesale replacement of a relation (shell [.load] over an existing
    name) voids the verification of every constraint involving it; the
-   incremental DML path goes through {!set_relation} + enforcement and
+   incremental DML path goes through {!apply_delta} + enforcement and
    stays verified. *)
 let mark_unverified cat name =
   let stale =
@@ -418,23 +418,30 @@ let constraint_def cat name =
 
 let unverified_constraints cat = cat.c_unverified
 
-let enforce_env cat =
+let enforce_env =
+  let entry cat name = String_map.find_opt name cat.c_rels in
   {
     Constr.lookup =
-      (fun name ->
-        Option.map (fun e -> e.e_x) (String_map.find_opt name cat.c_rels));
-    probe = (fun name -> probe_index cat name);
-    equi_probe = equi_probe cat;
+      (fun cat name -> Option.map (fun e -> e.e_x) (entry cat name));
+    probe = probe_index;
+    equi_probe;
     key_of =
-      (fun name ->
-        match String_map.find_opt name cat.c_rels with
+      (fun cat name ->
+        match entry cat name with
         | Some e -> Schema.key e.e_schema
         | None -> Attr.Set.empty);
+    apply =
+      (fun cat d ->
+        let cat, (added, removed) =
+          apply_delta cat d.Constr.d_rel
+            ~added:(Tuple.Set.elements d.Constr.d_added)
+            ~removed:(Tuple.Set.elements d.Constr.d_removed)
+        in
+        (cat, { d with Constr.d_added = added; d_removed = removed }));
   }
 
-let enforce cat seeds = Constr.enforce (enforce_env cat) cat.c_defs seeds
-
-let verify_constraint cat def = Constr.verify (enforce_env cat) def
+let enforce cat seeds = Constr.enforce enforce_env cat.c_defs cat seeds
+let verify_constraint cat def = Constr.verify enforce_env cat def
 
 let attach_constraint ?(verified = true) cat def =
   let n = Constr.name def in

@@ -201,13 +201,10 @@ val revalidate_constraints : t -> t * (string * Constr.violation) list
     that pass are marked verified, the violations of the rest are
     returned (those stay unverified). *)
 
-val enforce_env : t -> Constr.env
-(** The catalog as an enforcement environment: relation lookup, lazy
-    probe indexes, the declared equality indexes ({!equi_probe}),
-    primary keys. *)
-
-val enforce : t -> Constr.delta list -> Constr.delta list
-(** {!Constr.enforce} against this catalog's state and declarations. *)
+val enforce : t -> Constr.delta list -> t * (Constr.delta * Constr.delta) list
+(** {!Constr.enforce} on this catalog and its declarations: the catalog
+    with every referential action applied once through {!apply_delta},
+    and the actions in firing order, each with its net delta. *)
 
 val verify_constraint : t -> Constr.def -> Constr.violation list
 

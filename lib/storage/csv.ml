@@ -70,15 +70,6 @@ let scan src ~cell ~row =
   plain 0;
   if Buffer.length buf > 0 || !cells > 0 || !quoted then flush_row ()
 
-let parse src =
-  let rows = ref [] and cells = ref [] in
-  scan src
-    ~cell:(fun _ buf -> cells := Buffer.contents buf :: !cells)
-    ~row:(fun () ->
-      rows := List.rev !cells :: !rows;
-      cells := []);
-  List.rev !rows
-
 let value_of_cell ?domain quoted s =
   if quoted then Value.Str s
   else if String.equal s "-" then Value.Null

@@ -11,10 +11,6 @@ open Nullrel
 
 exception Error of string
 
-val parse : string -> string list list
-(** Raw CSV parsing into rows of cells. Raises {!Error} on unterminated
-    quotes or stray characters after a closing quote. *)
-
 val read_string : ?schema:Schema.t -> string -> Attr.t list * Xrel.t
 (** Parses a relation: first row is the header. With [schema], cells are
     coerced to the declared column domains (ints for integer domains,

@@ -75,37 +75,6 @@ let hash_equijoin x r1 r2 =
   in
   observed2 "hash-equijoin" r1 r2 (Xrel.of_relation joined)
 
-(* Same probe loop against a pre-built index probe (a declared
-   secondary index served by the catalog): the build side is never
-   materialized, so the cost is the probe side plus the output. *)
-let observed_probe op r1 result =
-  if Obs.Metrics.is_enabled () then begin
-    Obs.Metrics.add (op_counter op "in") (Xrel.cardinal r1);
-    Obs.Metrics.add (op_counter op "out") (Xrel.cardinal result)
-  end;
-  result
-
-(* The probe's hits come from one minimal relation. When none of them
-   binds an attribute of [r1]'s scope, each output tuple splits back
-   into its two factors, so two comparable outputs would need
-   comparable factors: the output of minimal operands is minimal, the
-   test {!Algebra.product} makes. Only a hit that shares a column with
-   [r1] sends the output through minimization. *)
-let probe_equijoin ~probe r1 =
-  let scope = Xrel.scope r1 in
-  let shared = ref false in
-  let binds_scope t2 =
-    Tuple.fold (fun a _ hit -> hit || Attr.Set.mem a scope) t2 false
-  in
-  let probe t1 =
-    let hits = probe t1 in
-    if (not !shared) && List.exists binds_scope hits then shared := true;
-    hits
-  in
-  let raw = join_all ~keep:keep_all ~probe (Array.of_list (Xrel.to_list r1)) in
-  observed_probe "probe-equijoin" r1
-    (if !shared then Xrel.of_relation raw else Xrel.unsafe_of_minimal raw)
-
 (* The planner's one-pass join works on plain tuple sets, which it
    minimizes once at the end, so nothing here minimizes. *)
 let probe_join op ~keep ~probe r1 =

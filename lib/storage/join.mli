@@ -26,20 +26,6 @@ val hash_equijoin : Attr.Set.t -> Xrel.t -> Xrel.t -> Xrel.t
 val hash_union_join : Attr.Set.t -> Xrel.t -> Xrel.t -> Xrel.t
 (** The union-join (outer join) on top of {!hash_equijoin}. *)
 
-val probe_equijoin :
-  probe:(Tuple.t -> Tuple.t list) -> Xrel.t -> Xrel.t
-(** The same probe loop against a {e pre-built} equality probe — a
-    declared index served by {!Catalog.equi_probe} — so the build side
-    is never materialized: cost O(|r1| + |output|) instead
-    of O(|r1| + |r2| + |output|). The probe must return, for each
-    X-total tuple, exactly the indexed tuples matching it on the join
-    attributes (and [[]] for tuples not total on them), drawn from one
-    minimal relation (a catalog relation, seen through the compiler's
-    one-to-one renames) — then the result equals [Algebra.equijoin].
-    When no hit binds an attribute of [r1]'s scope the output is
-    already minimal and is not minimized again. Probes on the calling
-    domain. *)
-
 val probe_join :
   string ->
   keep:(Tuple.t -> bool) ->
@@ -51,8 +37,8 @@ val probe_join :
     accepts. Nothing is minimized: the planner feeds it plain tuple
     sets and minimizes once above the join. Runs on the calling domain
     and charges the governor once per tuple of [r1] and once per
-    attempted join, as {!probe_equijoin} does. Counts the tuples in
-    and out under the operator label [op] when metrics are on.
+    attempted join. Counts the tuples in and out under the operator
+    label [op] when metrics are on.
 
     With [probe] returning every tuple of [r2] it is the selection
     [keep] over the product; with {!column_probe} or a declared index

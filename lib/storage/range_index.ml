@@ -20,7 +20,6 @@ let build attr x =
   { attr; sorted }
 
 let attr idx = idx.attr
-let cardinal idx = Array.length idx.sorted
 
 (* First position whose value is >= k (with [strict], > k). *)
 let bound idx ~strict k =

@@ -21,8 +21,6 @@ val build : Attr.t -> Xrel.t -> t
     O(n log n). *)
 
 val attr : t -> Attr.t
-val cardinal : t -> int
-(** Indexed (A-total) tuples. *)
 
 val select : t -> Predicate.comparison -> Value.t -> Xrel.t
 (** [select idx theta k] = [Algebra.select_ak a theta k] on the indexed

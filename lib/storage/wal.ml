@@ -33,19 +33,6 @@ let change_is_noop c = Xrel.is_empty c.added && Xrel.is_empty c.removed
 let delta ~lsn ~rel ~before ~after =
   { lsn; ops = [ Change (change ~rel ~before ~after) ] }
 
-let is_noop r =
-  List.for_all
-    (function
-      | Change c -> change_is_noop c
-      | Add_constraint _ | Drop_constraint _ -> false)
-    r.ops
-
-let rels r =
-  List.filter_map
-    (function Change c -> Some c.rel | Add_constraint _ | Drop_constraint _ -> None)
-    r.ops
-  |> List.sort_uniq String.compare
-
 let apply_change cat c =
   match Catalog.find cat c.rel with
   | None -> errorf "journal references unknown relation %s" c.rel

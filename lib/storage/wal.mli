@@ -62,13 +62,6 @@ val change_is_noop : change -> bool
 val delta : lsn:int -> rel:string -> before:Xrel.t -> after:Xrel.t -> record
 (** A single-change transaction record. *)
 
-val is_noop : record -> bool
-(** True when the record changes nothing (every op a no-op change; DDL
-    ops never are). *)
-
-val rels : record -> string list
-(** The relations the record's changes touch, sorted, deduplicated. *)
-
 val apply_op : ?verify_constraints:bool -> Catalog.t -> op -> Catalog.t
 (** Replays one operation. [Change] splices the delta into the
     relation's minimal representation. [Add_constraint] attaches the

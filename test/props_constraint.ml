@@ -209,25 +209,32 @@ let same_outcome o1 o2 =
   | Error e1, Error e2 -> String.equal e1 e2
   | Ok _, Error _ | Error _, Ok _ -> false
 
+(* A seed's schedule: the index kind, the catalog without indexes and
+   with one on every foreign key's local attributes, the set-up
+   statements and the statements under test. *)
+let q_schedule seed =
+  let g = Workload.Prng.create seed in
+  let kind = Workload.Prng.choose g [ "hash"; "range" ] in
+  let scanned =
+    Storage.Catalog.add (base_catalog ()) (ints "Q" [ "F"; "H" ]) Xrel.bottom
+  in
+  let probed =
+    List.fold_left
+      (fun cat (rel, a) ->
+        Storage.Catalog.create_index cat rel ~kind
+          (Attr.Set.singleton (Attr.make a)))
+      scanned
+      [ ("R", "F"); ("S", "G"); ("Q", "F"); ("Q", "H") ]
+  in
+  let setup = q_declarations g @ q_population in
+  let stmts = List.init (4 + Workload.Prng.int g 12) (fun _ -> q_statement g) in
+  (kind, scanned, probed, setup, stmts)
+
 let probe_served_equals_scan =
   QCheck.Test.make ~count:80
     ~name:"probe-served delete actions = the scan" seed_arb
     (fun seed ->
-      let g = Workload.Prng.create seed in
-      let kind = Workload.Prng.choose g [ "hash"; "range" ] in
-      let scanned =
-        Storage.Catalog.add (base_catalog ()) (ints "Q" [ "F"; "H" ]) Xrel.bottom
-      in
-      let probed =
-        List.fold_left
-          (fun cat (rel, a) ->
-            Storage.Catalog.create_index cat rel ~kind
-              (Attr.Set.singleton (Attr.make a)))
-          scanned
-          [ ("R", "F"); ("S", "G"); ("Q", "F"); ("Q", "H") ]
-      in
-      let setup = q_declarations g @ q_population in
-      let stmts = List.init (4 + Workload.Prng.int g 12) (fun _ -> q_statement g) in
+      let _, scanned, probed, setup, stmts = q_schedule seed in
       let step (c1, c2, ok) stmt =
         let c1, o1 = observe c1 stmt and c2, o2 = observe c2 stmt in
         (c1, c2, ok && same_outcome o1 o2 && catalogs_equal c1 c2)
@@ -235,6 +242,58 @@ let probe_served_equals_scan =
       let c1 = declare scanned setup and c2 = declare probed setup in
       let _, _, ok = List.fold_left step (c1, c2, catalogs_equal c1 c2) stmts in
       ok)
+
+(* ------------- statement outcomes pinned byte for byte ---------- *)
+
+(* Every statement of the schedules of seeds 1-40, set-up included, as
+   its message and net deltas or its refusal, one block per seed. The
+   rendering must match [constraint_golden/outcomes.txt] both with the
+   indexes and without them. *)
+let render_outcomes ~probed_side =
+  let b = Buffer.create 65_536 in
+  let tuples sign set =
+    Tuple.Set.iter
+      (fun t -> Printf.bprintf b "  %s %s\n" sign (Pp.to_string Tuple.pp t))
+      set
+  in
+  for seed = 1 to 40 do
+    let kind, scanned, probed, setup, stmts = q_schedule seed in
+    Printf.bprintf b "seed %d (%s)\n" seed kind;
+    let cat = if probed_side then probed else scanned in
+    ignore
+      (List.fold_left
+         (fun cat stmt ->
+           Printf.bprintf b "> %s\n" stmt;
+           let cat, outcome = observe cat stmt in
+           (match outcome with
+           | Ok (message, deltas) ->
+               Printf.bprintf b "ok %s\n" message;
+               List.iter
+                 (fun (d : Constr.delta) ->
+                   Printf.bprintf b " %s\n" d.d_rel;
+                   tuples "-" d.d_removed;
+                   tuples "+" d.d_added)
+                 deltas
+           | Error e -> Printf.bprintf b "error %s\n" e);
+           cat)
+         cat (setup @ stmts))
+  done;
+  Buffer.contents b
+
+let golden_outcomes =
+  Filename.concat
+    (Filename.concat (Filename.dirname Sys.executable_name) "constraint_golden")
+    "outcomes.txt"
+
+let test_outcome_golden () =
+  let golden = In_channel.with_open_bin golden_outcomes In_channel.input_all in
+  List.iter
+    (fun (side, probed_side) ->
+      Alcotest.(check string)
+        ("outcomes " ^ side ^ " match the golden")
+        golden
+        (render_outcomes ~probed_side))
+    [ ("with indexes", true); ("without indexes", false) ]
 
 (* Declaring over violating data must be refused — the Add*Constraint
    precondition — and refuse without attaching anything. *)
@@ -430,4 +489,8 @@ let suite =
       crash_mid_cascade_invisible;
       concurrent_schedules_stay_clean;
       probe_served_equals_scan;
+    ]
+  @ [
+      Alcotest.test_case "statement outcomes match their golden" `Quick
+        test_outcome_golden;
     ]

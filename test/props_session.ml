@@ -622,8 +622,8 @@ let reapply_batch (cat, lsn, history) batch =
                 (changes ops)
             in
             (match Storage.Catalog.enforce merged seeds with
-            | [] -> ()
-            | extra :: _ -> raise (Conflicting extra.Constr.d_rel));
+            | _, [] -> ()
+            | _, (extra, _) :: _ -> raise (Conflicting extra.Constr.d_rel));
             (r, merged)
           with
           | r, merged ->

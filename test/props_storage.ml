@@ -113,39 +113,6 @@ let persist_schema_roundtrip =
       String.equal text
         (Storage.Persist.schema_to_string (Storage.Persist.schema_of_string text)))
 
-(* The probe-equijoin fast path: with hits disjoint from the probe
-   side's scope (the compiled cross-scope join) the output skips
-   minimization; with a shared join column it is minimized. Both equal
-   the minimizing logical operator. *)
-let probe_equijoin_fast_path =
-  let relabel mapping x =
-    Xrel.of_list (List.map (Tuple.rename mapping) (Xrel.to_list x))
-  in
-  let a = Attr.make "A" and c = Attr.make "C" in
-  let probe_on key_in key_out r2 t1 =
-    match Tuple.get t1 key_in with
-    | Value.Null -> []
-    | v -> List.filter (fun t2 -> Value.equal (Tuple.get t2 key_out) v) (Xrel.to_list r2)
-  in
-  test "probe-equijoin = minimized join" pair_xrel (fun (x1, x2) ->
-      (* r1 over A, B; r2 over C, D, E *)
-      let r2 =
-        relabel
-          (List.map (fun (o, n) -> (Attr.make o, Attr.make n))
-             [ ("A", "C"); ("B", "D"); ("C", "E") ])
-          x2
-      in
-      let r1 = Algebra.project (Attr.set_of_list [ "A"; "B" ]) x1 in
-      let cross =
-        Storage.Join.probe_equijoin ~probe:(probe_on a c r2) r1
-      in
-      let shared = Storage.Join.probe_equijoin ~probe:(probe_on a a x2) x1 in
-      Xrel.equal cross
-        (Algebra.select (Predicate.Cmp_attrs (a, Predicate.Eq, c))
-           (Algebra.product r1 r2))
-      && Relation.is_minimal (Xrel.rep cross)
-      && Xrel.equal shared (Algebra.equijoin (Attr.Set.singleton a) x1 x2))
-
 (* ---------------- crash-recovery round-trips ------------------ *)
 
 (* A randomized version of the durability matrix: a random catalog, a
@@ -867,7 +834,6 @@ let suite =
       hash_index_diff_agrees;
       hash_index_minimize_agrees;
       hash_index_x_mem_agrees;
-      probe_equijoin_fast_path;
       persist_schema_roundtrip;
       save_fault_recover_roundtrips;
       wal_delta_apply_exact;

@@ -139,6 +139,35 @@ let test_fk_set_null () =
   Alcotest.(check (list Alcotest.reject)) "referentially clean" []
     (Storage.Catalog.check_references cat)
 
+(* R (F = 1, W = 5) loses its target; its rewrite (W = 5) is absorbed
+   by R (W = 5, X = 7), so the action still counts one tuple set to
+   null while R's net delta only removes. *)
+let test_fk_set_null_absorbed () =
+  let cat = base () in
+  let cat =
+    Storage.Catalog.add cat (ints "R" [ "F"; "W"; "X" ])
+      (xrel [ [ ("F", 1); ("W", 5) ]; [ ("W", 5); ("X", 7) ] ])
+  in
+  let cat = run_cat cat "constrain fk R (F) to T (K) on delete setnull as fkr" in
+  let out = run cat "range of v is T delete v where v.K = 1" in
+  Alcotest.(check string) "the action is reported"
+    "1 tuple deleted; cascade: 1 set to null in R" out.Dml.message;
+  (match
+     List.filter (fun (d : Constr.delta) -> String.equal d.d_rel "R") out.Dml.deltas
+   with
+  | [ d ] ->
+      Alcotest.(check bool) "R's delta removes the old tuple" true
+        (Tuple.Set.equal d.d_removed
+           (Tuple.Set.singleton (tup [ ("F", 1); ("W", 5) ])));
+      Alcotest.(check bool) "R's delta adds nothing" true
+        (Tuple.Set.is_empty d.d_added)
+  | _ -> Alcotest.fail "expected one delta of R");
+  List.iter
+    (fun (name, rows) ->
+      Alcotest.(check bool) (name ^ " as expected") true
+        (Xrel.equal (xrel rows) (Storage.Catalog.relation out.Dml.catalog name)))
+    [ ("T", []); ("R", [ [ ("W", 5); ("X", 7) ] ]); ("S", []) ]
+
 let test_fk_set_null_blocked_by_not_null () =
   let cat = base ~r:[ [ ("F", 1); ("W", 2) ] ] () in
   let cat = run_cat cat "constrain notnull R (F) as nn" in
@@ -399,6 +428,8 @@ let suite =
     Alcotest.test_case "fk: restrict blocks" `Quick test_fk_restrict;
     Alcotest.test_case "fk: cascade is transitive" `Quick test_fk_cascade_transitive;
     Alcotest.test_case "fk: set-null rewrites to ni" `Quick test_fk_set_null;
+    Alcotest.test_case "fk: an absorbed set-null still reports" `Quick
+      test_fk_set_null_absorbed;
     Alcotest.test_case "set-null blocked by not-null" `Quick
       test_fk_set_null_blocked_by_not_null;
     Alcotest.test_case "set-null blocked by the key" `Quick
